@@ -11,12 +11,12 @@ renormalise) prepares raw embeddings for such scoring.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AlgoConfig, RandomIndexStream, RunTrace, _Recorder
+from .algorithms import AlgoConfig, _Recorder, _sms_loop
 from .core import check_state
 
 __all__ = ["PreprocessConfig", "spherical_normalize", "top_score_neighbors", "knn_sms_run"]
@@ -119,76 +119,15 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig, score_update=None):
     plus full index coverage since the last large shift.
     """
     pts = check_state(points).copy()
-    n, d = pts.shape
-    if cfg.max_updates < n:
-        raise ValueError(f"max_updates={cfg.max_updates} must be >= n={n}")
     neighbor_sets = top_score_neighbors(scores, k)
-    rng = RandomIndexStream(cfg.seed)
-    tol = cfg.move_tolerance
 
-    rec = _Recorder(False, False)
-    initial = pts.copy()
-    snapshots: list[tuple[int, np.ndarray]] = []
-    if cfg.snapshot_every is not None:
-        snapshots.append((0, pts.copy()))
-
-    small = np.zeros(n, dtype=bool)
-    n_small = 0
-    target = int(np.ceil(cfg.sms_stop_fraction * n))
-    stamp = np.full(n, -1, dtype=np.int64)
-    epoch = 0
-    covered = 0
-
-    t0 = time.perf_counter()
-    steps = 0
-    stop_reason = "max_updates"
-    while steps < cfg.max_updates:
-        i = rng.draw(n)
+    def move(i):
+        nonlocal neighbor_sets
         new = pts[neighbor_sets[i]].mean(axis=0)
         dx = new - pts[i]
-        shift = float(np.sqrt(dx @ dx))
         pts[i] = new
-        steps += 1
-        rec.append(i, shift, None, None)
         if score_update is not None:
             neighbor_sets = top_score_neighbors(score_update(pts), k)
-        if cfg.snapshot_every is not None and steps % cfg.snapshot_every == 0:
-            snapshots.append((steps, pts.copy()))
+        return math.sqrt(dx @ dx), None, None
 
-        if shift < tol:
-            if stamp[i] != epoch:
-                stamp[i] = epoch
-                covered += 1
-            if not small[i]:
-                small[i] = True
-                n_small += 1
-            if n_small >= target and covered == n:
-                stop_reason = "converged"
-                break
-        else:
-            epoch += 1
-            covered = 0
-            if small[i]:
-                small[i] = False
-                n_small -= 1
-    duration = time.perf_counter() - t0
-
-    if cfg.snapshot_every is not None and (not snapshots or snapshots[-1][0] != steps):
-        snapshots.append((steps, pts.copy()))
-    idx, shifts, _, _, _ = rec.trimmed()
-    trace = RunTrace(
-        algorithm="sms",
-        moved_index=idx,
-        shift=shifts,
-        objective=None,
-        objective_delta=None,
-        grad_norm=None,
-        initial_objective=None,
-        initial_points=initial,
-        final_points=pts.copy(),
-        snapshots=snapshots,
-        total_updates=steps,
-        duration=duration,
-        stop_reason=stop_reason,
-    )
-    return pts, trace
+    return _sms_loop(pts, cfg, move, _Recorder(False, False))

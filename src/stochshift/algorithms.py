@@ -10,6 +10,17 @@ The three drivers share the same update arithmetic:
 * ``sms_run``  - one uniformly random point per step moves against the
   *current* (blurred) state.
 
+SMS has one driver, ``_sms_loop``, shared with the score-matrix variant
+``affinity.knn_sms_run``.  It owns the index stream, the budget check,
+the stopping rule, snapshots, timing and the ``RunTrace``.  A variant
+supplies only a ``move(i)`` callable: it updates row i of the state in
+place and returns ``(shift, delta, grad)``, the moved distance, the
+objective increment and the pre-move partial-gradient norm, with None
+for whatever is not traced.  The driver accumulates the objective from
+the increments when its recorder traces it.
+
+Pairwise work walks row blocks from ``core.pairwise_sq_blocks``.
+
 Budgets are counted in point-updates so the three are unit-consistent:
 one SMS step is 1 update, one BMS sweep is n updates, one MS inner
 iteration is 1 update per active probe.  Index draws come from a named,
@@ -19,12 +30,13 @@ given seed; floating-point reductions use a fixed index-ascending order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_bandwidth, check_state, objective_value
+from .core import check_bandwidth, check_state, objective_value, pairwise_sq_blocks
 from .kernels import EPANECHNIKOV, Profile, _derivative
 
 __all__ = [
@@ -179,6 +191,8 @@ class RunTrace:
     isolated_probes: int = 0
     # MS only: probe indices whose per-point budget ran out before converging
     unconverged: np.ndarray | None = None
+    # MS only: cumulative update count after each batch iteration
+    ms_update_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def n_events(self) -> int:
@@ -210,17 +224,23 @@ class RunTrace:
         n = self.initial_points.shape[0]
         if self.algorithm == "bms":
             return n * np.arange(1, self.n_events + 1, dtype=np.int64)
-        return self._ms_counts
-
-    _ms_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+        return self.ms_update_counts
 
 
-def _weights(alpha: int, sq: np.ndarray, h2: float) -> np.ndarray:
-    """G values over squared distances; bool mask for the uniform case."""
+def _weights(alpha: int, sq: np.ndarray, h2: float):
+    """Weights G(sq / h^2) and their totals over the last axis of sq.
+
+    The uniform (alpha = 1) weight stays a bool support mask with integer
+    counts as totals.  Float weights from ``-_derivative`` give the same
+    sums, but their clip, scale, negation and float sum are extra passes
+    that would dominate an Epanechnikov SMS move.
+    """
     if alpha == 1:
-        return sq < h2
-    t = np.clip(sq, 0.0, None) * (1.0 / h2)
-    return -_derivative(alpha, t)
+        w = sq < h2
+        # a single row is counted without `axis`, which is far cheaper
+        return w, np.count_nonzero(w, axis=None if w.ndim == 1 else -1)
+    w = -_derivative(alpha, np.clip(sq, 0.0, None) * (1.0 / h2))
+    return w, w.sum(axis=-1)
 
 
 def _move_once(pts, sqn, i, h2, alpha, sqbuf):
@@ -232,17 +252,12 @@ def _move_once(pts, sqn, i, h2, alpha, sqbuf):
     every move), only the combination can see cancellation, which is
     harmless under the compact-support weights.
     """
-    x = pts[i]
-    np.multiply(pts @ x, -2.0, out=sqbuf)
+    np.multiply(pts @ pts[i], -2.0, out=sqbuf)
     sqbuf += sqn
     sqbuf += sqn[i]
-    w = _weights(alpha, sqbuf, h2)
-    if alpha == 1:
-        total = float(np.count_nonzero(w))
-    else:
-        total = float(w.sum())
-    new = (w @ pts) / total
-    return new, sqbuf, total
+    w, total = _weights(alpha, sqbuf, h2)
+    total = float(total)
+    return (w @ pts) / total, sqbuf, total
 
 
 def sms_step(points, cfg: AlgoConfig, rng: RandomIndexStream):
@@ -259,39 +274,27 @@ def sms_step(points, cfg: AlgoConfig, rng: RandomIndexStream):
     new, _, _ = _move_once(pts, sqn, i, cfg.h * cfg.h, cfg.profile.alpha, np.empty(n))
     dx = new - pts[i]
     pts[i] = new
-    return pts, i, float(np.sqrt(dx @ dx))
+    return pts, i, math.sqrt(dx @ dx)
 
 
-def sms_run(points, cfg: AlgoConfig):
-    """Run SMS until the stopping rule fires or the budget is spent.
+def _sms_loop(pts, cfg: AlgoConfig, move, rec: _Recorder):
+    """The SMS driver shared by :func:`sms_run` and ``knn_sms_run``.
 
-    Stopping: at least ``ceil(sms_stop_fraction * n)`` points have a
-    last recorded shift below ``move_tolerance`` AND every index has
-    been drawn at least once after the most recent above-tolerance
-    shift.  Returns ``(final_points, RunTrace)``.
+    Draws indices, calls ``move(i)``, records, snapshots and applies the
+    stopping rule; returns ``(pts, RunTrace)``.  ``move(i)`` must update
+    row i of ``pts`` in place and return ``(shift, delta, grad)``.  The
+    objective is traced when ``rec`` records it.
     """
-    pts = check_state(points).copy()
-    n, d = pts.shape
+    n = pts.shape[0]
     if cfg.max_updates < n:
         raise ValueError(f"max_updates={cfg.max_updates} must be >= n={n}")
-    h2 = cfg.h * cfg.h
-    alpha = cfg.profile.alpha
-    tol = cfg.move_tolerance
     rng = RandomIndexStream(cfg.seed)
-
-    rec = _Recorder(cfg.trace_objective, cfg.trace_gradient)
+    tol = cfg.move_tolerance
+    every = cfg.snapshot_every
     initial = pts.copy()
-    snapshots: list[tuple[int, np.ndarray]] = []
-    if cfg.snapshot_every is not None:
-        snapshots.append((0, pts.copy()))
-
-    objective = objective_value(pts, cfg.h, cfg.profile) if cfg.trace_objective else None
+    snapshots: list[tuple[int, np.ndarray]] = [] if every is None else [(0, pts.copy())]
+    objective = objective_value(pts, cfg.h, cfg.profile) if rec.objective is not None else None
     initial_objective = objective
-
-    sqn = np.einsum("ij,ij->i", pts, pts)
-    sqbuf = np.empty(n)
-    newbuf = np.empty(n)
-    diffbuf = np.empty(n)
 
     # last-shift bookkeeping: `small` marks points whose most recent
     # shift was below tolerance; coverage-since-last-big-shift is kept
@@ -303,52 +306,17 @@ def sms_run(points, cfg: AlgoConfig):
     epoch = 0
     covered = 0
 
-    inv_h2 = 1.0 / h2
-    two_inv_h2 = 2.0 * inv_h2
     t0 = time.perf_counter()
     k = 0
     stop_reason = "max_updates"
     while k < cfg.max_updates:
         i = rng.draw(n)
-        x_old = pts[i].copy()
-        new, sq_old, total = _move_once(pts, sqn, i, h2, alpha, sqbuf)
-        dx = new - x_old
-        shift = float(np.sqrt(dx @ dx))
-
-        grad = (two_inv_h2 * total) * shift if cfg.trace_gradient else None
-        delta = None
-        if cfg.trace_objective:
-            # squared distances to the moved point's new position
-            np.multiply(pts @ new, -2.0, out=newbuf)
-            newbuf += sqn
-            newbuf += new @ new
-            # k(t_new) - k(t_old) summed over j != i, in the factorised
-            # form (b_new - b_old) * sum_p b_new^p b_old^(a-1-p) with the
-            # in-support base difference t_old - t_new expanded as an
-            # inner product, so tiny increments keep relative accuracy
-            # instead of cancelling against O(1) profile values.
-            b_old = np.clip(1.0 - sq_old * inv_h2, 0.0, None)
-            b_new = np.clip(1.0 - newbuf * inv_h2, 0.0, None)
-            np.multiply(pts @ dx, 2.0, out=diffbuf)
-            diffbuf -= float(dx @ (x_old + new))
-            diffbuf *= inv_h2
-            dbase = np.where((b_old > 0.0) & (b_new > 0.0), diffbuf, b_new - b_old)
-            if alpha == 1:
-                terms = dbase
-            elif alpha == 2:
-                terms = dbase * (b_new + b_old)
-            else:
-                poly = sum(b_new**p * b_old ** (alpha - 1 - p) for p in range(alpha))
-                terms = dbase * poly
-            terms[i] = 0.0
-            delta = float(terms.sum())
+        shift, delta, grad = move(i)
+        if delta is not None:
             objective += delta
-
-        pts[i] = new
-        sqn[i] = new @ new
         k += 1
         rec.append(i, shift, objective, grad, delta)
-        if cfg.snapshot_every is not None and k % cfg.snapshot_every == 0:
+        if every is not None and k % every == 0:
             snapshots.append((k, pts.copy()))
 
         if shift < tol:
@@ -369,7 +337,7 @@ def sms_run(points, cfg: AlgoConfig):
                 n_small -= 1
 
     duration = time.perf_counter() - t0
-    if cfg.snapshot_every is not None and (not snapshots or snapshots[-1][0] != k):
+    if every is not None and snapshots[-1][0] != k:
         snapshots.append((k, pts.copy()))
     idx, shifts, obj, deltas, grads = rec.trimmed()
     trace = RunTrace(
@@ -390,6 +358,64 @@ def sms_run(points, cfg: AlgoConfig):
     return pts, trace
 
 
+def sms_run(points, cfg: AlgoConfig):
+    """Run SMS until the stopping rule fires or the budget is spent.
+
+    Stopping: at least ``ceil(sms_stop_fraction * n)`` points have a
+    last recorded shift below ``move_tolerance`` AND every index has
+    been drawn at least once after the most recent above-tolerance
+    shift.  Returns ``(final_points, RunTrace)``.
+    """
+    pts = check_state(points).copy()
+    n = pts.shape[0]
+    h2 = cfg.h * cfg.h
+    inv_h2 = 1.0 / h2
+    two_inv_h2 = 2.0 * inv_h2
+    alpha = cfg.profile.alpha
+    sqn = np.einsum("ij,ij->i", pts, pts)
+    sqbuf = np.empty(n)
+    newbuf = np.empty(n)
+    diffbuf = np.empty(n)
+
+    def move(i):
+        x_old = pts[i]  # a view; row i is written only after its last use
+        new, sq_old, total = _move_once(pts, sqn, i, h2, alpha, sqbuf)
+        dx = new - x_old
+        shift = math.sqrt(dx @ dx)
+        grad = (two_inv_h2 * total) * shift if cfg.trace_gradient else None
+        delta = None
+        if cfg.trace_objective:
+            # squared distances to the moved point's new position
+            np.multiply(pts @ new, -2.0, out=newbuf)
+            np.add(newbuf, sqn, out=newbuf)
+            np.add(newbuf, new @ new, out=newbuf)
+            # k(t_new) - k(t_old) summed over j != i, in the factorised
+            # form (b_new - b_old) * sum_p b_new^p b_old^(a-1-p) with the
+            # in-support base difference t_old - t_new expanded as an
+            # inner product, so tiny increments keep relative accuracy
+            # instead of cancelling against O(1) profile values.
+            b_old = np.clip(1.0 - sq_old * inv_h2, 0.0, None)
+            b_new = np.clip(1.0 - newbuf * inv_h2, 0.0, None)
+            np.multiply(pts @ dx, 2.0, out=diffbuf)
+            np.subtract(diffbuf, float(dx @ (x_old + new)), out=diffbuf)
+            np.multiply(diffbuf, inv_h2, out=diffbuf)
+            dbase = np.where((b_old > 0.0) & (b_new > 0.0), diffbuf, b_new - b_old)
+            if alpha == 1:
+                terms = dbase
+            elif alpha == 2:
+                terms = dbase * (b_new + b_old)
+            else:
+                poly = sum(b_new**p * b_old ** (alpha - 1 - p) for p in range(alpha))
+                terms = dbase * poly
+            terms[i] = 0.0
+            delta = float(terms.sum())
+        pts[i] = new
+        sqn[i] = new @ new
+        return shift, delta, grad
+
+    return _sms_loop(pts, cfg, move, _Recorder(cfg.trace_objective, cfg.trace_gradient))
+
+
 def bms_sweep(points, cfg: AlgoConfig):
     """One synchronous sweep: all n new positions from the same state.
 
@@ -397,21 +423,10 @@ def bms_sweep(points, cfg: AlgoConfig):
     positive because the self term contributes G(0) > 0.
     """
     pts = check_state(points)
-    n = pts.shape[0]
     h2 = cfg.h * cfg.h
-    alpha = cfg.profile.alpha
-    sqn = np.einsum("ij,ij->i", pts, pts)
     new = np.empty_like(pts)
-    chunk = max(1, min(n, (1 << 22) // max(n, 1)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = pts[lo:hi]
-        sq = sqn[lo:hi, None] - 2.0 * (block @ pts.T) + sqn[None, :]
-        w = _weights(alpha, sq, h2)
-        if alpha == 1:
-            totals = np.count_nonzero(w, axis=1).astype(np.float64)
-        else:
-            totals = w.sum(axis=1)
+    for lo, hi, sq in pairwise_sq_blocks(pts, pts):
+        w, totals = _weights(cfg.profile.alpha, sq, h2)
         new[lo:hi] = (w @ pts) / totals[:, None]
     diff = new - pts
     max_shift = float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
@@ -476,13 +491,11 @@ def ms_run(points, cfg: AlgoConfig):
     with the n limit positions in input order.
     """
     sample = check_state(points)
-    n, d = sample.shape
+    n = sample.shape[0]
     if cfg.max_updates < n:
         raise ValueError(f"max_updates={cfg.max_updates} must be >= n={n}")
     per_point_cap = max(1, cfg.max_updates // n)
     h2 = cfg.h * cfg.h
-    alpha = cfg.profile.alpha
-    sqn = np.einsum("ij,ij->i", sample, sample)
 
     probes = sample.copy()
     active = np.arange(n)
@@ -495,31 +508,19 @@ def ms_run(points, cfg: AlgoConfig):
 
     t0 = time.perf_counter()
     updates = 0
-    chunk = max(1, min(n, (1 << 22) // max(n, 1)))
     for _ in range(per_point_cap):
         if active.size == 0:
             break
         moved = probes[active]
         new = np.empty_like(moved)
-        for lo in range(0, moved.shape[0], chunk):
-            hi = min(lo + chunk, moved.shape[0])
-            block = moved[lo:hi]
-            sq = (
-                np.einsum("ij,ij->i", block, block)[:, None]
-                - 2.0 * (block @ sample.T)
-                + sqn[None, :]
-            )
-            w = _weights(alpha, sq, h2)
-            if alpha == 1:
-                totals = np.count_nonzero(w, axis=1).astype(np.float64)
-            else:
-                totals = w.sum(axis=1)
-            empty = totals <= 0.0
+        for lo, hi, sq in pairwise_sq_blocks(moved, sample):
+            w, totals = _weights(cfg.profile.alpha, sq, h2)
+            empty = totals <= 0
             if np.any(empty):
                 isolated += int(empty.sum())
-                totals[empty] = 1.0
+                totals[empty] = 1
             out = (w @ sample) / totals[:, None]
-            out[empty] = block[empty]
+            out[empty] = moved[lo:hi][empty]
             new[lo:hi] = out
         diff = new - moved
         shifts = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -549,8 +550,8 @@ def ms_run(points, cfg: AlgoConfig):
         stop_reason="converged" if active.size == 0 else "max_updates",
         isolated_probes=isolated,
         unconverged=active.copy(),
+        ms_update_counts=np.asarray(counts, dtype=np.int64),
     )
-    trace._ms_counts = np.asarray(counts, dtype=np.int64)
     return probes, trace
 
 

@@ -10,11 +10,12 @@ from bridging the h-separation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_bandwidth, check_state
+from .core import _row_blocks, check_bandwidth, check_state, pairwise_sq_blocks
 
 __all__ = ["MergePolicy", "Partition", "extract_clusters", "cluster_count", "cluster_summary"]
 
@@ -72,15 +73,10 @@ def extract_clusters(final_positions, h, policy: MergePolicy = MergePolicy()) ->
     n = pos.shape[0]
     tau_sq = (policy.merge_radius_factor * h) ** 2
 
-    sqn = np.einsum("ij,ij->i", pos, pos)
-    chunk = max(1, min(n, (1 << 22) // max(n, 1)))
     labels = np.arange(n)
     while True:
         changed = False
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            block = pos[lo:hi]
-            sq = sqn[lo:hi, None] - 2.0 * (block @ pos.T) + sqn[None, :]
+        for lo, hi, sq in pairwise_sq_blocks(pos, pos):
             neigh_min = np.where(sq <= tau_sq, labels[None, :], n).min(axis=1)
             if np.any(neigh_min < labels[lo:hi]):
                 labels[lo:hi] = np.minimum(labels[lo:hi], neigh_min)
@@ -106,14 +102,29 @@ def cluster_count(partition: Partition) -> int:
     return int(partition.n_clusters)
 
 
+def _diameter(members: np.ndarray) -> float:
+    """Largest pairwise distance, from direct coordinate differences.
+
+    Row blocks keep each m x rows x d difference block within the core
+    block rule.  Differences are taken directly rather than through the
+    norm identity, whose cancellation would swamp the sub-1e-9 spread of
+    a collapsed cluster.
+    """
+    m, d = members.shape
+    best = 0.0
+    for lo, hi in _row_blocks(m, m * d):
+        diff = members[lo:hi, None, :] - members[None, :, :]
+        best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    return math.sqrt(best)
+
+
 def cluster_summary(positions, partition: Partition) -> list[dict]:
     """Per-cluster size, centroid and diameter (for the JSON export)."""
     pos = check_state(positions)
     out = []
     for cid in range(1, partition.n_clusters + 1):
         members = pos[partition.assignment == cid]
-        diff = members[:, None, :] - members[None, :, :]
-        diam = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())) if len(members) else 0.0
+        diam = _diameter(members) if len(members) else 0.0
         out.append(
             {
                 "cluster_id": cid,

@@ -5,6 +5,16 @@ float array whose row order is stable across updates.  All distance work
 is done on squared norms (the profile is evaluated at |u|^2 directly, so
 no square roots are needed), and points at squared distance >= h^2
 contribute exactly zero weight.
+
+All-pairs work in the package walks row blocks under one rule: a block
+pairing rows of ``a`` (n_a of them) with n_b entries each holds at most
+2^22 float64 values (32 MiB), or one row where a single row is longer:
+``rows = max(1, min(n_a, 2^22 // n_b))``.
+:func:`pairwise_sq_blocks` yields such blocks of squared distances, and
+cluster diameters use the same rule with n_b = m * d coordinate
+differences.  Memory is thus O(chunk * n) with chunk * n <= 2^22, a few
+such blocks at a time, however large n is; a state of up to 2048 points
+is a single block.
 """
 
 from __future__ import annotations
@@ -25,9 +35,36 @@ __all__ = [
     "full_gradient",
     "gradient_max_norm",
     "kde_value",
+    "pairwise_sq_blocks",
 ]
 
-_CHUNK = 512  # row block size for pairwise work, keeps memory at O(chunk * n)
+_BLOCK_ENTRIES = 1 << 22  # float64 entries per pairwise block
+
+
+def _row_blocks(n_a: int, n_b: int):
+    """Yield ``(lo, hi)`` row ranges of an n_a x n_b pairwise job.
+
+    The module's one block rule: each block holds at most _BLOCK_ENTRIES
+    entries, ``rows = max(1, min(n_a, _BLOCK_ENTRIES // n_b))``.
+    """
+    rows = max(1, min(n_a, _BLOCK_ENTRIES // max(n_b, 1)))
+    for lo in range(0, n_a, rows):
+        yield lo, min(lo + rows, n_a)
+
+
+def pairwise_sq_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(lo, hi, sq)`` with sq[r, j] = ||a[lo + r] - b[j]||^2.
+
+    Row blocks of ``a`` follow the module's block rule.  Entries use the
+    cached-norm identity ``|a|^2 - 2 a.b + |b|^2`` and are not clipped:
+    cancellation can leave tiny negative values, so callers that need
+    non-negative distances clip.  Each ``sq`` is a fresh array the caller
+    may overwrite.
+    """
+    sqn_a = np.einsum("ij,ij->i", a, a)
+    sqn_b = sqn_a if b is a else np.einsum("ij,ij->i", b, b)
+    for lo, hi in _row_blocks(a.shape[0], b.shape[0]):
+        yield lo, hi, sqn_a[lo:hi, None] - 2.0 * (a[lo:hi] @ b.T) + sqn_b[None, :]
 
 
 def check_state(points) -> np.ndarray:
@@ -116,19 +153,11 @@ def objective_value(points, h, profile: Profile) -> float:
     n = pts.shape[0]
     inv_h2 = 1.0 / (h * h)
     total = float(n)  # diagonal: n * k(0)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        block = pts[lo:hi]
-        sq = (
-            np.einsum("ij,ij->i", block, block)[:, None]
-            - 2.0 * (block @ pts.T)
-            + np.einsum("ij,ij->i", pts, pts)[None, :]
-        )
+    cols = np.arange(n)[None, :]
+    for lo, hi, sq in pairwise_sq_blocks(pts, pts):
         vals = _value(profile.alpha, np.clip(sq, 0.0, None) * inv_h2)
         # keep strictly upper-triangular entries of the full matrix
-        cols = np.arange(n)[None, :]
-        rows = np.arange(lo, hi)[:, None]
-        total += float(vals[cols > rows].sum())
+        total += float(vals[cols > np.arange(lo, hi)[:, None]].sum())
     return total
 
 
@@ -155,17 +184,12 @@ def full_gradient(points, h, profile: Profile) -> np.ndarray:
     """All n partial gradients, as an (n, d) array."""
     pts = check_state(points)
     h = check_bandwidth(h)
-    n = pts.shape[0]
     inv_h2 = 1.0 / (h * h)
-    sqn = np.einsum("ij,ij->i", pts, pts)
     grad = np.empty_like(pts)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        block = pts[lo:hi]
-        sq = np.clip(sqn[lo:hi, None] - 2.0 * (block @ pts.T) + sqn[None, :], 0.0, None)
-        w = -_derivative(profile.alpha, sq * inv_h2)
-        w[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 0.0
-        grad[lo:hi] = (2.0 * inv_h2) * (w @ pts - w.sum(axis=1)[:, None] * block)
+    for lo, hi, sq in pairwise_sq_blocks(pts, pts):
+        w = -_derivative(profile.alpha, np.clip(sq, 0.0, None) * inv_h2)
+        w[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        grad[lo:hi] = (2.0 * inv_h2) * (w @ pts - w.sum(axis=1)[:, None] * pts[lo:hi])
     return grad
 
 

@@ -63,17 +63,18 @@ def read_dataset_csv(path):
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (line number, text) of the non-blank lines, numbered before filtering
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     label_col = header.index("label") if "label" in header else None
     coord_cols = [j for j in range(len(header)) if j != label_col]
     if not coord_cols:
         raise DataError(f"{path}: no coordinate columns")
 
     rows, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = [c.strip() for c in line.split(",")]
         if len(parts) != len(header):
             raise DataError(

@@ -22,7 +22,8 @@ import numpy as np
 
 from .algorithms import AlgoConfig, RunTrace, sms_run
 from .clustering import MergePolicy, extract_clusters
-from .core import check_bandwidth, check_state, full_gradient, gradient_max_norm
+from .core import check_bandwidth, check_state, full_gradient, gradient_max_norm, pairwise_sq_blocks
+from .experiments import RUN_SEED_OFFSET
 from .kernels import Profile
 from .synthdata import generate, parse_preset
 
@@ -38,10 +39,6 @@ __all__ = [
     "negative_controls",
     "verify_preset",
 ]
-
-# decorrelates algorithm index draws from dataset sampling streams
-_RUN_SEED_OFFSET = 1_000_003
-
 
 @dataclass
 class CheckResult:
@@ -181,10 +178,16 @@ def check_gradient_vanishes(
     )
 
 
-def _pairwise_dists(points: np.ndarray) -> np.ndarray:
-    sqn = np.einsum("ij,ij->i", points, points)
-    sq = np.clip(sqn[:, None] - 2.0 * (points @ points.T) + sqn[None, :], 0.0, None)
-    return np.sqrt(sq)
+def _dist_blocks(points: np.ndarray):
+    """Pairwise distances as row blocks ``(d, upper)``; upper marks j > i."""
+    cols = np.arange(points.shape[0])[None, :]
+    for lo, hi, sq in pairwise_sq_blocks(points, points):
+        np.clip(sq, 0.0, None, out=sq)
+        yield np.sqrt(sq, out=sq), cols > np.arange(lo, hi)[:, None]
+
+
+def _max_dist(points: np.ndarray) -> float:
+    return max(float(d.max()) for d, _ in _dist_blocks(points)) if points.shape[0] > 1 else 0.0
 
 
 def check_cluster_stability(trace: RunTrace, h, tau: float) -> CheckResult:
@@ -201,13 +204,12 @@ def check_cluster_stability(trace: RunTrace, h, tau: float) -> CheckResult:
         raise ValueError("cluster-stability check needs at least two snapshots")
     (_, prev), (_, last) = trace.snapshots[-2], trace.snapshots[-1]
 
-    dists = _pairwise_dists(last)
-    iu = np.triu_indices(dists.shape[0], k=1)
-    pair_d = dists[iu]
-    if pair_d.size:
-        slack = float(np.maximum(tau - pair_d, pair_d - (h - tau)).min())
-    else:
-        slack = float("inf")
+    # worst band slack over pairs j > i; inf when there is no pair
+    slack = float("inf")
+    for d, upper in _dist_blocks(last):
+        # max(tau - d, d - (h - tau)), the second term computed in place
+        band = np.maximum(tau - d, np.subtract(d, h - tau, out=d), out=d)
+        slack = min(slack, float(np.min(band, where=upper, initial=np.inf)))
 
     policy = MergePolicy(tau / h)
     part_prev = extract_clusters(prev, h, policy)
@@ -239,7 +241,7 @@ def check_single_cluster_convergence(initial_points, cfg: AlgoConfig) -> CheckRe
     """
     pts = check_state(initial_points)
     n, d = pts.shape
-    diameter = float(_pairwise_dists(pts).max()) if n > 1 else 0.0
+    diameter = _max_dist(pts)
     if diameter >= cfg.h:
         return CheckResult(
             "single_cluster_convergence",
@@ -260,7 +262,7 @@ def check_single_cluster_convergence(initial_points, cfg: AlgoConfig) -> CheckRe
     )
     final, trace = sms_run(pts, run_cfg)
 
-    max_dist = float(_pairwise_dists(final).max()) if n > 1 else 0.0
+    max_dist = _max_dist(final)
     threshold = 10.0 * cfg.move_tolerance
     slack = threshold - max_dist
 
@@ -306,10 +308,10 @@ def check_critical_characterization(points, h, profile: Profile) -> CheckResult:
     grad_norm = gradient_max_norm(full_gradient(pts, h, profile))
     gradient_zero = grad_norm <= 1e-10 * max(1.0, grad_norm)
 
-    dists = _pairwise_dists(pts)
-    iu = np.triu_indices(dists.shape[0], k=1)
-    pair_d = dists[iu]
-    geometric = bool(np.all((pair_d <= 1e-12 * h) | (pair_d >= h * (1.0 - 1e-12))))
+    geometric = all(
+        bool(np.all((d <= 1e-12 * h) | (d >= h * (1.0 - 1e-12)), where=upper))
+        for d, upper in _dist_blocks(pts)
+    )
 
     agree = gradient_zero == geometric
     return CheckResult(
@@ -442,7 +444,7 @@ def verify_preset(
             h=h,
             max_updates=max_updates,
             move_tolerance=move_tolerance,
-            seed=seed + i + _RUN_SEED_OFFSET,
+            seed=seed + i + RUN_SEED_OFFSET,
             trace_objective=True,
             trace_gradient=profile.smooth,
             snapshot_every=data.n,
@@ -471,7 +473,7 @@ def verify_preset(
                 profile=profile,
                 h=h,
                 move_tolerance=move_tolerance,
-                seed=seed + i + _RUN_SEED_OFFSET,
+                seed=seed + i + RUN_SEED_OFFSET,
             ),
         )
         for i in range(n_seeds)

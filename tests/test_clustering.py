@@ -1,5 +1,7 @@
 """Cluster extraction from converged positions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,3 +136,19 @@ class TestSummary:
         assert [s["size"] for s in summary] == [2, 1]
         assert summary[0]["diameter"] == pytest.approx(0.1)
         assert summary[1]["centroid"] == [5.0, 5.0]
+
+    def test_diameter_peak_memory_on_collapsed_cluster(self):
+        n = 4000
+        pos = np.tile([[1.0, -2.0]], (n, 1))
+        pos[-1] += [3e-10, 4e-10]
+        part = Partition(np.ones(n, dtype=np.int64), 1)
+        tracemalloc.start()
+        try:
+            summary = cluster_summary(pos, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary[0]["size"] == n
+        diff = pos[-1] - pos[0]
+        assert summary[0]["diameter"] == float(np.sqrt(diff @ diff))
+        assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"

@@ -51,6 +51,10 @@ class TestDatasetCsv:
         path.write_text("x0,label\n0.5,1\nnot-a-number,2\n")
         with pytest.raises(DataError, match=r"bad\.csv:3"):
             read_dataset_csv(path)
+        # blank lines count toward the reported line number
+        path.write_text("x0,x1\n\n\n1.0,2.0\n\n3.0,abc\n")
+        with pytest.raises(DataError, match=r"bad\.csv:6:"):
+            read_dataset_csv(path)
 
     def test_field_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,9 +1,11 @@
 """Theory checks: positive harnesses, negative controls, gating."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from stochshift.algorithms import AlgoConfig, sms_run
+from stochshift.algorithms import AlgoConfig, RunTrace, sms_run
 from stochshift.kernels import EPANECHNIKOV, Profile
 from stochshift.synthdata import generate, parse_preset
 from stochshift.theory import (
@@ -129,6 +131,54 @@ class TestPreconditions:
         trace, _ = traced_run(9)
         with pytest.raises(ValueError, match="tau"):
             check_cluster_stability(trace, 1.0, 0.7)
+
+
+def frozen_trace(state):
+    """A trace whose last two snapshots are both ``state``."""
+    return RunTrace(
+        algorithm="sms",
+        moved_index=np.zeros(0, dtype=np.int64),
+        shift=np.zeros(0),
+        objective=None,
+        objective_delta=None,
+        grad_norm=None,
+        initial_objective=None,
+        initial_points=state,
+        final_points=state.copy(),
+        snapshots=[(0, state.copy()), (1, state.copy())],
+    )
+
+
+class TestBoundedMemory:
+    """Pairwise checks walk row blocks instead of an n x n matrix."""
+
+    N = 4000  # several row blocks; a dense distance matrix would be 128 MB
+
+    def two_groups(self):
+        state = np.zeros((self.N, 2))
+        state[self.N // 2 :] = [5.0, 0.0]
+        return state
+
+    def test_cluster_stability_peak_memory(self):
+        trace = frozen_trace(self.two_groups())
+        tracemalloc.start()
+        try:
+            result = check_cluster_stability(trace, 1.0, 1.0 / 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == "pass"
+        assert result.worst_slack == 1.0 / 3.0
+        assert result.detail["n_clusters"] == 2
+        assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_band_pair_in_last_block_is_found(self):
+        state = self.two_groups()
+        state[-1] = [5.5, 0.0]
+        result = check_cluster_stability(frozen_trace(state), 1.0, 1.0 / 3.0)
+        assert result.status == "fail"
+        assert result.worst_slack == pytest.approx(-1.0 / 6.0)
+        assert check_critical_characterization(state, 1.0, P2).detail["geometry_critical"] is False
 
 
 class TestNegativeControls:
