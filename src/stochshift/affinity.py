@@ -130,4 +130,4 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig, score_update=None):
             neighbor_sets = top_score_neighbors(score_update(pts), k)
         return math.sqrt(dx @ dx), None, None
 
-    return _sms_loop(pts, cfg, move, _Recorder(False, False))
+    return _sms_loop(pts, cfg, move, _Recorder("sms", pts, cfg))

@@ -10,14 +10,27 @@ The three drivers share the same update arithmetic:
 * ``sms_run``  - one uniformly random point per step moves against the
   *current* (blurred) state.
 
-SMS has one driver, ``_sms_loop``, shared with the score-matrix variant
-``affinity.knn_sms_run``.  It owns the index stream, the budget check,
-the stopping rule, snapshots, timing and the ``RunTrace``.  A variant
-supplies only a ``move(i)`` callable: it updates row i of the state in
-place and returns ``(shift, delta, grad)``, the moved distance, the
-objective increment and the pre-move partial-gradient norm, with None
-for whatever is not traced.  The driver accumulates the objective from
-the increments when its recorder traces it.
+The drivers differ only in their update and stop rules; every run
+records through one ``_Recorder``.  Created on the starting state, it
+checks the budget, copies the state, takes the first snapshot,
+evaluates the starting objective and starts the run timer.  Each event
+(one SMS step, one BMS sweep, one MS batch iteration) then appends a
+row to its columns: the cumulative update count, the moved index (-1
+for batch events), the shift and, when traced, the objective, its
+increment and the partial-gradient norm.  A traced objective is the
+previous value plus the increment the move supplies (SMS), or else a
+fresh ``objective_value`` of the state (BMS).  SMS events snapshot at
+multiples of ``snapshot_every``; batch events snapshot after every
+event when it is set.  ``finish`` appends the final snapshot and builds
+the ``RunTrace``.
+
+SMS has one loop, ``_sms_loop``, shared with the score-matrix variant
+``affinity.knn_sms_run``; it owns the index stream and the stopping
+rule.  A variant supplies only a ``move(i)`` callable: it updates row i
+of the state in place and returns ``(shift, delta, grad)``, the moved
+distance, the objective increment and the pre-move partial-gradient
+norm, with None for whatever is not traced.  ``_sms_move`` builds the
+distance move that ``sms_run`` and ``sms_step`` share.
 
 Pairwise work walks row blocks from ``core.pairwise_sq_blocks``.
 
@@ -32,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,80 +124,35 @@ class RandomIndexStream:
         return int(self._gen.integers(n))
 
 
-class _Recorder:
-    """Growable per-update record arrays (index, shift, objective, grad)."""
-
-    def __init__(self, with_objective: bool, with_gradient: bool):
-        self._cap = 1024
-        self._m = 0
-        self.index = np.empty(self._cap, dtype=np.int64)
-        self.shift = np.empty(self._cap, dtype=np.float64)
-        self.objective = np.empty(self._cap, dtype=np.float64) if with_objective else None
-        self.delta = np.empty(self._cap, dtype=np.float64) if with_objective else None
-        self.grad_norm = np.empty(self._cap, dtype=np.float64) if with_gradient else None
-
-    def append(
-        self,
-        idx: int,
-        shift: float,
-        objective: float | None,
-        grad: float | None,
-        delta: float | None = None,
-    ) -> None:
-        if self._m == self._cap:
-            self._cap *= 2
-            self.index = np.resize(self.index, self._cap)
-            self.shift = np.resize(self.shift, self._cap)
-            if self.objective is not None:
-                self.objective = np.resize(self.objective, self._cap)
-                self.delta = np.resize(self.delta, self._cap)
-            if self.grad_norm is not None:
-                self.grad_norm = np.resize(self.grad_norm, self._cap)
-        self.index[self._m] = idx
-        self.shift[self._m] = shift
-        if self.objective is not None:
-            self.objective[self._m] = objective
-            self.delta[self._m] = delta if delta is not None else np.nan
-        if self.grad_norm is not None:
-            self.grad_norm[self._m] = grad
-        self._m += 1
-
-    def trimmed(self):
-        return (
-            self.index[: self._m].copy(),
-            self.shift[: self._m].copy(),
-            None if self.objective is None else self.objective[: self._m].copy(),
-            None if self.delta is None else self.delta[: self._m].copy(),
-            None if self.grad_norm is None else self.grad_norm[: self._m].copy(),
-        )
-
-
 @dataclass
 class RunTrace:
-    """Per-update history of one driver run.
+    """Per-event history of one driver run, one column entry per event.
 
-    ``moved_index`` holds the drawn index for SMS steps and -1 for batch
-    events (one BMS sweep, one MS batch iteration); ``shift`` is the
-    moved point's displacement for SMS and the maximal per-point
-    displacement for batch events.  ``objective`` (when traced) is the
-    state's pairwise affinity *after* the event, with the starting value
-    in ``initial_objective``; it is non-decreasing along SMS and BMS
-    traces.  For SMS the per-step increment is also kept in
-    ``objective_delta``, computed in a cancellation-free product form so
-    increments far below the objective's rounding unit stay accurate.
-    ``grad_norm`` (when traced, SMS only) is the moved point's
-    partial-gradient norm at the pre-move state.
+    An event is one SMS step, one BMS sweep or one MS batch iteration.
+    ``update_count`` is the cumulative point-update count after each
+    event; ``moved_index`` holds the drawn index for SMS steps and -1
+    for batch events; ``shift`` is the moved point's displacement for
+    SMS and the maximal per-point displacement for batch events.
+    ``objective`` (when traced) is the state's pairwise affinity *after*
+    the event, with the starting value in ``initial_objective``; it is
+    non-decreasing along SMS and BMS traces.  For SMS the per-step
+    increment is also kept in ``objective_delta``, computed in a
+    cancellation-free product form so increments far below the
+    objective's rounding unit stay accurate.  ``grad_norm`` (when
+    traced, SMS only) is the moved point's partial-gradient norm at the
+    pre-move state.
     """
 
     algorithm: str
     moved_index: np.ndarray
     shift: np.ndarray
-    objective: np.ndarray | None
-    objective_delta: np.ndarray | None
-    grad_norm: np.ndarray | None
-    initial_objective: float | None
     initial_points: np.ndarray
     final_points: np.ndarray
+    update_count: np.ndarray | None = None
+    objective: np.ndarray | None = None
+    objective_delta: np.ndarray | None = None
+    grad_norm: np.ndarray | None = None
+    initial_objective: float | None = None
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     total_updates: int = 0
     duration: float = 0.0
@@ -191,8 +160,6 @@ class RunTrace:
     isolated_probes: int = 0
     # MS only: probe indices whose per-point budget ran out before converging
     unconverged: np.ndarray | None = None
-    # MS only: cumulative update count after each batch iteration
-    ms_update_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def n_events(self) -> int:
@@ -202,29 +169,75 @@ class RunTrace:
     def updates_per_point(self) -> float:
         return self.total_updates / self.initial_points.shape[0]
 
-    def records(self):
-        """Yield one dict per recorded event (the JSON-lines layout)."""
-        counts = self.update_counts()
-        for j in range(self.n_events):
-            rec = {
-                "k": int(counts[j]),
-                "i": int(self.moved_index[j]) if self.moved_index[j] >= 0 else None,
-                "shift": float(self.shift[j]),
-            }
-            if self.objective is not None:
-                rec["L"] = float(self.objective[j])
-            if self.grad_norm is not None:
-                rec["grad_norm"] = float(self.grad_norm[j])
-            yield rec
 
-    def update_counts(self) -> np.ndarray:
-        """Cumulative point-update count after each recorded event."""
-        if self.algorithm == "sms":
-            return np.arange(1, self.n_events + 1, dtype=np.int64)
-        n = self.initial_points.shape[0]
-        if self.algorithm == "bms":
-            return n * np.arange(1, self.n_events + 1, dtype=np.int64)
-        return self.ms_update_counts
+class _Recorder:
+    """The one builder of a ``RunTrace``; see the module docstring."""
+
+    def __init__(self, algorithm: str, pts, cfg: AlgoConfig, objective=False, gradient=False):
+        n = pts.shape[0]
+        if cfg.max_updates < n:
+            raise ValueError(f"max_updates={cfg.max_updates} must be >= n={n}")
+        self.algorithm = algorithm
+        self.cfg = cfg
+        self.initial = pts.copy()
+        self.every = cfg.snapshot_every
+        self.snapshots = [] if self.every is None else [(0, pts.copy())]
+        self.initial_objective = objective_value(pts, cfg.h, cfg.profile) if objective else None
+        self.objective_now = self.initial_objective
+        self.updates = 0
+        self.update_count = array("q")
+        self.moved_index = array("q")
+        self.shift = array("d")
+        self.objective = array("d") if objective else None
+        self.objective_delta = array("d")
+        self.grad_norm = array("d") if gradient else None
+        self._t0 = time.perf_counter()
+
+    def event(self, pts, i: int, shift: float, count: int = 1, delta=None, grad=None) -> None:
+        """Record one event of ``count`` point-updates that left ``pts``."""
+        self.updates += count
+        self.update_count.append(self.updates)
+        self.moved_index.append(i)
+        self.shift.append(shift)
+        if self.objective is not None:
+            if delta is None:
+                self.objective_now = objective_value(pts, self.cfg.h, self.cfg.profile)
+            else:
+                self.objective_now += delta
+                self.objective_delta.append(delta)
+            self.objective.append(self.objective_now)
+        if self.grad_norm is not None:
+            self.grad_norm.append(grad)
+        if self.every is not None and (i < 0 or self.updates % self.every == 0):
+            self.snapshots.append((self.updates, pts.copy()))
+
+    def finish(self, pts, stop_reason: str, **extra) -> RunTrace:
+        """Append the final snapshot and build the trace; ``extra`` is MS's."""
+        duration = time.perf_counter() - self._t0
+        if self.every is not None and self.snapshots[-1][0] != self.updates:
+            self.snapshots.append((self.updates, pts.copy()))
+
+        def column(values):  # a view of the array's buffer, not a copy
+            return None if values is None else np.asarray(values)
+
+        return RunTrace(
+            algorithm=self.algorithm,
+            moved_index=column(self.moved_index),
+            shift=column(self.shift),
+            initial_points=self.initial,
+            final_points=pts.copy(),
+            update_count=column(self.update_count),
+            objective=column(self.objective),
+            # increments exist only where the moves supplied them (SMS)
+            objective_delta=column(self.objective_delta) if self.objective_delta else None,
+            grad_norm=column(self.grad_norm),
+            initial_objective=self.initial_objective,
+            snapshots=self.snapshots,
+            total_updates=self.updates,
+            duration=duration,
+            stop_reason=stop_reason,
+            **extra,
+        )
 
 
 def _weights(alpha: int, sq: np.ndarray, h2: float):
@@ -243,130 +256,19 @@ def _weights(alpha: int, sq: np.ndarray, h2: float):
     return w, w.sum(axis=-1)
 
 
-def _move_once(pts, sqn, i, h2, alpha, sqbuf):
-    """One mean-shift move of point i against the current state.
+def _sms_move(pts: np.ndarray, cfg: AlgoConfig):
+    """The SMS distance move on ``pts``: returns ``move(i)`` for ``_sms_loop``.
 
-    Returns (new_position, squared_dists_to_old_position, total_weight).
-    Squared distances come from the dot-product identity with per-row
-    cached squared norms; the cached entries are exact (recomputed after
-    every move), only the combination can see cancellation, which is
-    harmless under the compact-support weights.
+    ``move(i)`` moves point i onto the weighted mean of the current state
+    in place and returns ``(shift, delta, grad)``; the objective
+    increment and the gradient norm are computed only when ``cfg``
+    traces them.  The drawn point is averaged together with its own
+    weight, so an isolated point is its own fixed point.  Squared
+    distances come from the dot-product identity with per-row cached
+    squared norms; the cached entries are exact (recomputed after every
+    move), only the combination can see cancellation, which is harmless
+    under the compact-support weights.
     """
-    np.multiply(pts @ pts[i], -2.0, out=sqbuf)
-    sqbuf += sqn
-    sqbuf += sqn[i]
-    w, total = _weights(alpha, sqbuf, h2)
-    total = float(total)
-    return (w @ pts) / total, sqbuf, total
-
-
-def sms_step(points, cfg: AlgoConfig, rng: RandomIndexStream):
-    """One stochastic update: draw i uniformly and move x_i.
-
-    Returns ``(new_points, moved_index, shift_magnitude)``; the input
-    array is left untouched.  The drawn point is averaged together with
-    its own weight, so an isolated point is its own fixed point.
-    """
-    pts = check_state(points).copy()
-    n = pts.shape[0]
-    i = rng.draw(n)
-    sqn = np.einsum("ij,ij->i", pts, pts)
-    new, _, _ = _move_once(pts, sqn, i, cfg.h * cfg.h, cfg.profile.alpha, np.empty(n))
-    dx = new - pts[i]
-    pts[i] = new
-    return pts, i, math.sqrt(dx @ dx)
-
-
-def _sms_loop(pts, cfg: AlgoConfig, move, rec: _Recorder):
-    """The SMS driver shared by :func:`sms_run` and ``knn_sms_run``.
-
-    Draws indices, calls ``move(i)``, records, snapshots and applies the
-    stopping rule; returns ``(pts, RunTrace)``.  ``move(i)`` must update
-    row i of ``pts`` in place and return ``(shift, delta, grad)``.  The
-    objective is traced when ``rec`` records it.
-    """
-    n = pts.shape[0]
-    if cfg.max_updates < n:
-        raise ValueError(f"max_updates={cfg.max_updates} must be >= n={n}")
-    rng = RandomIndexStream(cfg.seed)
-    tol = cfg.move_tolerance
-    every = cfg.snapshot_every
-    initial = pts.copy()
-    snapshots: list[tuple[int, np.ndarray]] = [] if every is None else [(0, pts.copy())]
-    objective = objective_value(pts, cfg.h, cfg.profile) if rec.objective is not None else None
-    initial_objective = objective
-
-    # last-shift bookkeeping: `small` marks points whose most recent
-    # shift was below tolerance; coverage-since-last-big-shift is kept
-    # O(1) per step with an epoch stamp instead of clearing a flag array.
-    small = np.zeros(n, dtype=bool)
-    n_small = 0
-    target = int(np.ceil(cfg.sms_stop_fraction * n))
-    stamp = np.full(n, -1, dtype=np.int64)
-    epoch = 0
-    covered = 0
-
-    t0 = time.perf_counter()
-    k = 0
-    stop_reason = "max_updates"
-    while k < cfg.max_updates:
-        i = rng.draw(n)
-        shift, delta, grad = move(i)
-        if delta is not None:
-            objective += delta
-        k += 1
-        rec.append(i, shift, objective, grad, delta)
-        if every is not None and k % every == 0:
-            snapshots.append((k, pts.copy()))
-
-        if shift < tol:
-            if stamp[i] != epoch:
-                stamp[i] = epoch
-                covered += 1
-            if not small[i]:
-                small[i] = True
-                n_small += 1
-            if n_small >= target and covered == n:
-                stop_reason = "converged"
-                break
-        else:
-            epoch += 1
-            covered = 0
-            if small[i]:
-                small[i] = False
-                n_small -= 1
-
-    duration = time.perf_counter() - t0
-    if every is not None and snapshots[-1][0] != k:
-        snapshots.append((k, pts.copy()))
-    idx, shifts, obj, deltas, grads = rec.trimmed()
-    trace = RunTrace(
-        algorithm="sms",
-        moved_index=idx,
-        shift=shifts,
-        objective=obj,
-        objective_delta=deltas,
-        grad_norm=grads,
-        initial_objective=initial_objective,
-        initial_points=initial,
-        final_points=pts.copy(),
-        snapshots=snapshots,
-        total_updates=k,
-        duration=duration,
-        stop_reason=stop_reason,
-    )
-    return pts, trace
-
-
-def sms_run(points, cfg: AlgoConfig):
-    """Run SMS until the stopping rule fires or the budget is spent.
-
-    Stopping: at least ``ceil(sms_stop_fraction * n)`` points have a
-    last recorded shift below ``move_tolerance`` AND every index has
-    been drawn at least once after the most recent above-tolerance
-    shift.  Returns ``(final_points, RunTrace)``.
-    """
-    pts = check_state(points).copy()
     n = pts.shape[0]
     h2 = cfg.h * cfg.h
     inv_h2 = 1.0 / h2
@@ -379,7 +281,12 @@ def sms_run(points, cfg: AlgoConfig):
 
     def move(i):
         x_old = pts[i]  # a view; row i is written only after its last use
-        new, sq_old, total = _move_once(pts, sqn, i, h2, alpha, sqbuf)
+        np.multiply(pts @ x_old, -2.0, out=sqbuf)
+        np.add(sqbuf, sqn, out=sqbuf)
+        np.add(sqbuf, sqn[i], out=sqbuf)
+        w, total = _weights(alpha, sqbuf, h2)
+        total = float(total)
+        new = (w @ pts) / total
         dx = new - x_old
         shift = math.sqrt(dx @ dx)
         grad = (two_inv_h2 * total) * shift if cfg.trace_gradient else None
@@ -394,7 +301,7 @@ def sms_run(points, cfg: AlgoConfig):
             # in-support base difference t_old - t_new expanded as an
             # inner product, so tiny increments keep relative accuracy
             # instead of cancelling against O(1) profile values.
-            b_old = np.clip(1.0 - sq_old * inv_h2, 0.0, None)
+            b_old = np.clip(1.0 - sqbuf * inv_h2, 0.0, None)
             b_new = np.clip(1.0 - newbuf * inv_h2, 0.0, None)
             np.multiply(pts @ dx, 2.0, out=diffbuf)
             np.subtract(diffbuf, float(dx @ (x_old + new)), out=diffbuf)
@@ -413,7 +320,79 @@ def sms_run(points, cfg: AlgoConfig):
         sqn[i] = new @ new
         return shift, delta, grad
 
-    return _sms_loop(pts, cfg, move, _Recorder(cfg.trace_objective, cfg.trace_gradient))
+    return move
+
+
+def sms_step(points, cfg: AlgoConfig, rng: RandomIndexStream):
+    """One stochastic update: draw i uniformly and move x_i.
+
+    Returns ``(new_points, moved_index, shift_magnitude)``; the input
+    array is left untouched.
+    """
+    pts = check_state(points).copy()
+    i = rng.draw(pts.shape[0])
+    shift, _, _ = _sms_move(pts, cfg)(i)
+    return pts, i, shift
+
+
+def _sms_loop(pts, cfg: AlgoConfig, move, rec: _Recorder):
+    """The SMS loop shared by :func:`sms_run` and ``knn_sms_run``.
+
+    Draws indices, calls ``move(i)``, records through ``rec`` and applies
+    the stopping rule; returns ``(pts, RunTrace)``.  ``move(i)`` must
+    update row i of ``pts`` in place and return ``(shift, delta, grad)``.
+    """
+    n = pts.shape[0]
+    rng = RandomIndexStream(cfg.seed)
+    tol = cfg.move_tolerance
+
+    # last-shift bookkeeping: `small` marks points whose most recent
+    # shift was below tolerance; coverage-since-last-big-shift is kept
+    # O(1) per step with an epoch stamp instead of clearing a flag array.
+    small = np.zeros(n, dtype=bool)
+    n_small = 0
+    target = int(np.ceil(cfg.sms_stop_fraction * n))
+    stamp = np.full(n, -1, dtype=np.int64)
+    epoch = 0
+    covered = 0
+
+    stop_reason = "max_updates"
+    for _ in range(cfg.max_updates):
+        i = rng.draw(n)
+        shift, delta, grad = move(i)
+        rec.event(pts, i, shift, 1, delta, grad)
+
+        if shift < tol:
+            if stamp[i] != epoch:
+                stamp[i] = epoch
+                covered += 1
+            if not small[i]:
+                small[i] = True
+                n_small += 1
+            if n_small >= target and covered == n:
+                stop_reason = "converged"
+                break
+        else:
+            epoch += 1
+            covered = 0
+            if small[i]:
+                small[i] = False
+                n_small -= 1
+
+    return pts, rec.finish(pts, stop_reason)
+
+
+def sms_run(points, cfg: AlgoConfig):
+    """Run SMS until the stopping rule fires or the budget is spent.
+
+    Stopping: at least ``ceil(sms_stop_fraction * n)`` points have a
+    last recorded shift below ``move_tolerance`` AND every index has
+    been drawn at least once after the most recent above-tolerance
+    shift.  Returns ``(final_points, RunTrace)``.
+    """
+    pts = check_state(points).copy()
+    rec = _Recorder("sms", pts, cfg, cfg.trace_objective, cfg.trace_gradient)
+    return _sms_loop(pts, cfg, _sms_move(pts, cfg), rec)
 
 
 def bms_sweep(points, cfg: AlgoConfig):
@@ -437,48 +416,15 @@ def bms_run(points, cfg: AlgoConfig):
     """Repeat synchronous sweeps until the maximal shift converges."""
     pts = check_state(points).copy()
     n = pts.shape[0]
-    if cfg.max_updates < n:
-        raise ValueError(f"max_updates={cfg.max_updates} must be >= n={n}")
-    max_sweeps = cfg.max_updates // n
-    rec = _Recorder(cfg.trace_objective, False)
-    initial = pts.copy()
-    initial_objective = objective_value(pts, cfg.h, cfg.profile) if cfg.trace_objective else None
-    snapshots: list[tuple[int, np.ndarray]] = []
-    if cfg.snapshot_every is not None:
-        snapshots.append((0, pts.copy()))
-
-    t0 = time.perf_counter()
-    updates = 0
+    rec = _Recorder("bms", pts, cfg, cfg.trace_objective)
     stop_reason = "max_updates"
-    for _ in range(max_sweeps):
+    for _ in range(cfg.max_updates // n):
         pts, max_shift = bms_sweep(pts, cfg)
-        updates += n
-        obj = objective_value(pts, cfg.h, cfg.profile) if cfg.trace_objective else None
-        rec.append(-1, max_shift, obj, None)
-        if cfg.snapshot_every is not None:
-            snapshots.append((updates, pts.copy()))
+        rec.event(pts, -1, max_shift, n)
         if max_shift < cfg.move_tolerance:
             stop_reason = "converged"
             break
-    duration = time.perf_counter() - t0
-
-    idx, shifts, obj_arr, _, _ = rec.trimmed()
-    trace = RunTrace(
-        algorithm="bms",
-        moved_index=idx,
-        shift=shifts,
-        objective=obj_arr,
-        objective_delta=None,
-        grad_norm=None,
-        initial_objective=initial_objective,
-        initial_points=initial,
-        final_points=pts.copy(),
-        snapshots=snapshots,
-        total_updates=updates,
-        duration=duration,
-        stop_reason=stop_reason,
-    )
-    return pts, trace
+    return pts, rec.finish(pts, stop_reason)
 
 
 def ms_run(points, cfg: AlgoConfig):
@@ -492,23 +438,12 @@ def ms_run(points, cfg: AlgoConfig):
     """
     sample = check_state(points)
     n = sample.shape[0]
-    if cfg.max_updates < n:
-        raise ValueError(f"max_updates={cfg.max_updates} must be >= n={n}")
-    per_point_cap = max(1, cfg.max_updates // n)
-    h2 = cfg.h * cfg.h
-
     probes = sample.copy()
+    rec = _Recorder("ms", sample, cfg)
+    h2 = cfg.h * cfg.h
     active = np.arange(n)
-    rec = _Recorder(False, False)
-    counts = []
-    snapshots: list[tuple[int, np.ndarray]] = []
-    if cfg.snapshot_every is not None:
-        snapshots.append((0, probes.copy()))
     isolated = 0
-
-    t0 = time.perf_counter()
-    updates = 0
-    for _ in range(per_point_cap):
+    for _ in range(max(1, cfg.max_updates // n)):
         if active.size == 0:
             break
         moved = probes[active]
@@ -525,34 +460,10 @@ def ms_run(points, cfg: AlgoConfig):
         diff = new - moved
         shifts = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         probes[active] = new
-        updates += int(active.size)
-        rec.append(-1, float(shifts.max()), None, None)
-        counts.append(updates)
-        if cfg.snapshot_every is not None:
-            snapshots.append((updates, probes.copy()))
+        rec.event(probes, -1, float(shifts.max()), int(active.size))
         active = active[shifts >= cfg.move_tolerance]
-    duration = time.perf_counter() - t0
-
-    idx, shift_arr, _, _, _ = rec.trimmed()
-    trace = RunTrace(
-        algorithm="ms",
-        moved_index=idx,
-        shift=shift_arr,
-        objective=None,
-        objective_delta=None,
-        grad_norm=None,
-        initial_objective=None,
-        initial_points=sample.copy(),
-        final_points=probes.copy(),
-        snapshots=snapshots,
-        total_updates=updates,
-        duration=duration,
-        stop_reason="converged" if active.size == 0 else "max_updates",
-        isolated_probes=isolated,
-        unconverged=active.copy(),
-        ms_update_counts=np.asarray(counts, dtype=np.int64),
-    )
-    return probes, trace
+    stop_reason = "converged" if active.size == 0 else "max_updates"
+    return probes, rec.finish(probes, stop_reason, isolated_probes=isolated, unconverged=active.copy())
 
 
 def run(points, cfg: AlgoConfig):

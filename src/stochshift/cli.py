@@ -26,6 +26,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
 
+SEED = click.IntRange(min=0)
+COUNT = click.IntRange(min=1)
+
 
 class VerificationFailure(Exception):
     pass
@@ -51,7 +54,7 @@ def cli():
 
 @cli.command()
 @click.option("--preset", "preset_text", required=True, help="set1..set4, complexity:M, imbalance:R, dim:D, numclusters:R")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 def synth(preset_text: str, seed: int, out: Path):
     """Generate a preset dataset and write it as CSV."""
@@ -70,7 +73,7 @@ def synth(preset_text: str, seed: int, out: Path):
 @click.option("--profile", "profile_name", default="epanechnikov", show_default=True,
               help=f"one of {', '.join(PROFILE_NAMES)} or polyN")
 @click.option("--h", "bandwidth", default=1.0, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--max-updates", default=10_000_000, show_default=True, type=int)
 @click.option("--tol", default=1e-6, show_default=True, type=float)
 @click.option("--merge-factor", default=1.0 / 3.0, show_default=True, type=float)
@@ -125,8 +128,8 @@ def cluster(input_path, algo, profile_name, bandwidth, seed, max_updates, tol,
 @click.option("--sizes", default="10,100,1000", show_default=True,
               help="comma list of per-cluster sizes")
 @click.option("--algos", default="sms,bms", show_default=True)
-@click.option("--reps", default=3, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--reps", default=3, show_default=True, type=COUNT)
+@click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--profile", "profile_name", default="epanechnikov", show_default=True)
 @click.option("--h", "bandwidth", default=1.0, show_default=True, type=float)
 @click.option("--timeout", default=120.0, show_default=True, type=float,
@@ -158,8 +161,8 @@ def bench(sizes, algos, reps, seed, profile_name, bandwidth, timeout, out_dir):
 @cli.command()
 @click.option("--preset", "preset_text", default="set1", show_default=True)
 @click.option("--profile", "profile_name", default="biweight", show_default=True)
-@click.option("--seeds", default=20, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int, help="base seed")
+@click.option("--seeds", default=20, show_default=True, type=COUNT)
+@click.option("--seed", default=0, show_default=True, type=SEED, help="base seed")
 @click.option("--h", "bandwidth", default=1.0, show_default=True, type=float)
 @click.option("--negative-controls", is_flag=True,
               help="also run constructed violations (they must fail; exit is nonzero)")
@@ -189,8 +192,8 @@ def verify(preset_text, profile_name, seeds, seed, bandwidth, negative_controls,
 @click.option("--range", "range_text", required=True,
               help="'2..12' (inclusive integers) or a comma list like '0.5,1,2'")
 @click.option("--algos", default="ms,bms,sms", show_default=True)
-@click.option("--reps", default=20, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--reps", default=20, show_default=True, type=COUNT)
+@click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--profile", "profile_name", default="epanechnikov", show_default=True)
 @click.option("--h", "bandwidth", default=1.0, show_default=True, type=float)
 @click.option("--merge-factor", default=1.0 / 3.0, show_default=True, type=float)

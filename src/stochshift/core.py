@@ -64,7 +64,11 @@ def pairwise_sq_blocks(a: np.ndarray, b: np.ndarray):
     sqn_a = np.einsum("ij,ij->i", a, a)
     sqn_b = sqn_a if b is a else np.einsum("ij,ij->i", b, b)
     for lo, hi in _row_blocks(a.shape[0], b.shape[0]):
-        yield lo, hi, sqn_a[lo:hi, None] - 2.0 * (a[lo:hi] @ b.T) + sqn_b[None, :]
+        sq = a[lo:hi] @ b.T  # built in place: one block-sized array
+        sq *= -2.0
+        sq += sqn_a[lo:hi, None]
+        sq += sqn_b
+        yield lo, hi, sq
 
 
 def check_state(points) -> np.ndarray:
@@ -187,7 +191,10 @@ def full_gradient(points, h, profile: Profile) -> np.ndarray:
     inv_h2 = 1.0 / (h * h)
     grad = np.empty_like(pts)
     for lo, hi, sq in pairwise_sq_blocks(pts, pts):
-        w = -_derivative(profile.alpha, np.clip(sq, 0.0, None) * inv_h2)
+        np.clip(sq, 0.0, None, out=sq)
+        sq *= inv_h2
+        w = _derivative(profile.alpha, sq)
+        np.negative(w, out=w)
         w[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         grad[lo:hi] = (2.0 * inv_h2) * (w @ pts - w.sum(axis=1)[:, None] * pts[lo:hi])
     return grad

@@ -100,11 +100,37 @@ def write_partition_csv(path, partition: Partition) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_TRACE_CHUNK = 1 << 14  # events formatted per batch of lines
+
+
 def write_trace_jsonl(path, trace: RunTrace) -> None:
-    """One JSON record per update: {k, i, shift, L?, grad_norm?}."""
+    """One JSON line per event: ``{"L"?, "grad_norm"?, "i", "k", "shift"}``.
+
+    The trace columns are formatted straight to lines, keys in sorted
+    order, so each line is byte-for-byte ``json.dumps(record,
+    sort_keys=True)`` of the event's record: floats by ``repr``, and a
+    batch event's ``i`` (moved index -1) as ``null``.  ``L`` and
+    ``grad_norm`` appear when traced.
+    """
+    columns = {
+        "L": trace.objective,
+        "grad_norm": trace.grad_norm,
+        "i": trace.moved_index,
+        "k": trace.update_count,
+        "shift": trace.shift,
+    }
+    columns = {key: col for key, col in columns.items() if col is not None}
+    line = "{" + ", ".join(f'"{key}": %s' for key in columns) + "}\n"
     with open(path, "w") as fh:
-        for rec in trace.records():
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for lo in range(0, trace.n_events, _TRACE_CHUNK):
+            tokens = []
+            for key, col in columns.items():
+                values = col[lo : lo + _TRACE_CHUNK].tolist()
+                if key == "i":
+                    values = [None if v < 0 else v for v in values]
+                # each value as json.dumps writes it, from one call per column
+                tokens.append(json.dumps(values)[1:-1].split(", "))
+            fh.writelines(map(line.__mod__, zip(*tokens)))
 
 
 def write_json(path, payload: dict, schema: str | None = None) -> None:

@@ -84,7 +84,7 @@ class TheoryReport:
 
 
 def _deltas(trace: RunTrace) -> np.ndarray:
-    if trace.objective_delta is not None and not np.any(np.isnan(trace.objective_delta)):
+    if trace.objective_delta is not None:
         return trace.objective_delta
     values = np.concatenate(([trace.initial_objective], trace.objective))
     return np.diff(values)
@@ -334,7 +334,6 @@ def _fake_trace(initial_points, objective0, objectives, shifts, grads=None) -> R
         moved_index=np.zeros(m, dtype=np.int64),
         shift=np.asarray(shifts, dtype=np.float64),
         objective=np.asarray(objectives, dtype=np.float64),
-        objective_delta=None,
         grad_norm=None if grads is None else np.asarray(grads, dtype=np.float64),
         initial_objective=float(objective0),
         initial_points=pts,
@@ -377,10 +376,6 @@ def negative_controls(profile: Profile | None = None, h: float = 1.0) -> list[Ch
         algorithm="sms",
         moved_index=np.zeros(0, dtype=np.int64),
         shift=np.zeros(0),
-        objective=None,
-        objective_delta=None,
-        grad_norm=None,
-        initial_objective=None,
         initial_points=pair,
         final_points=pair.copy(),
         snapshots=[(0, pair.copy()), (1, pair.copy())],
@@ -428,8 +423,12 @@ def verify_preset(
 
     Gradient-based checks are skipped for non-C1 profiles.  Cluster
     stability is a statistical check passed at the 95% seed fraction;
-    the other per-trace checks must pass on every seed.
+    the other per-trace checks must pass on every seed.  Raises
+    ValueError when ``n_seeds`` is below 1, since a report over no runs
+    would pass vacuously.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     per_seed: dict[str, list[CheckResult]] = {
         "monotone_ascent": [],
         "partial_gradient_bound": [],

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from stochshift.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from stochshift.io import read_dataset_csv, write_dataset_csv
@@ -199,3 +200,20 @@ class TestUsage:
 
     def test_unknown_flag(self, tmp_path):
         assert run_cli("synth", "--nope", "--out", tmp_path / "x.csv") == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("synth", "--preset", "set1", "--seed", -1),
+            ("cluster", "--input", "absent.csv", "--seed", -1),
+            ("bench", "--reps", 0),
+            ("bench", "--seed", -1),
+            ("verify", "--seed", -1),
+            ("verify", "--preset", "set2", "--seeds", 0),
+            ("sweep", "--kind", "imbalance", "--range", "1", "--reps", 0),
+            ("sweep", "--kind", "imbalance", "--range", "1", "--seed", -1),
+        ],
+        ids=lambda args: " ".join(map(str, args)),
+    )
+    def test_out_of_range_count_or_seed(self, tmp_path, args):
+        assert run_cli(*args, "--out", tmp_path / "o") == EXIT_USAGE

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stochshift.algorithms import AlgoConfig, sms_run
+from stochshift.algorithms import AlgoConfig, run
 from stochshift.clustering import Partition
 from stochshift.io import (
     DataError,
@@ -84,17 +84,45 @@ class TestPartitionCsv:
 
 
 class TestTraceJsonl:
-    def test_record_fields(self, tmp_path):
-        pts = np.array([[0.0], [0.4]])
-        cfg = AlgoConfig(profile=Profile(2), seed=0, max_updates=50, trace_objective=True)
-        _, trace = sms_run(pts, cfg)
+    @pytest.mark.parametrize(
+        "algorithm, trace_gradient, keys, first_k",
+        [
+            ("sms", True, {"L", "grad_norm", "i", "k", "shift"}, 1),
+            ("bms", False, {"L", "i", "k", "shift"}, 4),
+            ("ms", False, {"i", "k", "shift"}, 4),
+        ],
+        ids=["sms", "bms", "ms"],
+    )
+    def test_record_fields(self, tmp_path, algorithm, trace_gradient, keys, first_k):
+        pts = np.array([[0.0], [0.4], [0.9], [3.0]])
+        cfg = AlgoConfig(
+            algorithm=algorithm,
+            profile=Profile(2),
+            seed=0,
+            max_updates=200,
+            trace_objective=True,
+            trace_gradient=trace_gradient,
+        )
+        _, trace = run(pts, cfg)
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(path, trace)
         lines = path.read_text().splitlines()
-        assert len(lines) == trace.n_events
+        assert len(lines) == trace.n_events > 1
+        for j, line in enumerate(lines):
+            i = int(trace.moved_index[j])
+            expected = {
+                "k": int(trace.update_count[j]),
+                "i": i if i >= 0 else None,
+                "shift": float(trace.shift[j]),
+            }
+            if trace.objective is not None:
+                expected["L"] = float(trace.objective[j])
+            if trace.grad_norm is not None:
+                expected["grad_norm"] = float(trace.grad_norm[j])
+            assert line == json.dumps(expected, sort_keys=True)
         first = json.loads(lines[0])
-        assert set(first) == {"k", "i", "shift", "L"}
-        assert first["k"] == 1
+        assert set(first) == keys
+        assert first["k"] == first_k
 
 
 class TestJson:

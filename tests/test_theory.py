@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stochshift.algorithms import AlgoConfig, RunTrace, sms_run
+from stochshift.clustering import extract_clusters
 from stochshift.kernels import EPANECHNIKOV, Profile
 from stochshift.synthdata import generate, parse_preset
 from stochshift.theory import (
@@ -172,6 +173,28 @@ class TestBoundedMemory:
         assert result.detail["n_clusters"] == 2
         assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
 
+    @staticmethod
+    def traced_peak(fn):
+        """``(fn(), peak traced bytes)``."""
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_critical_characterization_peak_memory(self):
+        state = self.two_groups()
+        result, peak = self.traced_peak(lambda: check_critical_characterization(state, 1.0, P2))
+        assert result.status == "pass"
+        assert result.detail["gradient_zero"] and result.detail["geometry_critical"]
+        assert peak < 144e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_extract_clusters_peak_memory(self):
+        state = self.two_groups()
+        part, peak = self.traced_peak(lambda: extract_clusters(state, 1.0))
+        assert part.n_clusters == 2
+        assert peak < 80e6, f"peak {peak / 1e6:.0f} MB"
+
     def test_band_pair_in_last_block_is_found(self):
         state = self.two_groups()
         state[-1] = [5.5, 0.0]
@@ -214,6 +237,11 @@ class TestSuite:
             assert by_name[gated].status == "skipped"
             assert by_name[gated].detail["reason"] == "profile assumption"
         assert by_name["monotone_ascent"].status == "pass"
+
+    def test_no_seeds_rejected(self):
+        # a report over no runs would pass every check vacuously
+        with pytest.raises(ValueError, match="n_seeds"):
+            verify_preset("set2", P2, n_seeds=0)
 
     def test_suite_with_negative_controls_reports_failures(self):
         report = verify_preset("set2", P2, n_seeds=1, seed=0, include_negative=True)
