@@ -189,11 +189,11 @@ class _Recorder:
         self.moved_index = array("q")
         self.shift = array("d")
         self.objective = array("d") if objective else None
-        self.objective_delta = array("d")
+        self.objective_delta = array("d") if objective else None
         self.grad_norm = array("d") if gradient else None
         self._t0 = time.perf_counter()
 
-    def event(self, pts, i: int, shift: float, count: int = 1, delta=None, grad=None) -> None:
+    def event(self, pts, i: int, shift: float, count: int, delta=None, grad=None) -> None:
         """Record one event of ``count`` point-updates that left ``pts``."""
         self.updates += count
         self.update_count.append(self.updates)
