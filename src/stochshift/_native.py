@@ -1,0 +1,143 @@
+"""The compiled SMS block kernel, built on first use with the system gcc.
+
+``_sms_kernel.c`` ships with the package.  ``load()`` compiles it once
+into a shared library in the user cache directory (``$XDG_CACHE_HOME``
+or ``~/.cache``, else a per-user directory under the system temporary
+directory), under a file name keyed by a hash of the source and the
+flags, and loads it with ctypes.  Concurrent first uses (``sweep
+--workers``) each compile to a private temporary name and publish with
+an atomic ``os.replace``.  The flags are portable: no ``-ffast-math``,
+which would reorder the sums, and no ``-march=native``.
+
+Any failure (no gcc, no kernel source, a failed compile, an unwritable
+cache, a library that does not load) makes ``load()`` return None, and callers run the
+numpy path instead, which is also the reference the kernel is tested
+against.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("_sms_kernel.c")
+_COMPILER = "gcc"
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_COMPILE_TIMEOUT_S = 120
+
+
+def _cache_dirs() -> list[Path]:
+    """Where the library may live, in order of preference."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    uid = os.getuid() if hasattr(os, "getuid") else 0
+    return [Path(base) / "stochshift", Path(tempfile.gettempdir()) / f"stochshift-{uid}"]
+
+
+def library_path(cache_dir: Path) -> Path:
+    """The library's file name in ``cache_dir``: a hash of source and flags."""
+    key = hashlib.sha256(_SOURCE.read_bytes() + "\0".join(_FLAGS).encode()).hexdigest()[:16]
+    return Path(cache_dir) / f"sms_kernel-{key}.so"
+
+
+def build(cache_dir: Path) -> Path | None:
+    """Return the compiled library in ``cache_dir``, compiling it if absent.
+
+    Returns None when the source is missing, the directory cannot be made
+    or is not the user's own, or the compiler is missing or fails.
+    """
+    tmp = None
+    try:
+        target = library_path(cache_dir)
+        cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if hasattr(os, "getuid") and cache_dir.stat().st_uid != os.getuid():
+            return None  # never load code from a directory another user controls
+        if target.is_file():
+            return target
+        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache_dir)
+        os.close(fd)
+        subprocess.run([_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"], check=True,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=_COMPILE_TIMEOUT_S)
+        os.replace(tmp, target)
+        return target
+    except (OSError, subprocess.SubprocessError):
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+        return None
+
+
+def _open(path: Path):
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    i64 = ctypes.c_int64
+    lib.sms_block.restype = i64
+    lib.sms_block.argtypes = [
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # pts
+        f64,  # sqn
+        i64, i64,  # n, d
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),  # idx
+        i64,  # m
+        ctypes.c_double, i64,  # h2, alpha
+        ctypes.c_double, i64,  # tol, target
+        np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # small
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # stamp
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # state
+        f64,  # shifts
+        f64,  # scratch
+    ]
+    return lib
+
+
+@functools.cache
+def load():
+    """The loaded kernel library, or None when it cannot be built or loaded."""
+    for cache_dir in _cache_dirs():
+        path = build(cache_dir)
+        lib = None if path is None else _open(path)
+        if lib is not None:
+            return lib
+    return None
+
+
+class SmsBlockKernel:
+    """Runs blocks of untraced distance SMS steps on one state in place.
+
+    Holds the cached squared norms, the stop-rule state (which carries
+    over between blocks) and the buffers the kernel writes; sizes,
+    dtypes and contiguity are fixed here, so every pointer handed to
+    the library is valid for the call.
+    """
+
+    def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, target: int, block: int):
+        if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous:
+            raise ValueError("the kernel needs a C-contiguous float64 (n, d) state")
+        self.pts = pts
+        self.shifts = np.empty(block)  # the shifts of the last block's steps
+        self._lib = lib
+        self._n, self._d = pts.shape
+        self._h2, self._alpha, self._tol, self._target = h * h, int(alpha), float(tol), int(target)
+        self._sqn = np.einsum("ij,ij->i", pts, pts)
+        self._small = np.zeros(self._n, dtype=np.uint8)
+        self._stamp = np.full(self._n, -1, dtype=np.int64)
+        self._state = np.zeros(4, dtype=np.int64)  # n_small, epoch, covered, converged
+        self._scratch = np.empty(2 * self._d)
+
+    def run(self, idx: np.ndarray) -> tuple[int, bool]:
+        """Apply the steps of ``idx`` until the stop rule fires; returns (steps, converged)."""
+        if idx.dtype != np.int64 or idx.ndim != 1 or idx.shape[0] > self.shifts.shape[0]:
+            raise ValueError("index block must be a 1-d int64 array no longer than the shift buffer")
+        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self._n):
+            raise ValueError("index out of range")
+        steps = self._lib.sms_block(self.pts, self._sqn, self._n, self._d, np.ascontiguousarray(idx),
+                                    idx.shape[0], self._h2, self._alpha, self._tol, self._target,
+                                    self._small, self._stamp, self._state, self.shifts, self._scratch)
+        return int(steps), bool(self._state[3])

@@ -108,26 +108,21 @@ def top_score_neighbors(scores, k: int) -> np.ndarray:
     return out
 
 
-def knn_sms_run(points, scores, k: int, cfg: AlgoConfig, score_update=None):
+def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
     """SMS over top-k score neighbourhoods; returns (final_points, RunTrace).
 
     Draws an index uniformly and moves that point onto the unweighted
-    mean of its k best-scoring neighbours (self excluded).  The score
-    matrix is static by default; callers owning a scoring model may pass
-    ``score_update(positions) -> scores`` to refresh it after every
-    move.  The stopping rule is the SMS one: enough small last shifts
-    plus full index coverage since the last large shift.
+    mean of its k best-scoring neighbours (self excluded) under the
+    static score matrix.  The stopping rule is the SMS one: enough small
+    last shifts plus full index coverage since the last large shift.
     """
     pts = check_state(points).copy()
     neighbor_sets = top_score_neighbors(scores, k)
 
     def move(i):
-        nonlocal neighbor_sets
         new = pts[neighbor_sets[i]].mean(axis=0)
         dx = new - pts[i]
         pts[i] = new
-        if score_update is not None:
-            neighbor_sets = top_score_neighbors(score_update(pts), k)
         return math.sqrt(dx @ dx), None, None
 
     return _sms_loop(pts, cfg, move, _Recorder("sms", pts, cfg))

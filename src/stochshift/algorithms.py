@@ -24,13 +24,29 @@ multiples of ``snapshot_every``; batch events snapshot after every
 event when it is set.  ``finish`` appends the final snapshot and builds
 the ``RunTrace``.
 
-SMS has one loop, ``_sms_loop``, shared with the score-matrix variant
-``affinity.knn_sms_run``; it owns the index stream and the stopping
-rule.  A variant supplies only a ``move(i)`` callable: it updates row i
-of the state in place and returns ``(shift, delta, grad)``, the moved
-distance, the objective increment and the pre-move partial-gradient
-norm, with None for whatever is not traced.  ``_sms_move`` builds the
-distance move that ``sms_run`` and ``sms_step`` share.
+SMS indices are drawn in blocks (``_index_blocks``): at most
+``_BLOCK`` draws of ``Generator.integers(n, size=m)``, which is the same
+stream as m scalar draws.  A block also ends at every multiple of
+``snapshot_every`` and at the budget, so snapshots and the budget stop
+fall on block ends.  Two loops consume the blocks with the same
+stopping rule:
+
+* ``_sms_loop`` steps in Python and is shared with the score-matrix
+  variant ``affinity.knn_sms_run``.  A variant supplies only a
+  ``move(i)`` callable: it updates row i of the state in place and
+  returns ``(shift, delta, grad)``, the moved distance, the objective
+  increment and the pre-move partial-gradient norm, with None for
+  whatever is not traced.  ``_sms_move`` builds the distance move that
+  ``sms_run`` and ``sms_step`` share.  Each step is one ``event()``.
+* ``_sms_loop_compiled`` runs untraced distance SMS one block at a time
+  in the C kernel of ``_native``, which keeps the stop-rule state
+  between blocks and returns how many steps it took and whether the
+  rule fired.  It averages the same points as ``_sms_move``, so the two
+  loops take the same steps and differ only in rounding (see
+  ``_sms_kernel.c``).  The recorder takes the block at once through
+  ``events(idx, shifts)``, without a Python call per step.  When the
+  kernel cannot be built or loaded, ``sms_run`` uses ``_sms_loop``,
+  which is also the reference the kernel is tested against.
 
 Pairwise work walks row blocks from ``core.pairwise_sq_blocks``.
 
@@ -50,6 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .core import check_bandwidth, check_state, objective_value, pairwise_sq_blocks
 from .kernels import EPANECHNIKOV, Profile, _derivative
 
@@ -67,6 +84,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("ms", "bms", "sms")
+_BLOCK = 4096  # SMS index draws per block
 
 
 @dataclass(frozen=True)
@@ -122,6 +140,10 @@ class RandomIndexStream:
 
     def draw(self, n: int) -> int:
         return int(self._gen.integers(n))
+
+    def draw_block(self, n: int, m: int) -> np.ndarray:
+        """The next m draws at once, as an int64 array: the stream m ``draw(n)`` calls give."""
+        return self._gen.integers(n, size=m)
 
 
 @dataclass
@@ -209,6 +231,21 @@ class _Recorder:
         if self.grad_norm is not None:
             self.grad_norm.append(grad)
         if self.every is not None and (i < 0 or self.updates % self.every == 0):
+            self.snapshots.append((self.updates, pts.copy()))
+
+    def events(self, pts, idx: np.ndarray, shifts: np.ndarray) -> None:
+        """Record a block of untraced SMS steps: the moved indices and their shifts.
+
+        A block ends at a multiple of ``snapshot_every`` or before it, so
+        at most its last step takes a snapshot.
+        """
+        m = idx.shape[0]
+        counts = np.arange(self.updates + 1, self.updates + m + 1, dtype=np.int64)
+        self.update_count.frombytes(counts.tobytes())
+        self.moved_index.frombytes(idx.astype(np.int64, copy=False).tobytes())
+        self.shift.frombytes(shifts.astype(np.float64, copy=False).tobytes())
+        self.updates += m
+        if self.every is not None and self.updates % self.every == 0:
             self.snapshots.append((self.updates, pts.copy()))
 
     def finish(self, pts, stop_reason: str, **extra) -> RunTrace:
@@ -335,15 +372,33 @@ def sms_step(points, cfg: AlgoConfig, rng: RandomIndexStream):
     return pts, i, shift
 
 
-def _sms_loop(pts, cfg: AlgoConfig, move, rec: _Recorder):
-    """The SMS loop shared by :func:`sms_run` and ``knn_sms_run``.
+def _index_blocks(n: int, cfg: AlgoConfig):
+    """The run's index stream in blocks; see the module docstring."""
+    rng = RandomIndexStream(cfg.seed)
+    every = cfg.snapshot_every
+    done = 0
+    while done < cfg.max_updates:
+        m = min(_BLOCK, cfg.max_updates - done)
+        if every is not None:
+            m = min(m, every - done % every)
+        yield rng.draw_block(n, m)
+        done += m
 
-    Draws indices, calls ``move(i)``, records through ``rec`` and applies
-    the stopping rule; returns ``(pts, RunTrace)``.  ``move(i)`` must
-    update row i of ``pts`` in place and return ``(shift, delta, grad)``.
+
+def _stop_target(cfg: AlgoConfig, n: int) -> int:
+    """How many points need a small last shift before SMS may stop."""
+    return int(np.ceil(cfg.sms_stop_fraction * n))
+
+
+def _sms_loop(pts, cfg: AlgoConfig, move, rec: _Recorder):
+    """The Python SMS loop, shared by :func:`sms_run` and ``knn_sms_run``.
+
+    Calls ``move(i)`` for each drawn index, records each step through
+    ``rec`` and applies the stopping rule; returns ``(pts, RunTrace)``.
+    ``move(i)`` must update row i of ``pts`` in place and return
+    ``(shift, delta, grad)``.
     """
     n = pts.shape[0]
-    rng = RandomIndexStream(cfg.seed)
     tol = cfg.move_tolerance
 
     # last-shift bookkeeping: `small` marks points whose most recent
@@ -351,35 +406,43 @@ def _sms_loop(pts, cfg: AlgoConfig, move, rec: _Recorder):
     # O(1) per step with an epoch stamp instead of clearing a flag array.
     small = np.zeros(n, dtype=bool)
     n_small = 0
-    target = int(np.ceil(cfg.sms_stop_fraction * n))
+    target = _stop_target(cfg, n)
     stamp = np.full(n, -1, dtype=np.int64)
     epoch = 0
     covered = 0
 
-    stop_reason = "max_updates"
-    for _ in range(cfg.max_updates):
-        i = rng.draw(n)
-        shift, delta, grad = move(i)
-        rec.event(pts, i, shift, 1, delta, grad)
+    for block in _index_blocks(n, cfg):
+        for i in block.tolist():
+            shift, delta, grad = move(i)
+            rec.event(pts, i, shift, 1, delta, grad)
 
-        if shift < tol:
-            if stamp[i] != epoch:
-                stamp[i] = epoch
-                covered += 1
-            if not small[i]:
-                small[i] = True
-                n_small += 1
-            if n_small >= target and covered == n:
-                stop_reason = "converged"
-                break
-        else:
-            epoch += 1
-            covered = 0
-            if small[i]:
-                small[i] = False
-                n_small -= 1
+            if shift < tol:
+                if stamp[i] != epoch:
+                    stamp[i] = epoch
+                    covered += 1
+                if not small[i]:
+                    small[i] = True
+                    n_small += 1
+                if n_small >= target and covered == n:
+                    return pts, rec.finish(pts, "converged")
+            else:
+                epoch += 1
+                covered = 0
+                if small[i]:
+                    small[i] = False
+                    n_small -= 1
 
-    return pts, rec.finish(pts, stop_reason)
+    return pts, rec.finish(pts, "max_updates")
+
+
+def _sms_loop_compiled(pts, cfg: AlgoConfig, kernel: _native.SmsBlockKernel, rec: _Recorder):
+    """``_sms_loop`` for untraced distance SMS, one kernel call per block."""
+    for block in _index_blocks(pts.shape[0], cfg):
+        steps, converged = kernel.run(block)
+        rec.events(pts, block[:steps], kernel.shifts[:steps])
+        if converged:
+            return pts, rec.finish(pts, "converged")
+    return pts, rec.finish(pts, "max_updates")
 
 
 def sms_run(points, cfg: AlgoConfig):
@@ -388,11 +451,18 @@ def sms_run(points, cfg: AlgoConfig):
     Stopping: at least ``ceil(sms_stop_fraction * n)`` points have a
     last recorded shift below ``move_tolerance`` AND every index has
     been drawn at least once after the most recent above-tolerance
-    shift.  Returns ``(final_points, RunTrace)``.
+    shift.  Untraced runs use the compiled kernel when it is available
+    and the numpy path otherwise; both take the same steps.  Returns
+    ``(final_points, RunTrace)``.
     """
     pts = check_state(points).copy()
     rec = _Recorder("sms", pts, cfg, cfg.trace_objective, cfg.trace_gradient)
-    return _sms_loop(pts, cfg, _sms_move(pts, cfg), rec)
+    lib = None if cfg.trace_objective or cfg.trace_gradient else _native.load()
+    if lib is None:
+        return _sms_loop(pts, cfg, _sms_move(pts, cfg), rec)
+    kernel = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance,
+                                    _stop_target(cfg, pts.shape[0]), _BLOCK)
+    return _sms_loop_compiled(pts, cfg, kernel, rec)
 
 
 def bms_sweep(points, cfg: AlgoConfig):

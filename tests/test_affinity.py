@@ -163,19 +163,6 @@ class TestKnnSmsRun:
         assert trace.moved_index[0] == 0
         np.testing.assert_allclose(final[0], stepped[0], atol=1e-15)
 
-    def test_score_update_callback(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        calls = []
-
-        def refresh(positions):
-            calls.append(positions.copy())
-            d = positions[:, None, :] - positions[None, :, :]
-            return -np.einsum("ijk,ijk->ij", d, d)
-
-        cfg = AlgoConfig(seed=2, max_updates=50)
-        knn_sms_run(pts, refresh(pts), 1, cfg, score_update=refresh)
-        assert len(calls) >= 2  # initial + at least one refresh
-
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="max_updates"):
             knn_sms_run(np.zeros((5, 1)), np.zeros((5, 5)), 1, AlgoConfig(max_updates=3))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochshift import _native
 from stochshift.algorithms import (
     AlgoConfig,
     RandomIndexStream,
@@ -13,9 +14,10 @@ from stochshift.algorithms import (
     sms_run,
     sms_step,
 )
+from stochshift.clustering import MergePolicy, extract_clusters
 from stochshift.core import mean_shift_operator, objective_value, partial_gradient
 from stochshift.kernels import EPANECHNIKOV, Profile
-from stochshift.synthdata import generate, preset
+from stochshift.synthdata import generate, parse_preset, preset
 
 P2 = Profile(2)
 
@@ -53,6 +55,13 @@ class TestRandomIndexStream:
     def test_range(self):
         s = RandomIndexStream(1)
         assert all(0 <= s.draw(7) < 7 for _ in range(200))
+
+    @pytest.mark.parametrize("n", [150, 750, 4500])
+    def test_block_draws_equal_scalar_draws(self, n):
+        scalar, blocks = RandomIndexStream(1000003), RandomIndexStream(1000003)
+        expected = [scalar.draw(n) for _ in range(5009)]
+        got = [blocks.draw_block(n, m) for m in (1, 7, 4096, 904)] + [[blocks.draw(n)]]
+        assert np.concatenate(got).tolist() == expected
 
 
 class TestSmsStep:
@@ -220,6 +229,98 @@ class TestSmsRun:
         ks = [k for k, _ in trace.snapshots]
         assert ks[0] == 0 and ks[-1] == trace.total_updates
         assert trace.updates_per_point == pytest.approx(trace.total_updates / data.n)
+
+
+def assert_same_run(points, cfg, monkeypatch):
+    """The compiled SMS path takes the numpy path's steps, to rounding."""
+    final, trace = sms_run(points, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(_native, "load", lambda: None)
+        ref_final, ref = sms_run(points, cfg)
+    np.testing.assert_array_equal(trace.moved_index, ref.moved_index)
+    np.testing.assert_array_equal(trace.update_count, ref.update_count)
+    assert (trace.total_updates, trace.stop_reason) == (ref.total_updates, ref.stop_reason)
+    assert [k for k, _ in trace.snapshots] == [k for k, _ in ref.snapshots]
+    # positions and shifts within 1e-12 of the state's scale
+    atol = 1e-12 * np.abs(ref_final).max()
+    np.testing.assert_allclose(final, ref_final, rtol=0, atol=atol)
+    np.testing.assert_allclose(trace.shift, ref.shift, rtol=0, atol=atol)
+    for (_, snap), (_, ref_snap) in zip(trace.snapshots, ref.snapshots):
+        np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=atol)
+    policy = MergePolicy(1.0 / 3.0)
+    np.testing.assert_array_equal(
+        extract_clusters(final, cfg.h, policy).assignment,
+        extract_clusters(ref_final, cfg.h, policy).assignment,
+    )
+    return trace
+
+
+class TestCompiledSms:
+    """The C kernel of untraced SMS against the numpy path, its reference."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_available(self):
+        if _native.load() is None:
+            pytest.skip("the SMS kernel could not be built here (no gcc?)")
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["set1", "set2"])
+    def test_presets_match_numpy_path(self, name, alpha, monkeypatch):
+        data = generate(preset(name, seed=0))
+        trace = assert_same_run(data.points, AlgoConfig(profile=Profile(alpha), seed=1000003), monkeypatch)
+        assert trace.stop_reason == "converged"
+
+    def test_generic_dimension(self, monkeypatch):
+        data = generate(parse_preset("dim:5", seed=0))
+        assert assert_same_run(data.points, AlgoConfig(seed=7), monkeypatch).stop_reason == "converged"
+
+    def test_snapshots_split_blocks(self, monkeypatch):
+        data = generate(preset("set2", seed=1))
+        trace = assert_same_run(data.points, AlgoConfig(seed=4, snapshot_every=37), monkeypatch)
+        ks = [k for k, _ in trace.snapshots]
+        assert ks[:-1] == list(range(0, trace.total_updates, 37))
+
+    def test_budget_ends_mid_block(self, monkeypatch):
+        data = generate(preset("set1", seed=0))
+        trace = assert_same_run(data.points, AlgoConfig(seed=2, max_updates=5000), monkeypatch)
+        assert (trace.stop_reason, trace.total_updates) == ("max_updates", 5000)
+
+    def test_full_stop_fraction(self, monkeypatch):
+        data = generate(preset("set2", seed=2))
+        cfg = AlgoConfig(profile=P2, seed=9, sms_stop_fraction=1.0)
+        assert assert_same_run(data.points, cfg, monkeypatch).stop_reason == "converged"
+
+    @pytest.mark.parametrize("layout", ["small", "far_apart"])
+    def test_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
+        # the uniform-weight d=2 kernel sums over a grid of cells only for
+        # n >= 128 and a spread of not too many cells
+        rng = np.random.default_rng(3)
+        pts = rng.normal(scale=0.5, size=(100 if layout == "small" else 200, 2))
+        if layout == "far_apart":
+            pts[::2] += 1000.0
+        assert assert_same_run(pts, AlgoConfig(seed=1), monkeypatch).stop_reason == "converged"
+
+    @pytest.mark.parametrize("missing", ["_COMPILER", "_SOURCE"])
+    def test_failed_build_falls_back(self, missing, monkeypatch, tmp_path):
+        monkeypatch.setattr(_native, missing, tmp_path / "missing")
+        monkeypatch.setattr(_native, "_cache_dirs", lambda: [tmp_path / "cache"])
+        _native.load.cache_clear()
+        try:
+            assert _native.load() is None
+            data = generate(preset("set2", seed=3))
+            _, trace = sms_run(data.points, AlgoConfig(seed=5))
+        finally:
+            _native.load.cache_clear()
+        assert trace.stop_reason == "converged"
+        assert not any((tmp_path / "cache").glob("*"))  # no half-written library
+
+    def test_second_build_compiles_nothing(self, monkeypatch, tmp_path):
+        path = _native.build(tmp_path)
+        assert path == _native.library_path(tmp_path)
+        monkeypatch.setattr(_native, "_COMPILER", str(tmp_path / "no-such-gcc"))
+        assert _native.build(tmp_path) == path
+        assert list(tmp_path.iterdir()) == [path]
+        assert _native._open(path) is not None
 
 
 class TestHullShrinkage:
