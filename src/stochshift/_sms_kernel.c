@@ -129,26 +129,21 @@ static inline void dd_add(dd *a, double b)
  * and only the rounding of their sum differs.  Once clusters have
  * shrunk to a few cells, a step costs O(cells) instead of O(n).
  *
- * For a fast scan, points are stored by cell in contiguous slots that
- * copy their position and squared norm.  A point that leaves its cell
- * leaves a dead slot behind (position 0, squared norm +inf, which no
- * test accepts) and joins the new cell's overflow list; the slots are
- * rebuilt once n / 8 points have moved that way. */
+ * The points of a cell form a doubly linked list, built in index order;
+ * a point that changes cell is unlinked and pushed onto the front of its
+ * new cell's list. */
 #define GRID_DIV 4
 #define GRID_MIN_N 128 /* below about this n the brute-force loop is faster */
 #define GRID_SPAN (2 * GRID_DIV + 4) /* at least the columns a step visits */
 
 typedef struct {
     double x0, y0, s, inv_s, pad, errb, reach;
-    int64_t nx, ny, moved;
-    int64_t *start;  /* nc + 1: the slots of cell c are [start[c], start[c + 1]) */
-    int64_t *count;  /* nc: points in cell c, in slots or overflow */
-    int64_t *ohead;  /* nc: first point of cell c's overflow list, or -1 */
-    int64_t *cell;   /* n: the cell of point j */
-    int64_t *slot;   /* n: the slot of point j, or -1 when it is in overflow */
-    int64_t *onext, *oprev; /* n: overflow list links */
-    double *sp, *ssq; /* slot copies of positions (2 per slot) and squared norms */
-    dd *sx, *sy;      /* nc: exact coordinate sums */
+    int64_t nx, ny;
+    int64_t *head;  /* nc: first point of cell c, or -1 */
+    int64_t *count; /* nc: points in cell c */
+    int64_t *cell;  /* n: the cell of point j */
+    int64_t *next, *prev; /* n: list links, -1 at either end */
+    dd *sx, *sy;    /* nc: exact coordinate sums */
 } grid_t;
 
 /* fmax without its NaN rules, which keep gcc from inlining it */
@@ -181,51 +176,41 @@ static int64_t cell_of(const grid_t *g, double x, double y)
     return cell_coord(y, g->y0, g->inv_s, g->ny) * g->nx + cell_coord(x, g->x0, g->inv_s, g->nx);
 }
 
-/* Sort the points into their cells' slots, in index order within a cell. */
-static void grid_fill(grid_t *g, const double *pts, const double *sqn, int64_t n)
+/* Put point j at the front of cell c's list. */
+static void cell_push(grid_t *g, int64_t j, int64_t c)
 {
-    const int64_t nc = g->nx * g->ny;
-    for (int64_t c = 0; c <= nc; c++)
-        g->start[c] = 0;
-    for (int64_t c = 0; c < nc; c++) {
-        g->ohead[c] = -1;
-        g->sx[c] = (dd){0.0, 0.0};
-        g->sy[c] = (dd){0.0, 0.0};
-    }
-    for (int64_t j = 0; j < n; j++) {
-        g->cell[j] = cell_of(g, pts[2 * j], pts[2 * j + 1]);
-        g->start[g->cell[j] + 1]++;
-    }
-    for (int64_t c = 0; c < nc; c++) {
-        g->count[c] = g->start[c + 1];
-        g->start[c + 1] += g->start[c];
-    }
-    for (int64_t j = 0; j < n; j++) {
-        const int64_t c = g->cell[j];
-        const int64_t k = g->start[c + 1] - g->count[c]--;
-        g->slot[j] = k;
-        g->sp[2 * k] = pts[2 * j];
-        g->sp[2 * k + 1] = pts[2 * j + 1];
-        g->ssq[k] = sqn[j];
-        dd_add(&g->sx[c], pts[2 * j]);
-        dd_add(&g->sy[c], pts[2 * j + 1]);
-    }
-    for (int64_t c = 0; c < nc; c++)
-        g->count[c] = g->start[c + 1] - g->start[c];
-    g->moved = 0;
+    const int64_t first = g->head[c];
+    g->prev[j] = -1;
+    g->next[j] = first;
+    if (first >= 0)
+        g->prev[first] = j;
+    g->head[c] = j;
+    g->cell[j] = c;
+    g->count[c]++;
+}
+
+/* Take point j out of its cell's list. */
+static void cell_unlink(grid_t *g, int64_t j)
+{
+    const int64_t c = g->cell[j];
+    if (g->prev[j] >= 0)
+        g->next[g->prev[j]] = g->next[j];
+    else
+        g->head[c] = g->next[j];
+    if (g->next[j] >= 0)
+        g->prev[g->next[j]] = g->prev[j];
+    g->count[c]--;
 }
 
 static void grid_free(grid_t *g)
 {
-    free(g->start);
-    free(g->cell);
-    free(g->sp);
+    free(g->head);
     free(g->sx);
 }
 
 /* Build the grid over the current state; returns 0 when it would need
  * too many cells (a spread far beyond h) or memory runs out. */
-static int grid_build(grid_t *g, const double *pts, const double *sqn, int64_t n, double h2)
+static int grid_build(grid_t *g, const double *pts, int64_t n, double h2)
 {
     double xmin = pts[0], xmax = pts[0], ymin = pts[1], ymax = pts[1];
     for (int64_t j = 1; j < n; j++) {
@@ -257,29 +242,36 @@ static int grid_build(grid_t *g, const double *pts, const double *sqn, int64_t n
     if (!(2.0 * g->reach * g->inv_s + 3.0 <= GRID_SPAN))
         return 0;
     const int64_t nc = g->nx * g->ny;
-    g->start = malloc((size_t)(3 * nc + 1) * sizeof(int64_t));
-    g->cell = malloc((size_t)(4 * n) * sizeof(int64_t));
-    g->sp = malloc((size_t)(3 * n) * sizeof(double));
+    g->head = malloc((size_t)(2 * nc + 3 * n) * sizeof(int64_t));
     g->sx = malloc((size_t)(2 * nc) * sizeof(dd));
-    if (!g->start || !g->cell || !g->sp || !g->sx) {
+    if (!g->head || !g->sx) {
         grid_free(g);
         return 0;
     }
-    g->count = g->start + nc + 1;
-    g->ohead = g->count + nc;
-    g->slot = g->cell + n;
-    g->onext = g->slot + n;
-    g->oprev = g->onext + n;
-    g->ssq = g->sp + 2 * n;
+    g->count = g->head + nc;
+    g->cell = g->count + nc;
+    g->next = g->cell + n;
+    g->prev = g->next + n;
     g->sy = g->sx + nc;
-    grid_fill(g, pts, sqn, n);
+    for (int64_t c = 0; c < nc; c++) {
+        g->head[c] = -1;
+        g->count[c] = 0;
+        g->sx[c] = (dd){0.0, 0.0};
+        g->sy[c] = (dd){0.0, 0.0};
+    }
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t c = cell_of(g, pts[2 * j], pts[2 * j + 1]);
+        g->cell[j] = c;
+        dd_add(&g->sx[c], pts[2 * j]);
+        dd_add(&g->sy[c], pts[2 * j + 1]);
+    }
+    for (int64_t j = n - 1; j >= 0; j--) /* front pushes, so index order */
+        cell_push(g, j, g->cell[j]);
     return 1;
 }
 
-static double move_grid(grid_t *g, double *pts, double *sqn, int64_t n, int64_t i, double h2)
+static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h2)
 {
-    if (g->moved > n / 8)
-        grid_fill(g, pts, sqn, n);
     const double x0 = pts[2 * i], x1 = pts[2 * i + 1], sqi = sqn[i];
     const double reach = g->reach;
     const int64_t cx0 = cell_coord(x0 - reach, g->x0, g->inv_s, g->nx);
@@ -313,15 +305,7 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t n, int64_t 
                 ay += g->sy[c].hi;
                 total += g->count[c];
             } else if (near_x[cx - cx0] + near_y < h2) {
-                for (int64_t k = g->start[c]; k < g->start[c + 1]; k++) {
-                    const double p0 = g->sp[2 * k], p1 = g->sp[2 * k + 1];
-                    const double sq = ((p0 * x0 + p1 * x1) * -2.0 + g->ssq[k]) + sqi;
-                    const int64_t in = sq < h2;
-                    ax += keep_if(p0, in);
-                    ay += keep_if(p1, in);
-                    total += in;
-                }
-                for (int64_t j = g->ohead[c]; j >= 0; j = g->onext[j]) {
+                for (int64_t j = g->head[c]; j >= 0; j = g->next[j]) {
                     const double p0 = pts[2 * j], p1 = pts[2 * j + 1];
                     const double sq = ((p0 * x0 + p1 * x1) * -2.0 + sqn[j]) + sqi;
                     const int64_t in = sq < h2;
@@ -343,36 +327,9 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t n, int64_t 
     dd_add(&g->sy[from], -x1);
     dd_add(&g->sx[to], n0);
     dd_add(&g->sy[to], n1);
-    const int64_t k = g->slot[i];
-    if (from == to) {
-        if (k >= 0) {
-            g->sp[2 * k] = n0;
-            g->sp[2 * k + 1] = n1;
-            g->ssq[k] = sqn[i];
-        }
-    } else {
-        g->count[from]--;
-        g->count[to]++;
-        if (k >= 0) {
-            g->sp[2 * k] = 0.0;
-            g->sp[2 * k + 1] = 0.0;
-            g->ssq[k] = INFINITY;
-            g->slot[i] = -1;
-        } else {
-            if (g->oprev[i] >= 0)
-                g->onext[g->oprev[i]] = g->onext[i];
-            else
-                g->ohead[from] = g->onext[i];
-            if (g->onext[i] >= 0)
-                g->oprev[g->onext[i]] = g->oprev[i];
-        }
-        g->oprev[i] = -1;
-        g->onext[i] = g->ohead[to];
-        if (g->ohead[to] >= 0)
-            g->oprev[g->ohead[to]] = i;
-        g->ohead[to] = i;
-        g->cell[i] = to;
-        g->moved++;
+    if (from != to) {
+        cell_unlink(g, i);
+        cell_push(g, i, to);
     }
     return sqrt(d0 * d0 + d1 * d1);
 }
@@ -392,11 +349,11 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
     int64_t n_small = state[0], epoch = state[1], covered = state[2];
     int64_t s = 0;
     grid_t g;
-    const int gridded = d == 2 && alpha == 1 && n >= GRID_MIN_N && grid_build(&g, pts, sqn, n, h2);
+    const int gridded = d == 2 && alpha == 1 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2);
     state[3] = 0;
     while (s < m) {
         const int64_t i = idx[s];
-        const double shift = gridded ? move_grid(&g, pts, sqn, n, i, h2)
+        const double shift = gridded ? move_grid(&g, pts, sqn, i, h2)
             : d == 2 ? move_d2(pts, sqn, n, i, h2, inv_h2, alpha)
             : move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, scratch + d);
         shifts[s++] = shift;

@@ -16,6 +16,7 @@ from . import bench as bench_mod
 from . import io as io_mod
 from .algorithms import ALGORITHMS, AlgoConfig
 from .clustering import MergePolicy, cluster_summary
+from .core import check_bandwidth
 from .experiments import run_pipeline
 from .kernels import PROFILE_NAMES, profile_from_name
 from .synthdata import parse_preset, generate
@@ -172,6 +173,7 @@ def verify(preset_text, profile_name, seeds, seed, bandwidth, negative_controls,
     try:
         profile = profile_from_name(profile_name)
         parse_preset(preset_text, seed=seed)
+        check_bandwidth(bandwidth)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     report = verify_preset(
@@ -197,7 +199,7 @@ def verify(preset_text, profile_name, seeds, seed, bandwidth, negative_controls,
 @click.option("--profile", "profile_name", default="epanechnikov", show_default=True)
 @click.option("--h", "bandwidth", default=1.0, show_default=True, type=float)
 @click.option("--merge-factor", default=1.0 / 3.0, show_default=True, type=float)
-@click.option("--workers", default=1, show_default=True, type=int)
+@click.option("--workers", default=1, show_default=True, type=COUNT)
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 def sweep(kind, range_text, algos, reps, seed, profile_name, bandwidth,
           merge_factor, workers, out):
@@ -211,6 +213,8 @@ def sweep(kind, range_text, algos, reps, seed, profile_name, bandwidth,
         for a in algo_list:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        check_bandwidth(bandwidth)
+        MergePolicy(merge_factor)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = bench_mod.run_sweep(

@@ -59,12 +59,13 @@ class Partition:
 def extract_clusters(final_positions, h, policy: MergePolicy = MergePolicy()) -> Partition:
     """Connected components of the graph linking pairs within factor * h.
 
-    Components are found by min-label propagation over the thresholded
-    pairwise-distance graph (each point repeatedly adopts the smallest
-    label in its closed neighbourhood, with pointer jumping in between),
-    which is exact and needs no edge materialisation even when whole
-    clusters have collapsed onto a point.  Component ids are assigned by
-    order of first appearance (index ascending), so the labelling is
+    Components are grown by breadth-first search: the lowest unlabelled
+    index starts the next component, and each round labels every
+    unlabelled point within tau of the current frontier, found from
+    row blocks of frontier-to-state squared distances.  Each point is a
+    frontier row exactly once, and no edge is materialised even when
+    whole clusters have collapsed onto a point.  Component ids follow
+    the order of first appearance (index ascending), so the labelling is
     deterministic and permutations of the input only relabel the same
     set family.
     """
@@ -73,29 +74,21 @@ def extract_clusters(final_positions, h, policy: MergePolicy = MergePolicy()) ->
     n = pos.shape[0]
     tau_sq = (policy.merge_radius_factor * h) ** 2
 
-    labels = np.arange(n)
-    while True:
-        changed = False
-        for lo, hi, sq in pairwise_sq_blocks(pos, pos):
-            neigh_min = np.where(sq <= tau_sq, labels[None, :], n).min(axis=1)
-            if np.any(neigh_min < labels[lo:hi]):
-                labels[lo:hi] = np.minimum(labels[lo:hi], neigh_min)
-                changed = True
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if not changed:
-            break
-
     ids = np.zeros(n, dtype=np.int64)
-    label_of_root: dict[int, int] = {}
-    for i, root in enumerate(labels.tolist()):
-        if root not in label_of_root:
-            label_of_root[root] = len(label_of_root) + 1
-        ids[i] = label_of_root[root]
-    return Partition(assignment=ids, n_clusters=len(label_of_root))
+    n_clusters = 0
+    for root in range(n):
+        if ids[root]:
+            continue
+        n_clusters += 1
+        ids[root] = n_clusters
+        frontier = np.array([root])
+        while frontier.size:
+            near = np.zeros(n, dtype=bool)
+            for _, _, sq in pairwise_sq_blocks(pos[frontier], pos):
+                near |= (sq <= tau_sq).any(axis=0)
+            frontier = np.flatnonzero(near & (ids == 0))
+            ids[frontier] = n_clusters
+    return Partition(assignment=ids, n_clusters=n_clusters)
 
 
 def cluster_count(partition: Partition) -> int:

@@ -3,12 +3,14 @@
 Repetition r of an experiment uses dataset seed ``seed + r`` and an
 algorithm seed offset from it by a fixed constant so index draws never
 share a bit stream with the sampling that produced the data.  Runs fan
-out to a process pool when ``workers > 1``; aggregation is keyed by
-repetition index, so results are identical whatever the pool size.
+out to a process pool of at most ``min(workers, repetitions, CPUs)``
+processes; aggregation is keyed by repetition index, so results are
+identical whatever the pool size.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -72,11 +74,15 @@ def replicate_preset(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = [
         (preset_text, algorithm, cfg_kwargs, merge_factor, seed, rep)
         for rep in range(repetitions)
     ]
-    if workers <= 1 or repetitions == 1:
+    # a fork-started pool starts all max_workers processes at once
+    workers = min(workers, repetitions, os.cpu_count() or 1)
+    if workers == 1:
         results = [_replicate_one(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,5 +1,8 @@
 """Driver behaviour: steps, sweeps, runs, stopping, tracing, determinism."""
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -321,6 +324,15 @@ class TestCompiledSms:
         assert _native.build(tmp_path) == path
         assert list(tmp_path.iterdir()) == [path]
         assert _native._open(path) is not None
+
+
+@pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
+def test_kernel_compiles_without_warnings(tmp_path):
+    # an unused helper or variable left in the kernel fails here
+    cmd = [_native._COMPILER, *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "k.so"), str(_native._SOURCE), "-lm"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=_native._COMPILE_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
 
 
 class TestHullShrinkage:

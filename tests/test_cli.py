@@ -212,6 +212,11 @@ class TestUsage:
             ("verify", "--preset", "set2", "--seeds", 0),
             ("sweep", "--kind", "imbalance", "--range", "1", "--reps", 0),
             ("sweep", "--kind", "imbalance", "--range", "1", "--seed", -1),
+            ("sweep", "--kind", "imbalance", "--range", "1", "--workers", 0),
+            ("verify", "--h", 0, "--seeds", 1),
+            ("verify", "--h", "nan", "--seeds", 1),
+            ("sweep", "--kind", "imbalance", "--range", "1", "--h", 0),
+            ("sweep", "--kind", "imbalance", "--range", "1", "--merge-factor", 0.9),
         ],
         ids=lambda args: " ".join(map(str, args)),
     )

@@ -77,6 +77,69 @@ class TestExtractClusters:
         assert part.sizes().tolist() == [1200, 800]
 
 
+def union_find_clusters(pos, tau_sq):
+    """Reference single linkage: union-find over direct 2-D differences.
+
+    Each point unions its closed tau-neighbourhood; ids are numbered by
+    first appearance.
+    """
+    n = pos.shape[0]
+    parent = np.arange(n)
+
+    def roots(idx):
+        r = parent[idx]
+        while np.any(parent[r] != r):
+            r = parent[r]
+        return r
+
+    for i in range(n):
+        diff = pos - pos[i]
+        near = np.flatnonzero(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] <= tau_sq)
+        r = np.unique(roots(near))
+        parent[r] = r[0]
+    ids = np.zeros(n, dtype=np.int64)
+    first = {}
+    for i, r in enumerate(roots(np.arange(n)).tolist()):
+        ids[i] = first.setdefault(r, len(first) + 1)
+    return ids
+
+
+class TestAgainstUnionFind:
+    # tau = 0.25 * 4 = 1 exactly, so dyadic coordinates give exact distances
+    POLICY, H = MergePolicy(0.25), 4.0
+
+    def test_frontier_spanning_several_row_blocks(self):
+        rng = np.random.default_rng(5)
+        blob_a = rng.normal(scale=1e-9, size=(2950, 2))
+        blob_b = [10.0, 0.0] + rng.normal(scale=1e-9, size=(1540, 2))
+        chain = np.column_stack([np.arange(0.5, 10.0, 1.0), np.zeros(10)])  # gaps of exactly tau
+        lone = np.column_stack([100.0 + 3.0 * np.arange(10), np.full(10, 50.0)])
+        short_chain = np.column_stack([np.arange(50.0, 53.0), np.full(3, -20.0)])
+        near_miss = [[0.0, 1.0 + 2.0**-20], [-5.0, 0.0], [-5.0, 1.0 + 2.0**-20]]
+        rest = np.vstack([blob_a[1:], chain[1:], blob_b, lone, short_chain, near_miss])
+        # the root is in blob A and the chain's first link is the last row of
+        # the second frontier, so the chain grows only from its last block
+        pos = np.vstack([blob_a[:1], rest[rng.permutation(rest.shape[0])], chain[:1]])
+        assert pos.shape[0] >= 4500
+        part = extract_clusters(pos, self.H, self.POLICY)
+        expected = union_find_clusters(pos, 1.0)
+        np.testing.assert_array_equal(part.assignment, expected)
+        assert part.n_clusters == 1 + 10 + 1 + 3
+        assert sorted(part.sizes().tolist())[-1] == 2950 + 10 + 1540
+
+    @given(
+        coords=st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_small_integer_states(self, coords):
+        # integer points: coincident points and pairs at exactly tau are common
+        pos = np.asarray(coords, dtype=np.float64)
+        part = extract_clusters(pos, self.H, self.POLICY)
+        np.testing.assert_array_equal(part.assignment, union_find_clusters(pos, 1.0))
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_permutation_invariance_as_set_family(data):

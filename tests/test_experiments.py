@@ -2,6 +2,7 @@
 
 import pytest
 
+from stochshift import experiments
 from stochshift.algorithms import AlgoConfig
 from stochshift.bench import run_benchmark, run_sweep
 from stochshift.clustering import MergePolicy
@@ -46,6 +47,40 @@ class TestReplicatePreset:
         serial = replicate_preset("set2", "sms", repetitions=2, seed=7, workers=1)
         pooled = replicate_preset("set2", "sms", repetitions=2, seed=7, workers=2)
         assert [r["acp"] for r in serial] == [r["acp"] for r in pooled]
+
+    @pytest.mark.parametrize(
+        "workers, cpus, pools",
+        [(100_000, 2, [2]), (100_000, 8, [3]), (2, 8, [2]), (100_000, None, []), (1, 8, [])],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, workers, cpus, pools):
+        started = []
+
+        class InlinePool:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        reports = replicate_preset("complexity:10", "bms", repetitions=3, seed=2, workers=workers)
+        assert started == pools
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)
+        assert reports == replicate_preset("complexity:10", "bms", repetitions=3, seed=2)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_non_positive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            replicate_preset("complexity:10", "bms", repetitions=2, workers=workers)
 
     def test_summarize_keys(self):
         reports = replicate_preset("set2", "sms", repetitions=3, seed=1)
