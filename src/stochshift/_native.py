@@ -111,10 +111,11 @@ def load():
 class SmsBlockKernel:
     """Runs blocks of untraced distance SMS steps on one state in place.
 
-    Holds the cached squared norms, the stop-rule state (which carries
-    over between blocks) and the buffers the kernel writes; sizes,
-    dtypes and contiguity are fixed here, so every pointer handed to
-    the library is valid for the call.
+    The compiled twin of ``algorithms._PySteps``, driven by the same
+    ``algorithms._sms_loop``.  Holds the cached squared norms, the
+    stop-rule state (which carries over between blocks) and the buffers
+    the kernel writes; sizes, dtypes and contiguity are fixed here, so
+    every pointer handed to the library is valid for the call.
     """
 
     def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, target: int, block: int):
@@ -122,6 +123,7 @@ class SmsBlockKernel:
             raise ValueError("the kernel needs a C-contiguous float64 (n, d) state")
         self.pts = pts
         self.shifts = np.empty(block)  # the shifts of the last block's steps
+        self.deltas = self.grads = None  # never traced
         self._lib = lib
         self._n, self._d = pts.shape
         self._h2, self._alpha, self._tol, self._target = h * h, int(alpha), float(tol), int(target)

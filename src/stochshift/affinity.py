@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AlgoConfig, _Recorder, _sms_loop
+from .algorithms import AlgoConfig, _PySteps, _Recorder, _sms_loop
 from .core import check_state
 
 __all__ = ["PreprocessConfig", "spherical_normalize", "top_score_neighbors", "knn_sms_run"]
@@ -125,4 +125,4 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
         pts[i] = new
         return math.sqrt(dx @ dx), None, None
 
-    return _sms_loop(pts, cfg, move, _Recorder("sms", pts, cfg))
+    return _sms_loop(pts, cfg, _PySteps(move, pts.shape[0], cfg), _Recorder("sms", pts, cfg))

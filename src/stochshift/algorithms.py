@@ -11,42 +11,31 @@ The three drivers share the same update arithmetic:
   *current* (blurred) state.
 
 The drivers differ only in their update and stop rules; every run
-records through one ``_Recorder``.  Created on the starting state, it
-checks the budget, copies the state, takes the first snapshot,
-evaluates the starting objective and starts the run timer.  Each event
-(one SMS step, one BMS sweep, one MS batch iteration) then appends a
-row to its columns: the cumulative update count, the moved index (-1
-for batch events), the shift and, when traced, the objective, its
-increment and the partial-gradient norm.  A traced objective is the
-previous value plus the increment the move supplies (SMS), or else a
-fresh ``objective_value`` of the state (BMS).  SMS events snapshot at
-multiples of ``snapshot_every``; batch events snapshot after every
-event when it is set.  ``finish`` appends the final snapshot and builds
-the ``RunTrace``.
+records through one ``_Recorder``, which checks the budget, copies the
+state, evaluates the starting objective, times the run and takes the
+snapshots (at multiples of ``snapshot_every`` for SMS, after every
+batch event when it is set).  ``event()`` records one batch event (a
+BMS sweep, an MS iteration; moved index -1) and ``events()`` one block
+of SMS steps, as rows of the update count, moved index, shift and, when
+traced, the objective, its increment and the partial-gradient norm.  A
+traced SMS objective is the running sum of the moves' increments; a
+batch event evaluates ``objective_value`` afresh.
 
-SMS indices are drawn in blocks (``_index_blocks``): at most
-``_BLOCK`` draws of ``Generator.integers(n, size=m)``, which is the same
-stream as m scalar draws.  A block also ends at every multiple of
-``snapshot_every`` and at the budget, so snapshots and the budget stop
-fall on block ends.  Two loops consume the blocks with the same
-stopping rule:
+``_sms_loop`` is the one SMS loop.  ``_index_blocks`` draws the index
+stream in blocks of at most ``_BLOCK`` (the same stream as scalar
+draws) that also end at every multiple of ``snapshot_every`` and at the
+budget.  A runner applies each block with the stop rule, keeping its
+state between blocks, and the loop records the block.  The two runners
+share ``run(idx) -> (steps, converged)`` and the step buffers
+``shifts``, ``deltas`` and ``grads`` (None when untraced):
 
-* ``_sms_loop`` steps in Python and is shared with the score-matrix
-  variant ``affinity.knn_sms_run``.  A variant supplies only a
-  ``move(i)`` callable: it updates row i of the state in place and
-  returns ``(shift, delta, grad)``, the moved distance, the objective
-  increment and the pre-move partial-gradient norm, with None for
-  whatever is not traced.  ``_sms_move`` builds the distance move that
-  ``sms_run`` and ``sms_step`` share.  Each step is one ``event()``.
-* ``_sms_loop_compiled`` runs untraced distance SMS one block at a time
-  in the C kernel of ``_native``, which keeps the stop-rule state
-  between blocks and returns how many steps it took and whether the
-  rule fired.  It averages the same points as ``_sms_move``, so the two
-  loops take the same steps and differ only in rounding (see
-  ``_sms_kernel.c``).  The recorder takes the block at once through
-  ``events(idx, shifts)``, without a Python call per step.  When the
-  kernel cannot be built or loaded, ``sms_run`` uses ``_sms_loop``,
-  which is also the reference the kernel is tested against.
+* ``_PySteps`` calls a ``move(i)`` that updates row i in place and
+  returns ``(shift, delta, grad)``: ``_sms_move`` (shared with
+  ``sms_step``) or the neighbour-mean move of ``affinity.knn_sms_run``.
+* ``_native.SmsBlockKernel`` runs untraced distance SMS in C, averaging
+  the same points as ``_sms_move`` (see ``_sms_kernel.c``).  ``sms_run``
+  uses it when it loads; ``_PySteps`` is the fallback and its test
+  reference.
 
 Pairwise work walks row blocks from ``core.pairwise_sq_blocks``.
 
@@ -215,35 +204,38 @@ class _Recorder:
         self.grad_norm = array("d") if gradient else None
         self._t0 = time.perf_counter()
 
-    def event(self, pts, i: int, shift: float, count: int, delta=None, grad=None) -> None:
-        """Record one event of ``count`` point-updates that left ``pts``."""
+    def event(self, pts, shift: float, count: int) -> None:
+        """Record a batch event (BMS sweep, MS iteration) of ``count`` updates that left ``pts``."""
         self.updates += count
         self.update_count.append(self.updates)
-        self.moved_index.append(i)
+        self.moved_index.append(-1)
         self.shift.append(shift)
         if self.objective is not None:
-            if delta is None:
-                self.objective_now = objective_value(pts, self.cfg.h, self.cfg.profile)
-            else:
-                self.objective_now += delta
-                self.objective_delta.append(delta)
-            self.objective.append(self.objective_now)
-        if self.grad_norm is not None:
-            self.grad_norm.append(grad)
-        if self.every is not None and (i < 0 or self.updates % self.every == 0):
+            self.objective.append(objective_value(pts, self.cfg.h, self.cfg.profile))
+        if self.every is not None:
             self.snapshots.append((self.updates, pts.copy()))
 
-    def events(self, pts, idx: np.ndarray, shifts: np.ndarray) -> None:
-        """Record a block of untraced SMS steps: the moved indices and their shifts.
+    def events(self, pts, idx: np.ndarray, steps) -> None:
+        """Record a block of SMS steps: the moved indices ``idx`` and the buffers of ``steps``.
 
-        A block ends at a multiple of ``snapshot_every`` or before it, so
-        at most its last step takes a snapshot.
+        The objective is the running sum of the increments in step order,
+        bit-equal to adding them one by one.  A block ends at a multiple
+        of ``snapshot_every`` or before it, so at most its last step
+        takes a snapshot.
         """
         m = idx.shape[0]
         counts = np.arange(self.updates + 1, self.updates + m + 1, dtype=np.int64)
         self.update_count.frombytes(counts.tobytes())
         self.moved_index.frombytes(idx.astype(np.int64, copy=False).tobytes())
-        self.shift.frombytes(shifts.astype(np.float64, copy=False).tobytes())
+        self.shift.frombytes(steps.shifts[:m].tobytes())
+        if self.objective is not None:
+            deltas = steps.deltas[:m]
+            running = np.cumsum(np.concatenate(([self.objective_now], deltas)))[1:]
+            self.objective_now = float(running[-1])
+            self.objective.frombytes(running.tobytes())
+            self.objective_delta.frombytes(deltas.tobytes())
+        if self.grad_norm is not None:
+            self.grad_norm.frombytes(steps.grads[:m].tobytes())
         self.updates += m
         if self.every is not None and self.updates % self.every == 0:
             self.snapshots.append((self.updates, pts.copy()))
@@ -294,7 +286,7 @@ def _weights(alpha: int, sq: np.ndarray, h2: float):
 
 
 def _sms_move(pts: np.ndarray, cfg: AlgoConfig):
-    """The SMS distance move on ``pts``: returns ``move(i)`` for ``_sms_loop``.
+    """The SMS distance move on ``pts``: returns ``move(i)`` for ``_PySteps``.
 
     ``move(i)`` moves point i onto the weighted mean of the current state
     in place and returns ``(shift, delta, grad)``; the objective
@@ -390,56 +382,64 @@ def _stop_target(cfg: AlgoConfig, n: int) -> int:
     return int(np.ceil(cfg.sms_stop_fraction * n))
 
 
-def _sms_loop(pts, cfg: AlgoConfig, move, rec: _Recorder):
-    """The Python SMS loop, shared by :func:`sms_run` and ``knn_sms_run``.
+class _PySteps:
+    """The numpy SMS runner: ``_native.SmsBlockKernel``'s interface over a ``move(i)``.
 
-    Calls ``move(i)`` for each drawn index, records each step through
-    ``rec`` and applies the stopping rule; returns ``(pts, RunTrace)``.
-    ``move(i)`` must update row i of ``pts`` in place and return
-    ``(shift, delta, grad)``.
+    ``deltas`` and ``grads`` exist when ``objective`` and ``gradient``
+    are traced; ``move(i)`` must then supply them.
     """
-    n = pts.shape[0]
-    tol = cfg.move_tolerance
 
-    # last-shift bookkeeping: `small` marks points whose most recent
-    # shift was below tolerance; coverage-since-last-big-shift is kept
-    # O(1) per step with an epoch stamp instead of clearing a flag array.
-    small = np.zeros(n, dtype=bool)
-    n_small = 0
-    target = _stop_target(cfg, n)
-    stamp = np.full(n, -1, dtype=np.int64)
-    epoch = 0
-    covered = 0
+    def __init__(self, move, n: int, cfg: AlgoConfig, objective=False, gradient=False):
+        self.move = move
+        self.tol = cfg.move_tolerance
+        self.target = _stop_target(cfg, n)
+        self.shifts = np.empty(_BLOCK)
+        self.deltas = np.empty(_BLOCK) if objective else None
+        self.grads = np.empty(_BLOCK) if gradient else None
+        # last-shift bookkeeping: `small` marks points whose most recent
+        # shift was below tolerance; coverage-since-last-big-shift is kept
+        # O(1) per step with an epoch stamp instead of clearing a flag array.
+        self.small = [False] * n
+        self.stamp = [-1] * n
+        self.n, self.n_small, self.epoch, self.covered = n, 0, 0, 0
 
-    for block in _index_blocks(n, cfg):
-        for i in block.tolist():
-            shift, delta, grad = move(i)
-            rec.event(pts, i, shift, 1, delta, grad)
-
-            if shift < tol:
-                if stamp[i] != epoch:
-                    stamp[i] = epoch
-                    covered += 1
-                if not small[i]:
-                    small[i] = True
-                    n_small += 1
-                if n_small >= target and covered == n:
-                    return pts, rec.finish(pts, "converged")
+    def run(self, idx: np.ndarray) -> tuple[int, bool]:
+        """Apply the steps of ``idx`` until the stop rule fires; returns (steps, converged)."""
+        for s, i in enumerate(idx.tolist()):
+            shift, delta, grad = self.move(i)
+            self.shifts[s] = shift
+            if self.deltas is not None:
+                self.deltas[s] = delta
+            if self.grads is not None:
+                self.grads[s] = grad
+            if shift < self.tol:
+                if self.stamp[i] != self.epoch:
+                    self.stamp[i] = self.epoch
+                    self.covered += 1
+                if not self.small[i]:
+                    self.small[i] = True
+                    self.n_small += 1
+                if self.n_small >= self.target and self.covered == self.n:
+                    return s + 1, True
             else:
-                epoch += 1
-                covered = 0
-                if small[i]:
-                    small[i] = False
-                    n_small -= 1
+                self.epoch += 1
+                self.covered = 0
+                if self.small[i]:
+                    self.small[i] = False
+                    self.n_small -= 1
+        return idx.shape[0], False
 
-    return pts, rec.finish(pts, "max_updates")
 
+def _sms_loop(pts, cfg: AlgoConfig, steps, rec: _Recorder):
+    """The one SMS loop, shared by :func:`sms_run` and ``knn_sms_run``.
 
-def _sms_loop_compiled(pts, cfg: AlgoConfig, kernel: _native.SmsBlockKernel, rec: _Recorder):
-    """``_sms_loop`` for untraced distance SMS, one kernel call per block."""
+    Runs each index block through ``steps``, a ``_PySteps`` or an
+    ``_native.SmsBlockKernel``, records it through ``rec`` and stops
+    when the stop rule fires; returns ``(pts, RunTrace)``.
+    """
     for block in _index_blocks(pts.shape[0], cfg):
-        steps, converged = kernel.run(block)
-        rec.events(pts, block[:steps], kernel.shifts[:steps])
+        m, converged = steps.run(block)
+        rec.events(pts, block[:m], steps)
         if converged:
             return pts, rec.finish(pts, "converged")
     return pts, rec.finish(pts, "max_updates")
@@ -456,13 +456,15 @@ def sms_run(points, cfg: AlgoConfig):
     ``(final_points, RunTrace)``.
     """
     pts = check_state(points).copy()
+    n = pts.shape[0]
     rec = _Recorder("sms", pts, cfg, cfg.trace_objective, cfg.trace_gradient)
     lib = None if cfg.trace_objective or cfg.trace_gradient else _native.load()
     if lib is None:
-        return _sms_loop(pts, cfg, _sms_move(pts, cfg), rec)
-    kernel = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance,
-                                    _stop_target(cfg, pts.shape[0]), _BLOCK)
-    return _sms_loop_compiled(pts, cfg, kernel, rec)
+        steps = _PySteps(_sms_move(pts, cfg), n, cfg, cfg.trace_objective, cfg.trace_gradient)
+    else:
+        steps = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance,
+                                       _stop_target(cfg, n), _BLOCK)
+    return _sms_loop(pts, cfg, steps, rec)
 
 
 def bms_sweep(points, cfg: AlgoConfig):
@@ -490,7 +492,7 @@ def bms_run(points, cfg: AlgoConfig):
     stop_reason = "max_updates"
     for _ in range(cfg.max_updates // n):
         pts, max_shift = bms_sweep(pts, cfg)
-        rec.event(pts, -1, max_shift, n)
+        rec.event(pts, max_shift, n)
         if max_shift < cfg.move_tolerance:
             stop_reason = "converged"
             break
@@ -530,7 +532,7 @@ def ms_run(points, cfg: AlgoConfig):
         diff = new - moved
         shifts = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         probes[active] = new
-        rec.event(probes, -1, float(shifts.max()), int(active.size))
+        rec.event(probes, float(shifts.max()), int(active.size))
         active = active[shifts >= cfg.move_tolerance]
     stop_reason = "converged" if active.size == 0 else "max_updates"
     return probes, rec.finish(probes, stop_reason, isolated_probes=isolated, unconverged=active.copy())

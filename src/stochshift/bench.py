@@ -17,7 +17,7 @@ import numpy as np
 from .algorithms import ALGORITHMS, AlgoConfig, run
 from .experiments import RUN_SEED_OFFSET, replicate_preset, summarize
 from .kernels import EPANECHNIKOV, Profile
-from .synthdata import generate, preset
+from .synthdata import generate, parse_preset, preset
 
 __all__ = ["BenchCell", "BenchResult", "run_benchmark", "run_sweep", "SWEEP_KINDS"]
 
@@ -103,6 +103,8 @@ def run_benchmark(
             raise ValueError(f"unknown algorithm {algo!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if not timeout > 0:  # also rejects NaN, which would never censor
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
 
     cells: list[BenchCell] = []
     warnings: list[str] = []
@@ -178,15 +180,18 @@ def run_sweep(
 
     Each row carries the median and the 5%/95% quantiles over the
     seeded repetitions, in the long format used by external plotters.
+    A bad value raises ValueError before the first replicate runs.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
     values = list(values)
     if not values:
         raise ValueError("sweep range is empty")
+    presets = [f"{_SWEEP_PRESET[kind]}:{value}" for value in values]
+    for preset_text in presets:
+        parse_preset(preset_text, seed=seed)
     rows: list[dict] = []
-    for value in values:
-        preset_text = f"{_SWEEP_PRESET[kind]}:{value}"
+    for value, preset_text in zip(values, presets):
         for algo in algorithms:
             reports = replicate_preset(
                 preset_text,

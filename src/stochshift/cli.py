@@ -215,12 +215,12 @@ def sweep(kind, range_text, algos, reps, seed, profile_name, bandwidth,
                 raise ValueError(f"unknown algorithm {a!r}")
         check_bandwidth(bandwidth)
         MergePolicy(merge_factor)
+        rows = bench_mod.run_sweep(
+            kind, values, algo_list, repetitions=reps, seed=seed, profile=profile,
+            h=bandwidth, merge_factor=merge_factor, workers=workers,
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    rows = bench_mod.run_sweep(
-        kind, values, algo_list, repetitions=reps, seed=seed, profile=profile,
-        h=bandwidth, merge_factor=merge_factor, workers=workers,
-    )
     lines = ["sweep_value,algorithm,metric,median,q05,q95"]
     lines += [
         ",".join(
@@ -244,10 +244,7 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return EXIT_OK
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # UsageError included
         exc.show()
         return EXIT_USAGE
     except click.exceptions.Abort:

@@ -16,7 +16,7 @@ as do the purely geometric cluster-stability and single-cluster checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,7 +216,6 @@ def check_cluster_stability(trace: RunTrace, h, tau: float) -> CheckResult:
     part_last = extract_clusters(last, h, policy)
     same = np.array_equal(part_prev.assignment, part_last.assignment)
     status = "pass" if slack > 0.0 and same else "fail"
-    n_clusters = part_last.n_clusters
     return CheckResult(
         "cluster_stability",
         status,
@@ -224,7 +223,7 @@ def check_cluster_stability(trace: RunTrace, h, tau: float) -> CheckResult:
         {
             "tau": float(tau),
             "partition_settled": bool(same),
-            "n_clusters": int(n_clusters),
+            "n_clusters": int(part_last.n_clusters),
             "kind": "finite-horizon surrogate",
         },
     )
@@ -250,16 +249,8 @@ def check_single_cluster_convergence(initial_points, cfg: AlgoConfig) -> CheckRe
             {"reason": "assumption unmet", "diameter": diameter, "h": cfg.h},
         )
 
-    run_cfg = AlgoConfig(
-        algorithm="sms",
-        profile=cfg.profile,
-        h=cfg.h,
-        max_updates=cfg.max_updates,
-        move_tolerance=cfg.move_tolerance,
-        sms_stop_fraction=cfg.sms_stop_fraction,
-        seed=cfg.seed,
-        snapshot_every=max(1, n),
-    )
+    run_cfg = replace(cfg, algorithm="sms", trace_objective=False, trace_gradient=False,
+                      snapshot_every=max(1, n))
     final, trace = sms_run(pts, run_cfg)
 
     max_dist = _max_dist(final)
@@ -357,11 +348,11 @@ def negative_controls(profile: Profile | None = None, h: float = 1.0) -> list[Ch
     pts = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.1]])
     decreasing = _fake_trace(pts, 5.0, [4.5, 4.0, 3.5], [0.1, 0.1, 0.1])
     res = check_monotone_ascent(decreasing, cfg)
-    results.append(CheckResult("negative_ascent", res.status, res.worst_slack, res.detail))
+    results.append(replace(res, name="negative_ascent"))
 
     inflated = _fake_trace(pts, 5.0, [5.0 + 1e-12] * 3, [0.1] * 3, grads=[1e6] * 3)
     res = check_partial_gradient_bound(inflated, cfg)
-    results.append(CheckResult("negative_gradient_bound", res.status, res.worst_slack, res.detail))
+    results.append(replace(res, name="negative_gradient_bound"))
 
     data = generate(parse_preset("set1", seed=0))
     frozen_cfg = AlgoConfig(
@@ -369,7 +360,7 @@ def negative_controls(profile: Profile | None = None, h: float = 1.0) -> list[Ch
     )
     _, short_trace = sms_run(data.points, frozen_cfg)
     res = check_gradient_vanishes(short_trace, frozen_cfg)
-    results.append(CheckResult("negative_gradient_vanishes", res.status, res.worst_slack, res.detail))
+    results.append(replace(res, name="negative_gradient_vanishes"))
 
     pair = np.array([[0.0, 0.0], [h / 2.0, 0.0]])
     band_trace = RunTrace(
@@ -381,7 +372,7 @@ def negative_controls(profile: Profile | None = None, h: float = 1.0) -> list[Ch
         snapshots=[(0, pair.copy()), (1, pair.copy())],
     )
     res = check_cluster_stability(band_trace, h, h / 3.0)
-    results.append(CheckResult("negative_cluster_stability", res.status, res.worst_slack, res.detail))
+    results.append(replace(res, name="negative_cluster_stability"))
     return results
 
 

@@ -225,6 +225,32 @@ class TestSmsRun:
         recomputed = objective_value(final, 1.0, P2)
         assert trace.objective[-1] == pytest.approx(recomputed, rel=1e-9)
 
+    def test_traced_run_across_index_blocks(self):
+        # snapshot_every=5000 cuts the 4096-draw blocks to 4096, 904 and a
+        # block that the stop rule ends after 860 of its steps
+        data = generate(preset("set2", seed=0))
+        cfg = AlgoConfig(profile=P2, seed=1000003, trace_objective=True, trace_gradient=True,
+                         snapshot_every=5000)
+        _, trace = sms_run(data.points, cfg)
+        total = trace.total_updates
+        assert (trace.stop_reason, total) == ("converged", 5860)
+        np.testing.assert_array_equal(trace.update_count, np.arange(1, total + 1))
+        assert [k for k, _ in trace.snapshots] == [0, 5000, total]
+
+        value, running = trace.initial_objective, []
+        for delta in trace.objective_delta.tolist():
+            value += delta
+            running.append(value)
+        np.testing.assert_array_equal(trace.objective, running)
+        objective = np.concatenate(([trace.initial_objective], trace.objective))
+        for k, snap in trace.snapshots:
+            assert objective_value(snap, cfg.h, P2) == pytest.approx(objective[k], rel=1e-9)
+
+        assert trace.grad_norm.shape == (total,)
+        for k, snap in trace.snapshots[:-1]:  # the step after a snapshot moves from it
+            grad = partial_gradient(snap, cfg.h, P2, int(trace.moved_index[k]))
+            assert trace.grad_norm[k] == pytest.approx(np.sqrt(grad @ grad), rel=1e-9, abs=1e-12)
+
     def test_snapshots_and_counts(self):
         data = generate(preset("set2", seed=5))
         cfg = AlgoConfig(profile=EPANECHNIKOV, seed=8, max_updates=300, snapshot_every=100)

@@ -217,6 +217,13 @@ class TestUsage:
             ("verify", "--h", "nan", "--seeds", 1),
             ("sweep", "--kind", "imbalance", "--range", "1", "--h", 0),
             ("sweep", "--kind", "imbalance", "--range", "1", "--merge-factor", 0.9),
+            ("sweep", "--kind", "dimension", "--range", "2,0.5"),
+            ("sweep", "--kind", "dimension", "--range", "0"),
+            ("sweep", "--kind", "imbalance", "--range", "0"),
+            ("sweep", "--kind", "num_clusters", "--range", "0..1"),
+            ("bench", "--timeout", 0),
+            ("bench", "--timeout", -1),
+            ("bench", "--timeout", "nan"),
         ],
         ids=lambda args: " ".join(map(str, args)),
     )

@@ -106,8 +106,9 @@ class TestRunBenchmark:
         assert "bms" in result.slopes
 
     def test_censoring_excludes_from_fit(self):
+        # every run takes longer than a nanosecond; a timeout of 0 is rejected
         result = run_benchmark(
-            [2, 5, 20], algorithms=("bms",), repetitions=1, seed=0, timeout=0.0
+            [2, 5, 20], algorithms=("bms",), repetitions=1, seed=0, timeout=1e-9
         )
         assert all(c.censored for c in result.cells)
         assert "bms" not in result.slopes
