@@ -87,8 +87,7 @@ def _open(path: Path):
         np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),  # idx
         i64,  # m
         ctypes.c_double, i64,  # h2, alpha
-        ctypes.c_double, i64,  # tol, target
-        np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # small
+        ctypes.c_double,  # tol
         np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # stamp
         np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # state
         f64,  # shifts
@@ -113,12 +112,13 @@ class SmsBlockKernel:
 
     The compiled twin of ``algorithms._PySteps``, driven by the same
     ``algorithms._sms_loop``.  Holds the cached squared norms, the
-    stop-rule state (which carries over between blocks) and the buffers
+    stop-rule state (the points' epoch stamps, the epoch and its coverage
+    count, which carry over between blocks) and the buffers
     the kernel writes; sizes, dtypes and contiguity are fixed here, so
     every pointer handed to the library is valid for the call.
     """
 
-    def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, target: int, block: int):
+    def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, block: int):
         if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous:
             raise ValueError("the kernel needs a C-contiguous float64 (n, d) state")
         self.pts = pts
@@ -126,11 +126,10 @@ class SmsBlockKernel:
         self.deltas = self.grads = None  # never traced
         self._lib = lib
         self._n, self._d = pts.shape
-        self._h2, self._alpha, self._tol, self._target = h * h, int(alpha), float(tol), int(target)
+        self._h2, self._alpha, self._tol = h * h, int(alpha), float(tol)
         self._sqn = np.einsum("ij,ij->i", pts, pts)
-        self._small = np.zeros(self._n, dtype=np.uint8)
         self._stamp = np.full(self._n, -1, dtype=np.int64)
-        self._state = np.zeros(4, dtype=np.int64)  # n_small, epoch, covered, converged
+        self._state = np.zeros(3, dtype=np.int64)  # epoch, covered, converged
         self._scratch = np.empty(2 * self._d)
 
     def run(self, idx: np.ndarray) -> tuple[int, bool]:
@@ -140,6 +139,6 @@ class SmsBlockKernel:
         if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self._n):
             raise ValueError("index out of range")
         steps = self._lib.sms_block(self.pts, self._sqn, self._n, self._d, np.ascontiguousarray(idx),
-                                    idx.shape[0], self._h2, self._alpha, self._tol, self._target,
-                                    self._small, self._stamp, self._state, self.shifts, self._scratch)
-        return int(steps), bool(self._state[3])
+                                    idx.shape[0], self._h2, self._alpha, self._tol, self._stamp,
+                                    self._state, self.shifts, self._scratch)
+        return int(steps), bool(self._state[2])

@@ -1,4 +1,6 @@
-/* One block of untraced distance SMS steps, with the SMS stop rule.
+/* One block of untraced distance SMS steps, with the SMS stop rule: stop
+ * once every point has been drawn, with a shift below tolerance, since the
+ * last shift at or above it.
  *
  * The arithmetic follows the numpy path in algorithms._sms_move step for
  * step: squared distances from the cached-norm identity grouped as
@@ -335,22 +337,24 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h
 }
 
 /* Run the steps idx[0..m) on pts (n x d, row-major) with cached squared
- * norms sqn, writing each step's shift to shifts.  The stop state lives
- * in small (n flags), stamp (n epochs) and state = {n_small, epoch,
+ * norms sqn, writing each step's shift to shifts.  A step of point i with
+ * shift < tol stamps i with the current epoch and one with shift >= tol
+ * starts a new epoch; the run stops once all n points carry the current
+ * epoch.  The stop state lives in stamp (n epochs) and state = {epoch,
  * covered, converged}, and carries over between blocks.  Returns the
- * number of steps taken; state[3] is set to 1 when the stop rule fired
- * on the last of them.  scratch holds 2 * d doubles. */
+ * number of steps taken; state[2] is set to 1 when the stop rule fired on
+ * the last of them.  scratch holds 2 * d doubles. */
 int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
                   const int64_t *idx, int64_t m, double h2, int64_t alpha,
-                  double tol, int64_t target, uint8_t *small, int64_t *stamp,
-                  int64_t *state, double *shifts, double *scratch)
+                  double tol, int64_t *stamp, int64_t *state, double *shifts,
+                  double *scratch)
 {
     const double inv_h2 = 1.0 / h2;
-    int64_t n_small = state[0], epoch = state[1], covered = state[2];
+    int64_t epoch = state[0], covered = state[1];
     int64_t s = 0;
     grid_t g;
     const int gridded = d == 2 && alpha == 1 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2);
-    state[3] = 0;
+    state[2] = 0;
     while (s < m) {
         const int64_t i = idx[s];
         const double shift = gridded ? move_grid(&g, pts, sqn, i, h2)
@@ -360,29 +364,19 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
         if (shift < tol) {
             if (stamp[i] != epoch) {
                 stamp[i] = epoch;
-                covered++;
-            }
-            if (!small[i]) {
-                small[i] = 1;
-                n_small++;
-            }
-            if (n_small >= target && covered == n) {
-                state[3] = 1;
-                break;
+                if (++covered == n) {
+                    state[2] = 1;
+                    break;
+                }
             }
         } else {
             epoch++;
             covered = 0;
-            if (small[i]) {
-                small[i] = 0;
-                n_small--;
-            }
         }
     }
     if (gridded)
         grid_free(&g);
-    state[0] = n_small;
-    state[1] = epoch;
-    state[2] = covered;
+    state[0] = epoch;
+    state[1] = covered;
     return s;
 }

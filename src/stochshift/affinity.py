@@ -113,9 +113,14 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
 
     Draws an index uniformly and moves that point onto the unweighted
     mean of its k best-scoring neighbours (self excluded) under the
-    static score matrix.  The stopping rule is the SMS one: enough small
-    last shifts plus full index coverage since the last large shift.
+    static score matrix.  The stopping rule is the SMS one: every index
+    drawn, with a below-tolerance shift, since the last above-tolerance
+    shift.  The move has no objective, so a config that traces the
+    objective or the gradient is rejected.
     """
+    if cfg.trace_objective or cfg.trace_gradient:
+        raise ValueError("knn_sms_run has no objective to trace; "
+                         "set trace_objective and trace_gradient to False")
     pts = check_state(points).copy()
     neighbor_sets = top_score_neighbors(scores, k)
 

@@ -25,7 +25,10 @@ batch event evaluates ``objective_value`` afresh.
 stream in blocks of at most ``_BLOCK`` (the same stream as scalar
 draws) that also end at every multiple of ``snapshot_every`` and at the
 budget.  A runner applies each block with the stop rule, keeping its
-state between blocks, and the loop records the block.  The two runners
+state between blocks, and the loop records the block.  The stop rule:
+a step with shift >= tol starts a new epoch, one below tol stamps its
+point into the current epoch, and the run stops once all n points carry
+the current epoch's stamp.  The two runners
 share ``run(idx) -> (steps, converged)`` and the step buffers
 ``shifts``, ``deltas`` and ``grads`` (None when untraced):
 
@@ -81,11 +84,9 @@ class AlgoConfig:
     """Hyperparameters shared by the three drivers.
 
     ``max_updates`` and ``move_tolerance`` follow the experiment defaults
-    (1e7 updates, shift < 1e-6).  ``sms_stop_fraction`` is the fraction of
-    points whose last shift must be below tolerance before SMS may stop;
-    SMS additionally requires every index to have been drawn since the
-    last above-tolerance shift, so stale shift values can never trigger
-    a premature stop.
+    (1e7 updates, shift < 1e-6).  SMS stops once every index has been
+    drawn, with a below-tolerance shift, since the last above-tolerance
+    shift of any point.
     """
 
     algorithm: str = "sms"
@@ -93,7 +94,6 @@ class AlgoConfig:
     h: float = 1.0
     max_updates: int = 10_000_000
     move_tolerance: float = 1e-6
-    sms_stop_fraction: float = 0.99
     seed: int = 0
     trace_objective: bool = False
     trace_gradient: bool = False
@@ -107,8 +107,6 @@ class AlgoConfig:
             raise ValueError("max_updates must be positive")
         if not (self.move_tolerance > 0 and np.isfinite(self.move_tolerance)):
             raise ValueError("move_tolerance must be a positive finite real")
-        if not (0.0 < self.sms_stop_fraction <= 1.0):
-            raise ValueError("sms_stop_fraction must lie in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.snapshot_every is not None and self.snapshot_every < 1:
@@ -377,11 +375,6 @@ def _index_blocks(n: int, cfg: AlgoConfig):
         done += m
 
 
-def _stop_target(cfg: AlgoConfig, n: int) -> int:
-    """How many points need a small last shift before SMS may stop."""
-    return int(np.ceil(cfg.sms_stop_fraction * n))
-
-
 class _PySteps:
     """The numpy SMS runner: ``_native.SmsBlockKernel``'s interface over a ``move(i)``.
 
@@ -392,16 +385,13 @@ class _PySteps:
     def __init__(self, move, n: int, cfg: AlgoConfig, objective=False, gradient=False):
         self.move = move
         self.tol = cfg.move_tolerance
-        self.target = _stop_target(cfg, n)
         self.shifts = np.empty(_BLOCK)
         self.deltas = np.empty(_BLOCK) if objective else None
         self.grads = np.empty(_BLOCK) if gradient else None
-        # last-shift bookkeeping: `small` marks points whose most recent
-        # shift was below tolerance; coverage-since-last-big-shift is kept
-        # O(1) per step with an epoch stamp instead of clearing a flag array.
-        self.small = [False] * n
+        # coverage since the last above-tolerance shift is kept O(1) per
+        # step with an epoch stamp instead of clearing a flag array
         self.stamp = [-1] * n
-        self.n, self.n_small, self.epoch, self.covered = n, 0, 0, 0
+        self.n, self.epoch, self.covered = n, 0, 0
 
     def run(self, idx: np.ndarray) -> tuple[int, bool]:
         """Apply the steps of ``idx`` until the stop rule fires; returns (steps, converged)."""
@@ -416,17 +406,11 @@ class _PySteps:
                 if self.stamp[i] != self.epoch:
                     self.stamp[i] = self.epoch
                     self.covered += 1
-                if not self.small[i]:
-                    self.small[i] = True
-                    self.n_small += 1
-                if self.n_small >= self.target and self.covered == self.n:
-                    return s + 1, True
+                    if self.covered == self.n:
+                        return s + 1, True
             else:
                 self.epoch += 1
                 self.covered = 0
-                if self.small[i]:
-                    self.small[i] = False
-                    self.n_small -= 1
         return idx.shape[0], False
 
 
@@ -448,10 +432,9 @@ def _sms_loop(pts, cfg: AlgoConfig, steps, rec: _Recorder):
 def sms_run(points, cfg: AlgoConfig):
     """Run SMS until the stopping rule fires or the budget is spent.
 
-    Stopping: at least ``ceil(sms_stop_fraction * n)`` points have a
-    last recorded shift below ``move_tolerance`` AND every index has
-    been drawn at least once after the most recent above-tolerance
-    shift.  Untraced runs use the compiled kernel when it is available
+    Stopping: every index has been drawn, with a shift below
+    ``move_tolerance``, since the most recent above-tolerance shift.
+    Untraced runs use the compiled kernel when it is available
     and the numpy path otherwise; both take the same steps.  Returns
     ``(final_points, RunTrace)``.
     """
@@ -462,8 +445,7 @@ def sms_run(points, cfg: AlgoConfig):
     if lib is None:
         steps = _PySteps(_sms_move(pts, cfg), n, cfg, cfg.trace_objective, cfg.trace_gradient)
     else:
-        steps = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance,
-                                       _stop_target(cfg, n), _BLOCK)
+        steps = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance, _BLOCK)
     return _sms_loop(pts, cfg, steps, rec)
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import ALGORITHMS, AlgoConfig, run
+from .clustering import MergePolicy
+from .core import check_bandwidth
 from .experiments import RUN_SEED_OFFSET, replicate_preset, summarize
 from .kernels import EPANECHNIKOV, Profile
 from .synthdata import generate, parse_preset, preset
@@ -180,7 +182,8 @@ def run_sweep(
 
     Each row carries the median and the 5%/95% quantiles over the
     seeded repetitions, in the long format used by external plotters.
-    A bad value raises ValueError before the first replicate runs.
+    A bad value, algorithm, bandwidth or merge factor raises ValueError
+    before the first replicate runs.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
@@ -190,6 +193,11 @@ def run_sweep(
     presets = [f"{_SWEEP_PRESET[kind]}:{value}" for value in values]
     for preset_text in presets:
         parse_preset(preset_text, seed=seed)
+    for algo in algorithms:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algo!r}")
+    check_bandwidth(h)
+    MergePolicy(merge_factor)
     rows: list[dict] = []
     for value, preset_text in zip(values, presets):
         for algo in algorithms:

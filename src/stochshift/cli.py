@@ -78,11 +78,10 @@ def synth(preset_text: str, seed: int, out: Path):
 @click.option("--max-updates", default=10_000_000, show_default=True, type=int)
 @click.option("--tol", default=1e-6, show_default=True, type=float)
 @click.option("--merge-factor", default=1.0 / 3.0, show_default=True, type=float)
-@click.option("--stop-fraction", default=0.99, show_default=True, type=float)
 @click.option("--trace-objective", is_flag=True, help="record the objective at every update")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 def cluster(input_path, algo, profile_name, bandwidth, seed, max_updates, tol,
-            merge_factor, stop_fraction, trace_objective, out_dir):
+            merge_factor, trace_objective, out_dir):
     """Cluster a CSV dataset; write partition, trace and metrics files."""
     try:
         profile = profile_from_name(profile_name)
@@ -96,7 +95,6 @@ def cluster(input_path, algo, profile_name, bandwidth, seed, max_updates, tol,
             h=bandwidth,
             max_updates=max_updates,
             move_tolerance=tol,
-            sms_stop_fraction=stop_fraction,
             seed=seed,
             trace_objective=trace_objective,
         )
@@ -206,17 +204,9 @@ def sweep(kind, range_text, algos, reps, seed, profile_name, bandwidth,
     """Sweep a preset parameter; write a long-format metrics CSV."""
     try:
         profile = profile_from_name(profile_name)
-        values = _parse_values(range_text)
-        if not values:
-            raise ValueError("sweep range is empty")
         algo_list = [a.strip() for a in algos.split(",") if a.strip()]
-        for a in algo_list:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
-        check_bandwidth(bandwidth)
-        MergePolicy(merge_factor)
         rows = bench_mod.run_sweep(
-            kind, values, algo_list, repetitions=reps, seed=seed, profile=profile,
+            kind, _parse_values(range_text), algo_list, repetitions=reps, seed=seed, profile=profile,
             h=bandwidth, merge_factor=merge_factor, workers=workers,
         )
     except ValueError as exc:

@@ -166,3 +166,11 @@ class TestKnnSmsRun:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="max_updates"):
             knn_sms_run(np.zeros((5, 1)), np.zeros((5, 5)), 1, AlgoConfig(max_updates=3))
+
+    @pytest.mark.parametrize("flag", ["trace_objective", "trace_gradient"])
+    def test_traced_config_rejected(self, flag):
+        # the neighbour-mean move has no objective, so a trace would be all None
+        pts = np.random.default_rng(4).normal(size=(30, 3))
+        pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
+        with pytest.raises(ValueError, match="trace"):
+            knn_sms_run(pts, pts @ pts.T, 3, AlgoConfig(**{flag: True}))

@@ -1,5 +1,7 @@
 """Driver behaviour: steps, sweeps, runs, stopping, tracing, determinism."""
 
+import ctypes
+import re
 import shutil
 import subprocess
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from stochshift import _native
+from stochshift.affinity import knn_sms_run
 from stochshift.algorithms import (
     AlgoConfig,
     RandomIndexStream,
@@ -40,8 +43,6 @@ class TestConfig:
             AlgoConfig(h=0.0)
         with pytest.raises(ValueError):
             AlgoConfig(move_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            AlgoConfig(sms_stop_fraction=0.0)
 
     def test_budget_below_n_rejected(self):
         cfg = AlgoConfig(max_updates=2)
@@ -314,11 +315,6 @@ class TestCompiledSms:
         trace = assert_same_run(data.points, AlgoConfig(seed=2, max_updates=5000), monkeypatch)
         assert (trace.stop_reason, trace.total_updates) == ("max_updates", 5000)
 
-    def test_full_stop_fraction(self, monkeypatch):
-        data = generate(preset("set2", seed=2))
-        cfg = AlgoConfig(profile=P2, seed=9, sms_stop_fraction=1.0)
-        assert assert_same_run(data.points, cfg, monkeypatch).stop_reason == "converged"
-
     @pytest.mark.parametrize("layout", ["small", "far_apart"])
     def test_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
         # the uniform-weight d=2 kernel sums over a grid of cells only for
@@ -359,6 +355,93 @@ def test_kernel_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "k.so"), str(_native._SOURCE), "-lm"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=_native._COMPILE_TIMEOUT_S)
     assert done.returncode == 0, done.stderr
+
+
+def test_kernel_prototype_matches_c_definition():
+    # ctypes passes whatever argtypes says; a parameter added to or dropped
+    # from the C side alone would shift every later argument unnoticed
+    lib = _native.load()
+    if lib is None:
+        pytest.skip("the SMS kernel could not be built here (no gcc?)")
+    source = _native._SOURCE.read_text()
+    params = re.search(r"\bint64_t\s+sms_block\s*\(([^)]*)\)", source).group(1).split(",")
+    argtypes = lib.sms_block.argtypes
+    assert len(params) == len(argtypes)
+    pointees = {"double": np.float64, "int64_t": np.int64}
+    scalars = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
+    for param, argtype in zip(params, argtypes):
+        ctype = param.replace("const", "").split()[0]
+        if "*" in param:
+            assert np.dtype(argtype._dtype_) == pointees[ctype], param
+        else:
+            assert argtype is scalars[ctype], param
+    assert lib.sms_block.restype is ctypes.c_int64
+
+
+def assert_stop_rule(trace, n, tol):
+    """The run stopped at the first step covering all n indices since the last big shift.
+
+    The steps with shift >= tol split the run into segments; every
+    segment before the last misses an index, and a converged run ends at
+    the step where its last segment first covers all n.
+    """
+    big = np.flatnonzero(trace.shift >= tol)
+    starts = np.concatenate(([0], big + 1))
+    ends = np.concatenate((big, [trace.n_events]))
+    for lo, hi in zip(starts[:-1], ends[:-1]):
+        assert np.unique(trace.moved_index[lo:hi]).size < n
+    _, first = np.unique(trace.moved_index[starts[-1]:], return_index=True)
+    assert trace.total_updates == trace.n_events
+    if trace.stop_reason == "converged":
+        assert first.size == n
+        assert starts[-1] + first.max() + 1 == trace.total_updates
+    else:
+        assert trace.stop_reason == "max_updates"
+        assert first.size < n
+
+
+class TestStopRule:
+    """Both SMS runners stop as soon as coverage since the last big shift completes."""
+
+    def test_compiled_run(self):
+        if _native.load() is None:
+            pytest.skip("the SMS kernel could not be built here (no gcc?)")
+        data = generate(preset("set1", seed=0))
+        cfg = AlgoConfig(seed=1000003)
+        _, trace = sms_run(data.points, cfg)
+        assert trace.stop_reason == "converged"
+        assert_stop_rule(trace, data.n, cfg.move_tolerance)
+
+    def test_numpy_run(self, monkeypatch):
+        monkeypatch.setattr(_native, "load", lambda: None)
+        data = generate(preset("set2", seed=0))
+        cfg = AlgoConfig(seed=3)
+        _, trace = sms_run(data.points, cfg)
+        assert trace.stop_reason == "converged"
+        assert_stop_rule(trace, data.n, cfg.move_tolerance)
+
+    def test_traced_biweight_run(self):
+        data = generate(preset("set2", seed=0))
+        cfg = AlgoConfig(profile=P2, seed=1000003, trace_objective=True, trace_gradient=True)
+        _, trace = sms_run(data.points, cfg)
+        assert trace.stop_reason == "converged"
+        assert_stop_rule(trace, data.n, cfg.move_tolerance)
+
+    def test_score_matrix_run(self):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(60, 3))
+        diff = pts[:, None, :] - pts[None, :, :]
+        cfg = AlgoConfig(seed=4)
+        _, trace = knn_sms_run(pts, -np.einsum("ijk,ijk->ij", diff, diff), 5, cfg)
+        assert trace.stop_reason == "converged"
+        assert_stop_rule(trace, pts.shape[0], cfg.move_tolerance)
+
+    def test_budget_spent_before_coverage(self):
+        data = generate(preset("set1", seed=0))
+        cfg = AlgoConfig(seed=2, max_updates=900)
+        _, trace = sms_run(data.points, cfg)
+        assert (trace.stop_reason, trace.total_updates) == ("max_updates", 900)
+        assert_stop_rule(trace, data.n, cfg.move_tolerance)
 
 
 class TestHullShrinkage:

@@ -217,6 +217,7 @@ class TestUsage:
             ("verify", "--h", "nan", "--seeds", 1),
             ("sweep", "--kind", "imbalance", "--range", "1", "--h", 0),
             ("sweep", "--kind", "imbalance", "--range", "1", "--merge-factor", 0.9),
+            ("sweep", "--kind", "imbalance", "--range", "1", "--algos", "sms,kmeans"),
             ("sweep", "--kind", "dimension", "--range", "2,0.5"),
             ("sweep", "--kind", "dimension", "--range", "0"),
             ("sweep", "--kind", "imbalance", "--range", "0"),

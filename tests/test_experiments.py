@@ -2,7 +2,7 @@
 
 import pytest
 
-from stochshift import experiments
+from stochshift import bench, experiments
 from stochshift.algorithms import AlgoConfig
 from stochshift.bench import run_benchmark, run_sweep
 from stochshift.clustering import MergePolicy
@@ -130,3 +130,15 @@ class TestRunSweep:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="sweep kind"):
             run_sweep("bandwidth", [1.0])
+
+    @pytest.mark.parametrize(
+        "bad", [{"algorithms": ("sms", "kmeans")}, {"h": 0.0}, {"merge_factor": 0.9}],
+        ids=["algorithm", "bandwidth", "merge_factor"],
+    )
+    def test_bad_argument_rejected_before_any_replicate(self, bad, monkeypatch):
+        def replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran before the arguments were checked")
+
+        monkeypatch.setattr(bench, "replicate_preset", replicate)
+        with pytest.raises(ValueError):
+            run_sweep("imbalance", [1.0, 2.0], repetitions=2, **bad)
