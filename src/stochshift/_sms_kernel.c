@@ -7,7 +7,7 @@
  * ((x_j . x_i) * -2 + |x_j|^2) + |x_i|^2, the weight G(t) = 1[t < 1] as a
  * 0/1 value with an integer-valued total for alpha = 1 and
  * alpha * (1 - t)_+^(alpha - 1) for alpha >= 2, and the drawn point
- * averaged together with its own weight.  The plain loops sum in index
+ * averaged together with its own weight.  The plain loop sums in index
  * order; BLAS sums in its own order and the grid (below) by cells, so
  * positions agree with the numpy path to rounding.  Build without
  * -ffast-math and with -ffp-contract=off, so the compiler keeps the order
@@ -31,40 +31,7 @@ static inline double poly_weight(double sq, double inv_h2, int64_t alpha)
 }
 
 /* Move point i onto the weighted mean of the state; returns its shift.
- * The d = 2 loop has no branch on the support test. */
-static double move_d2(double *pts, double *sqn, int64_t n, int64_t i,
-                      double h2, double inv_h2, int64_t alpha)
-{
-    const double x0 = pts[2 * i], x1 = pts[2 * i + 1], sqi = sqn[i];
-    double a0 = 0.0, a1 = 0.0, total = 0.0;
-    if (alpha == 1) {
-        for (int64_t j = 0; j < n; j++) {
-            const double p0 = pts[2 * j], p1 = pts[2 * j + 1];
-            const double sq = ((p0 * x0 + p1 * x1) * -2.0 + sqn[j]) + sqi;
-            const double w = (double)(sq < h2);
-            a0 += w * p0;
-            a1 += w * p1;
-            total += w;
-        }
-    } else {
-        for (int64_t j = 0; j < n; j++) {
-            const double p0 = pts[2 * j], p1 = pts[2 * j + 1];
-            const double sq = ((p0 * x0 + p1 * x1) * -2.0 + sqn[j]) + sqi;
-            const double w = poly_weight(sq, inv_h2, alpha);
-            a0 += w * p0;
-            a1 += w * p1;
-            total += w;
-        }
-    }
-    const double n0 = a0 / total, n1 = a1 / total;
-    const double d0 = n0 - x0, d1 = n1 - x1;
-    pts[2 * i] = n0;
-    pts[2 * i + 1] = n1;
-    sqn[i] = n0 * n0 + n1 * n1;
-    return sqrt(d0 * d0 + d1 * d1);
-}
-
-/* The same move for any d; x and acc are d-length scratch. */
+ * x and acc are d-length scratch. */
 static double move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64_t i,
                            double h2, double inv_h2, int64_t alpha, double *x, double *acc)
 {
@@ -127,7 +94,7 @@ static inline void dd_add(dd *a, double b)
  * of the cached-norm identity contributes its sum and count at once; a
  * cell outside it with that margin contributes nothing; the points of
  * the remaining cells are tested one by one with the identity, exactly
- * as the brute-force loop tests them.  So the same points are averaged,
+ * as the plain loop tests them.  So the same points are averaged,
  * and only the rounding of their sum differs.  Once clusters have
  * shrunk to a few cells, a step costs O(cells) instead of O(n).
  *
@@ -135,7 +102,7 @@ static inline void dd_add(dd *a, double b)
  * a point that changes cell is unlinked and pushed onto the front of its
  * new cell's list. */
 #define GRID_DIV 4
-#define GRID_MIN_N 128 /* below about this n the brute-force loop is faster */
+#define GRID_MIN_N 128 /* below about this n the plain loop is faster */
 #define GRID_SPAN (2 * GRID_DIV + 4) /* at least the columns a step visits */
 
 typedef struct {
@@ -152,17 +119,6 @@ typedef struct {
 static inline double dmax(double a, double b)
 {
     return a > b ? a : b;
-}
-
-/* v when in is 1, +0.0 when it is 0, without a branch: whether a point
- * of a boundary cell is inside the ball is unpredictable */
-static inline double keep_if(double v, int64_t in)
-{
-    uint64_t bits;
-    memcpy(&bits, &v, sizeof bits);
-    bits &= (uint64_t)0 - (uint64_t)in;
-    memcpy(&v, &bits, sizeof v);
-    return v;
 }
 
 static int64_t cell_coord(double v, double origin, double inv_s, int64_t nc)
@@ -310,9 +266,11 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h
                 for (int64_t j = g->head[c]; j >= 0; j = g->next[j]) {
                     const double p0 = pts[2 * j], p1 = pts[2 * j + 1];
                     const double sq = ((p0 * x0 + p1 * x1) * -2.0 + sqn[j]) + sqi;
+                    /* no branch: whether a point of a boundary cell is
+                     * inside the ball is unpredictable */
                     const int64_t in = sq < h2;
-                    ax += keep_if(p0, in);
-                    ay += keep_if(p1, in);
+                    ax += (double)in * p0;
+                    ay += (double)in * p1;
                     total += in;
                 }
             }
@@ -343,7 +301,8 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h
  * epoch.  The stop state lives in stamp (n epochs) and state = {epoch,
  * covered, converged}, and carries over between blocks.  Returns the
  * number of steps taken; state[2] is set to 1 when the stop rule fired on
- * the last of them.  scratch holds 2 * d doubles. */
+ * the last of them.  A step runs move_grid when the grid applies and the
+ * plain loop move_generic otherwise; scratch holds its 2 * d doubles. */
 int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
                   const int64_t *idx, int64_t m, double h2, int64_t alpha,
                   double tol, int64_t *stamp, int64_t *state, double *shifts,
@@ -358,7 +317,6 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
     while (s < m) {
         const int64_t i = idx[s];
         const double shift = gridded ? move_grid(&g, pts, sqn, i, h2)
-            : d == 2 ? move_d2(pts, sqn, n, i, h2, inv_h2, alpha)
             : move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, scratch + d);
         shifts[s++] = shift;
         if (shift < tol) {

@@ -116,12 +116,16 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
     static score matrix.  The stopping rule is the SMS one: every index
     drawn, with a below-tolerance shift, since the last above-tolerance
     shift.  The move has no objective, so a config that traces the
-    objective or the gradient is rejected.
+    objective or the gradient is rejected, as is a score matrix that is
+    not n x n for the n points.
     """
     if cfg.trace_objective or cfg.trace_gradient:
         raise ValueError("knn_sms_run has no objective to trace; "
                          "set trace_objective and trace_gradient to False")
     pts = check_state(points).copy()
+    n = pts.shape[0]
+    if np.shape(scores) != (n, n):
+        raise ValueError(f"score matrix must be ({n}, {n}) for {n} points, got {np.shape(scores)}")
     neighbor_sets = top_score_neighbors(scores, k)
 
     def move(i):
@@ -130,4 +134,4 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
         pts[i] = new
         return math.sqrt(dx @ dx), None, None
 
-    return _sms_loop(pts, cfg, _PySteps(move, pts.shape[0], cfg), _Recorder("sms", pts, cfg))
+    return _sms_loop(pts, cfg, _PySteps(move, n, cfg), _Recorder("sms", pts, cfg))

@@ -149,7 +149,8 @@ class RunTrace:
     cancellation-free product form so increments far below the
     objective's rounding unit stay accurate.  ``grad_norm`` (when
     traced, SMS only) is the moved point's partial-gradient norm at the
-    pre-move state.
+    pre-move state.  ``unconverged`` (MS only) lists the probes whose
+    per-point budget ran out before their shift fell below tolerance.
     """
 
     algorithm: str
@@ -166,8 +167,6 @@ class RunTrace:
     total_updates: int = 0
     duration: float = 0.0
     stop_reason: str = "converged"
-    isolated_probes: int = 0
-    # MS only: probe indices whose per-point budget ran out before converging
     unconverged: np.ndarray | None = None
 
     @property
@@ -378,16 +377,16 @@ def _index_blocks(n: int, cfg: AlgoConfig):
 class _PySteps:
     """The numpy SMS runner: ``_native.SmsBlockKernel``'s interface over a ``move(i)``.
 
-    ``deltas`` and ``grads`` exist when ``objective`` and ``gradient``
-    are traced; ``move(i)`` must then supply them.
+    ``deltas`` and ``grads`` exist when ``cfg`` traces the objective and
+    the gradient; ``move(i)`` must then supply them.
     """
 
-    def __init__(self, move, n: int, cfg: AlgoConfig, objective=False, gradient=False):
+    def __init__(self, move, n: int, cfg: AlgoConfig):
         self.move = move
         self.tol = cfg.move_tolerance
         self.shifts = np.empty(_BLOCK)
-        self.deltas = np.empty(_BLOCK) if objective else None
-        self.grads = np.empty(_BLOCK) if gradient else None
+        self.deltas = np.empty(_BLOCK) if cfg.trace_objective else None
+        self.grads = np.empty(_BLOCK) if cfg.trace_gradient else None
         # coverage since the last above-tolerance shift is kept O(1) per
         # step with an epoch stamp instead of clearing a flag array
         self.stamp = [-1] * n
@@ -443,7 +442,7 @@ def sms_run(points, cfg: AlgoConfig):
     rec = _Recorder("sms", pts, cfg, cfg.trace_objective, cfg.trace_gradient)
     lib = None if cfg.trace_objective or cfg.trace_gradient else _native.load()
     if lib is None:
-        steps = _PySteps(_sms_move(pts, cfg), n, cfg, cfg.trace_objective, cfg.trace_gradient)
+        steps = _PySteps(_sms_move(pts, cfg), n, cfg)
     else:
         steps = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance, _BLOCK)
     return _sms_loop(pts, cfg, steps, rec)
@@ -487,8 +486,13 @@ def ms_run(points, cfg: AlgoConfig):
     Every probe point starts at its sample position and repeatedly
     applies the mean-shift operator computed on the *original* state
     until its displacement drops below tolerance or its per-point budget
-    (``max_updates // n``) is exhausted.  Returns ``(modes, RunTrace)``
-    with the n limit positions in input order.
+    (``max_updates // n``) is exhausted.  A probe always keeps a sample
+    point strictly within h: it starts on one, and with weights w_j > 0
+    only within h of its position x, summing to W, its move to the
+    weighted mean y gives sum_j w_j |y - x_j|^2 <= sum_j w_j |x - x_j|^2
+    < W h^2, so some x_j lies within h of y.  Returns
+    ``(modes, RunTrace)`` with the n limit positions in input order and
+    the probes still moving in ``RunTrace.unconverged``.
     """
     sample = check_state(points)
     n = sample.shape[0]
@@ -496,17 +500,17 @@ def ms_run(points, cfg: AlgoConfig):
     rec = _Recorder("ms", sample, cfg)
     h2 = cfg.h * cfg.h
     active = np.arange(n)
-    isolated = 0
-    for _ in range(max(1, cfg.max_updates // n)):
+    for _ in range(cfg.max_updates // n):
         if active.size == 0:
             break
         moved = probes[active]
         new = np.empty_like(moved)
         for lo, hi, sq in pairwise_sq_blocks(moved, sample):
             w, totals = _weights(cfg.profile.alpha, sq, h2)
+            # rounding at the support boundary could zero a total; the
+            # probe then stays where it is
             empty = totals <= 0
             if np.any(empty):
-                isolated += int(empty.sum())
                 totals[empty] = 1
             out = (w @ sample) / totals[:, None]
             out[empty] = moved[lo:hi][empty]
@@ -517,7 +521,7 @@ def ms_run(points, cfg: AlgoConfig):
         rec.event(probes, float(shifts.max()), int(active.size))
         active = active[shifts >= cfg.move_tolerance]
     stop_reason = "converged" if active.size == 0 else "max_updates"
-    return probes, rec.finish(probes, stop_reason, isolated_probes=isolated, unconverged=active.copy())
+    return probes, rec.finish(probes, stop_reason, unconverged=active.copy())
 
 
 def run(points, cfg: AlgoConfig):

@@ -83,7 +83,6 @@ def run_benchmark(
     seed: int = 0,
     profile: Profile = EPANECHNIKOV,
     h: float = 1.0,
-    move_tolerance: float = 1e-6,
     timeout: float = 120.0,
 ) -> BenchResult:
     """Time each algorithm at each size; fit log-log slopes on medians.
@@ -124,7 +123,6 @@ def run_benchmark(
                     algorithm=algo,
                     profile=profile,
                     h=h,
-                    move_tolerance=move_tolerance,
                     seed=seed + rep + RUN_SEED_OFFSET,
                 )
                 t0 = time.perf_counter()
@@ -175,7 +173,6 @@ def run_sweep(
     profile: Profile = EPANECHNIKOV,
     h: float = 1.0,
     merge_factor: float = 1.0 / 3.0,
-    move_tolerance: float = 1e-6,
     workers: int = 1,
 ) -> list[dict]:
     """Metric sweep rows: one per (value, algorithm, metric in {acp, k}).
@@ -210,7 +207,6 @@ def run_sweep(
                 workers=workers,
                 profile=profile,
                 h=h,
-                move_tolerance=move_tolerance,
             )
             stats = summarize(reports, keys=("acp", "k"))
             for metric in ("acp", "k"):

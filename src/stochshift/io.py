@@ -168,9 +168,9 @@ def read_score_matrix(path) -> np.ndarray:
                 for line in path.read_text().splitlines()
                 if line.strip()
             ]
+            s = np.asarray(rows, dtype=np.float64)
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot parse score CSV {path}: {exc}") from exc
-        s = np.asarray(rows, dtype=np.float64)
     else:
         try:
             raw = path.read_bytes()

@@ -83,27 +83,21 @@ class TheoryReport:
         }
 
 
-def _deltas(trace: RunTrace) -> np.ndarray:
-    if trace.objective_delta is not None:
-        return trace.objective_delta
-    values = np.concatenate(([trace.initial_objective], trace.objective))
-    return np.diff(values)
-
-
-def check_monotone_ascent(trace: RunTrace, cfg: AlgoConfig, rel_tol: float = 1e-9) -> CheckResult:
+def check_monotone_ascent(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
     """Per-step ascent with explicit constant 2 G(0) / h^2.
 
     Verifies objective(k+1) - objective(k) >= C * shift_k^2 - tol at
-    every recorded step, with tol = rel_tol * max(1, initial objective).
+    every recorded step, with tol = 1e-9 * max(1, initial objective).
+    The increments are read from ``trace.objective_delta``.
     """
     if trace.algorithm != "sms":
         raise ValueError("monotone-ascent check applies to SMS traces")
-    if trace.objective is None:
+    if trace.objective_delta is None:
         raise ValueError("trace was recorded without objective values")
     scale = max(1.0, abs(trace.initial_objective))
-    tol = rel_tol * scale
+    tol = 1e-9 * scale
     c = 2.0 * cfg.profile.weight_at_zero / (cfg.h * cfg.h)
-    slack = _deltas(trace) - c * trace.shift**2
+    slack = trace.objective_delta - c * trace.shift**2
     worst = float(slack.min()) if slack.size else float("inf")
     status = "pass" if worst >= -tol else "fail"
     return CheckResult(
@@ -124,11 +118,11 @@ def check_partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig) -> CheckResul
     """
     if trace.algorithm != "sms":
         raise ValueError("gradient-bound check applies to SMS traces")
-    if trace.objective is None or trace.grad_norm is None:
+    if trace.objective_delta is None or trace.grad_norm is None:
         raise ValueError("trace was recorded without objective/gradient values")
     n = trace.initial_points.shape[0]
     d_const = n * np.sqrt(2.0 * cfg.profile.weight_at_zero) / cfg.h
-    deltas = np.clip(_deltas(trace), 0.0, None)
+    deltas = np.clip(trace.objective_delta, 0.0, None)
     slack = d_const * np.sqrt(deltas) + 1e-9 - trace.grad_norm
     worst = float(slack.min()) if slack.size else float("inf")
 
@@ -152,17 +146,14 @@ def check_partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig) -> CheckResul
     )
 
 
-def check_gradient_vanishes(
-    trace: RunTrace, cfg: AlgoConfig, epsilon: float | None = None, rel_epsilon: float = 1e-3
-) -> CheckResult:
+def check_gradient_vanishes(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
     """Finite-horizon surrogate for gradient -> 0: final sup norm < eps.
 
-    When ``epsilon`` is not given it defaults to rel_epsilon * max(1,
-    initial gradient sup norm), making the test unit-free.
+    eps = 1e-3 * max(1, initial gradient sup norm), which makes the test
+    unit-free.
     """
     scale = max(1.0, gradient_max_norm(full_gradient(trace.initial_points, cfg.h, cfg.profile)))
-    if epsilon is None:
-        epsilon = rel_epsilon * scale
+    epsilon = 1e-3 * scale
     final_norm = gradient_max_norm(full_gradient(trace.final_points, cfg.h, cfg.profile))
     slack = epsilon - final_norm
     return CheckResult(
@@ -320,11 +311,13 @@ def check_critical_characterization(points, h, profile: Profile) -> CheckResult:
 def _fake_trace(initial_points, objective0, objectives, shifts, grads=None) -> RunTrace:
     pts = check_state(initial_points)
     m = len(shifts)
+    objective = np.asarray(objectives, dtype=np.float64)
     return RunTrace(
         algorithm="sms",
         moved_index=np.zeros(m, dtype=np.int64),
         shift=np.asarray(shifts, dtype=np.float64),
-        objective=np.asarray(objectives, dtype=np.float64),
+        objective=objective,
+        objective_delta=np.diff(np.concatenate(([float(objective0)], objective))),
         grad_norm=None if grads is None else np.asarray(grads, dtype=np.float64),
         initial_objective=float(objective0),
         initial_points=pts,
@@ -406,8 +399,6 @@ def verify_preset(
     n_seeds: int = 20,
     h: float = 1.0,
     seed: int = 0,
-    move_tolerance: float = 1e-6,
-    max_updates: int = 10_000_000,
     include_negative: bool = False,
 ) -> TheoryReport:
     """Run the whole check suite over seeded runs of one preset.
@@ -432,8 +423,6 @@ def verify_preset(
             algorithm="sms",
             profile=profile,
             h=h,
-            max_updates=max_updates,
-            move_tolerance=move_tolerance,
             seed=seed + i + RUN_SEED_OFFSET,
             trace_objective=True,
             trace_gradient=profile.smooth,
@@ -462,7 +451,6 @@ def verify_preset(
                 algorithm="sms",
                 profile=profile,
                 h=h,
-                move_tolerance=move_tolerance,
                 seed=seed + i + RUN_SEED_OFFSET,
             ),
         )

@@ -167,6 +167,14 @@ class TestKnnSmsRun:
         with pytest.raises(ValueError, match="max_updates"):
             knn_sms_run(np.zeros((5, 1)), np.zeros((5, 5)), 1, AlgoConfig(max_updates=3))
 
+    @pytest.mark.parametrize("m", [20, 40])
+    def test_score_matrix_of_another_size_rejected(self, m):
+        # checked before the first step, not met as a bad index mid-run
+        pts = np.random.default_rng(5).normal(size=(30, 3))
+        scores = np.random.default_rng(6).normal(size=(m, m))
+        with pytest.raises(ValueError, match="for 30 points"):
+            knn_sms_run(pts, scores, 3, AlgoConfig())
+
     @pytest.mark.parametrize("flag", ["trace_objective", "trace_gradient"])
     def test_traced_config_rejected(self, flag):
         # the neighbour-mean move has no objective, so a trace would be all None

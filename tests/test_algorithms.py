@@ -165,6 +165,38 @@ class TestMsRun:
         assert modes.shape == data.points.shape
         assert trace.total_updates >= data.n
 
+    def test_unconverged_probes_moved_in_every_iteration(self):
+        # a budget of two iterations per probe: the unconverged ones are
+        # those that moved by tol or more in both
+        data = generate(preset("set2", seed=0))
+        cfg = AlgoConfig(algorithm="ms", max_updates=2 * data.n, snapshot_every=1)
+        _, trace = ms_run(data.points, cfg)
+        (k0, s0), (k1, s1), (k2, s2) = trace.snapshots
+
+        def moved(a, b):
+            diff = b - a
+            return np.sqrt(np.einsum("ij,ij->i", diff, diff)) >= cfg.move_tolerance
+
+        first = moved(s0, s1)
+        expected = np.flatnonzero(first & moved(s1, s2))
+        assert (k0, k1, k2) == (0, data.n, data.n + int(first.sum()))
+        assert trace.stop_reason == "max_updates" and expected.size > 0
+        np.testing.assert_array_equal(trace.unconverged, expected)
+
+    @pytest.mark.parametrize("h", [0.3, 1.0])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_probes_keep_a_sample_point_within_h(self, alpha, h):
+        # a probe starts on a sample point and the weighted mean of its
+        # neighbours keeps one strictly within h, so no total is ever zero
+        data = generate(preset("set2", seed=0))
+        cfg = AlgoConfig(algorithm="ms", profile=Profile(alpha), h=h, snapshot_every=1)
+        _, trace = ms_run(data.points, cfg)
+        assert trace.stop_reason == "converged"
+        for _, snap in trace.snapshots:
+            diff = snap[:, None, :] - data.points[None, :, :]
+            nearest = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+            assert np.all(nearest < h * h)
+
 
 class TestSmsRun:
     def test_critical_start_stops_after_coverage(self):

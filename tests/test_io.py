@@ -172,3 +172,9 @@ class TestScoreMatrix:
     def test_non_square_rejected(self, tmp_path):
         with pytest.raises(DataError, match="square"):
             write_score_matrix(tmp_path / "s.bin", np.zeros((2, 3)))
+
+    def test_ragged_csv_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("1,2\n3\n")
+        with pytest.raises(DataError, match="cannot parse"):
+            read_score_matrix(path)
