@@ -19,7 +19,7 @@ from .algorithms import (
     sms_step,
 )
 from .affinity import PreprocessConfig, knn_sms_run, spherical_normalize, top_score_neighbors
-from .clustering import MergePolicy, Partition, cluster_count, cluster_summary, extract_clusters
+from .clustering import MergePolicy, Partition, cluster_summary, extract_clusters
 from .core import (
     full_gradient,
     gradient_max_norm,
@@ -28,7 +28,6 @@ from .core import (
     neighborhood,
     objective_value,
     partial_gradient,
-    shift_vector,
 )
 from .kernels import (
     BIWEIGHT,
@@ -37,11 +36,9 @@ from .kernels import (
     QUADWEIGHT,
     TRIWEIGHT,
     Profile,
-    kernel_value,
     profile_derivative,
     profile_from_name,
     profile_value,
-    weight_value,
 )
 from .metrics import (
     ContingencyTable,

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import _native
 from .core import check_bandwidth, check_state, objective_value, pairwise_sq_blocks
-from .kernels import EPANECHNIKOV, Profile, _derivative
+from .kernels import EPANECHNIKOV, Profile, _weight
 
 __all__ = [
     "ALGORITHMS",
@@ -86,7 +86,9 @@ class AlgoConfig:
     ``max_updates`` and ``move_tolerance`` follow the experiment defaults
     (1e7 updates, shift < 1e-6).  SMS stops once every index has been
     drawn, with a below-tolerance shift, since the last above-tolerance
-    shift of any point.
+    shift of any point.  ``trace_objective`` is for SMS and BMS and
+    ``trace_gradient`` for SMS only; a driver that would ignore one
+    rejects it.
     """
 
     algorithm: str = "sms"
@@ -111,6 +113,10 @@ class AlgoConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be positive when given")
+        if self.algorithm == "ms" and self.trace_objective:
+            raise ValueError("ms does not trace the objective; set trace_objective to False")
+        if self.algorithm != "sms" and self.trace_gradient:
+            raise ValueError(f"{self.algorithm} does not trace the gradient; set trace_gradient to False")
 
 
 class RandomIndexStream:
@@ -270,15 +276,15 @@ def _weights(alpha: int, sq: np.ndarray, h2: float):
     """Weights G(sq / h^2) and their totals over the last axis of sq.
 
     The uniform (alpha = 1) weight stays a bool support mask with integer
-    counts as totals.  Float weights from ``-_derivative`` give the same
-    sums, but their clip, scale, negation and float sum are extra passes
+    counts as totals.  Float weights from ``_weight`` give the same
+    sums, but their clip, scale, select and float sum are extra passes
     that would dominate an Epanechnikov SMS move.
     """
     if alpha == 1:
         w = sq < h2
         # a single row is counted without `axis`, which is far cheaper
         return w, np.count_nonzero(w, axis=None if w.ndim == 1 else -1)
-    w = -_derivative(alpha, np.clip(sq, 0.0, None) * (1.0 / h2))
+    w = _weight(alpha, np.clip(sq, 0.0, None) * (1.0 / h2))
     return w, w.sum(axis=-1)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .algorithms import ALGORITHMS, AlgoConfig, run
 from .clustering import MergePolicy
 from .core import check_bandwidth
-from .experiments import RUN_SEED_OFFSET, replicate_preset, summarize
+from .experiments import index_seed, replicate_preset, summarize
 from .kernels import EPANECHNIKOV, Profile
 from .synthdata import generate, parse_preset, preset
 
@@ -123,7 +123,7 @@ def run_benchmark(
                     algorithm=algo,
                     profile=profile,
                     h=h,
-                    seed=seed + rep + RUN_SEED_OFFSET,
+                    seed=index_seed(seed, rep),
                 )
                 t0 = time.perf_counter()
                 run(data.points, cfg)

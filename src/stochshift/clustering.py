@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import _row_blocks, check_bandwidth, check_state, pairwise_sq_blocks
 
-__all__ = ["MergePolicy", "Partition", "extract_clusters", "cluster_count", "cluster_summary"]
+__all__ = ["MergePolicy", "Partition", "extract_clusters", "cluster_summary"]
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,6 @@ def extract_clusters(final_positions, h, policy: MergePolicy = MergePolicy()) ->
             frontier = np.flatnonzero(near & (ids == 0))
             ids[frontier] = n_clusters
     return Partition(assignment=ids, n_clusters=n_clusters)
-
-
-def cluster_count(partition: Partition) -> int:
-    return int(partition.n_clusters)
 
 
 def _diameter(members: np.ndarray) -> float:

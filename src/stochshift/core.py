@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import Profile, _derivative, _value
+from .kernels import Profile, _value, _weight
 
 __all__ = [
     "check_state",
     "check_bandwidth",
     "neighborhood",
-    "is_isolated",
     "mean_shift_operator",
-    "shift_vector",
     "objective_value",
     "partial_gradient",
     "full_gradient",
@@ -115,33 +113,22 @@ def neighborhood(x, points, h) -> np.ndarray:
     return np.flatnonzero(_sq_dists(xq, pts) < h * h)
 
 
-def is_isolated(x, points, h) -> bool:
-    """True when no sample point lies strictly within h of x."""
-    return neighborhood(x, points, h).size == 0
-
-
 def mean_shift_operator(x, points, h, profile: Profile) -> np.ndarray:
     """Map x to the G-weighted average of the sample within its h-ball.
 
     Queries with an empty neighborhood (possible only for probe points
     that are not themselves part of the sample) are their own fixed
-    point: x is returned unchanged.  Use :func:`is_isolated` to detect
-    that case.
+    point: x is returned unchanged.  :func:`neighborhood` returns no
+    index in that case.
     """
     xq, pts = _query(x, points)
     h = check_bandwidth(h)
     t = _sq_dists(xq, pts) / (h * h)
-    w = -_derivative(profile.alpha, t)
+    w = _weight(profile.alpha, t)
     total = w.sum()
     if total <= 0.0:
         return xq.copy()
     return (w @ pts) / total
-
-
-def shift_vector(x, points, h, profile: Profile) -> np.ndarray:
-    """Mean-shift displacement of x; zero exactly at operator fixed points."""
-    xq, _ = _query(x, points)
-    return mean_shift_operator(xq, points, h, profile) - xq
 
 
 def objective_value(points, h, profile: Profile) -> float:
@@ -179,7 +166,7 @@ def partial_gradient(points, h, profile: Profile, i: int) -> np.ndarray:
         raise IndexError(f"point index {i} out of range for n={n}")
     diff = pts - pts[i]
     t = np.einsum("ij,ij->i", diff, diff) / (h * h)
-    w = -_derivative(profile.alpha, t)
+    w = _weight(profile.alpha, t)
     w[i] = 0.0
     return (2.0 / (h * h)) * (w @ diff)
 
@@ -193,8 +180,7 @@ def full_gradient(points, h, profile: Profile) -> np.ndarray:
     for lo, hi, sq in pairwise_sq_blocks(pts, pts):
         np.clip(sq, 0.0, None, out=sq)
         sq *= inv_h2
-        w = _derivative(profile.alpha, sq)
-        np.negative(w, out=w)
+        w = _weight(profile.alpha, sq)
         w[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         grad[lo:hi] = (2.0 * inv_h2) * (w @ pts - w.sum(axis=1)[:, None] * pts[lo:hi])
     return grad

@@ -1,11 +1,11 @@
 """Seeded experiment replication: generate, cluster, score, aggregate.
 
-Repetition r of an experiment uses dataset seed ``seed + r`` and an
-algorithm seed offset from it by a fixed constant so index draws never
-share a bit stream with the sampling that produced the data.  Runs fan
-out to a process pool of at most ``min(workers, repetitions, CPUs)``
-processes; aggregation is keyed by repetition index, so results are
-identical whatever the pool size.
+Repetition r of an experiment uses dataset seed ``seed + r`` and the
+index seed ``index_seed(seed, r)``, offset from it by a fixed constant
+so index draws never share a bit stream with the sampling that produced
+the data.  Runs fan out to a process pool of at most
+``min(workers, repetitions, CPUs)`` processes; aggregation is keyed by
+repetition index, so results are identical whatever the pool size.
 """
 
 from __future__ import annotations
@@ -20,9 +20,14 @@ from .clustering import MergePolicy, extract_clusters
 from .metrics import metrics_report
 from .synthdata import generate, parse_preset
 
-__all__ = ["RUN_SEED_OFFSET", "run_pipeline", "replicate_preset"]
+__all__ = ["RUN_SEED_OFFSET", "index_seed", "run_pipeline", "replicate_preset"]
 
 RUN_SEED_OFFSET = 1_000_003
+
+
+def index_seed(seed: int, rep: int) -> int:
+    """The algorithm's index seed for repetition ``rep`` of base ``seed``."""
+    return seed + rep + RUN_SEED_OFFSET
 
 
 def run_pipeline(points, labels, cfg: AlgoConfig, policy: MergePolicy = MergePolicy()):
@@ -48,9 +53,7 @@ def run_pipeline(points, labels, cfg: AlgoConfig, policy: MergePolicy = MergePol
 def _replicate_one(args) -> tuple[int, dict]:
     preset_text, algorithm, cfg_kwargs, merge_factor, seed, rep = args
     data = generate(parse_preset(preset_text, seed=seed + rep))
-    cfg = AlgoConfig(
-        algorithm=algorithm, seed=seed + rep + RUN_SEED_OFFSET, **cfg_kwargs
-    )
+    cfg = AlgoConfig(algorithm=algorithm, seed=index_seed(seed, rep), **cfg_kwargs)
     _, _, report = run_pipeline(
         data.points, data.labels, cfg, MergePolicy(merge_factor)
     )

@@ -56,7 +56,8 @@ def read_dataset_csv(path):
     """Parse a dataset CSV; returns ``(points, labels_or_None)``.
 
     Every column is a coordinate except an optional integer column named
-    ``label`` (any position).  Parse failures report the line number.
+    ``label`` (any position).  Column names must be distinct.  Parse
+    failures report the line number.
     """
     path = Path(path)
     try:
@@ -68,6 +69,9 @@ def read_dataset_csv(path):
     if not lines:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in lines[0][1].split(",")]
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column name(s) {', '.join(map(repr, repeated))}")
     label_col = header.index("label") if "label" in header else None
     coord_cols = [j for j in range(len(header)) if j != label_col]
     if not coord_cols:

@@ -25,8 +25,6 @@ __all__ = [
     "profile_from_name",
     "profile_value",
     "profile_derivative",
-    "kernel_value",
-    "weight_value",
 ]
 
 
@@ -104,21 +102,17 @@ def _check_t(t):
 
 
 def _value(alpha: int, t: np.ndarray) -> np.ndarray:
-    base = np.clip(1.0 - t, 0.0, None)
-    if alpha == 1:
-        return base
-    return base**alpha
+    return np.clip(1.0 - t, 0.0, None) ** alpha
 
 
-def _derivative(alpha: int, t: np.ndarray) -> np.ndarray:
-    # -alpha * (1 - t)^(alpha - 1) inside the support, 0 for t >= 1.
-    # For alpha = 1 the (1-t)^0 factor must be masked off beyond the support.
-    base = np.clip(1.0 - t, 0.0, None)
+def _weight(alpha: int, t: np.ndarray) -> np.ndarray:
+    """G = -k'(t) = alpha * (1 - t)^(alpha - 1) inside the support, 0 for t >= 1.
+
+    For alpha = 1 the (1 - t)^0 factor must be masked off beyond the support.
+    """
     if alpha == 1:
-        return np.where(t < 1.0, -1.0, 0.0)
-    if alpha == 2:
-        return -2.0 * base
-    return -float(alpha) * base ** (alpha - 1)
+        return np.where(t < 1.0, 1.0, 0.0)
+    return float(alpha) * np.clip(1.0 - t, 0.0, None) ** (alpha - 1)
 
 
 def profile_value(p: Profile, t) -> float | np.ndarray:
@@ -131,26 +125,5 @@ def profile_value(p: Profile, t) -> float | np.ndarray:
 def profile_derivative(p: Profile, t) -> float | np.ndarray:
     """k'(t), with k'(t) = 0 for t >= 1 (value at the kink is the outer one)."""
     arr = _check_t(t)
-    out = _derivative(p.alpha, arr)
+    out = -_weight(p.alpha, arr)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def _sqnorm(u) -> np.ndarray:
-    arr = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("kernel argument must be finite")
-    return np.einsum("...i,...i->...", arr, arr)
-
-
-def kernel_value(p: Profile, u) -> float | np.ndarray:
-    """K(u) = k(|u|^2); u is a vector or an array of row vectors."""
-    sq = _sqnorm(u)
-    out = _value(p.alpha, sq)
-    return float(out) if np.ndim(sq) == 0 else out
-
-
-def weight_value(p: Profile, u) -> float | np.ndarray:
-    """G(u) = -k'(|u|^2) >= 0; uniform (0/1) for the Epanechnikov profile."""
-    sq = _sqnorm(u)
-    out = -_derivative(p.alpha, sq)
-    return float(out) if np.ndim(sq) == 0 else out

@@ -60,9 +60,6 @@ class ContingencyTable:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def transpose(self) -> "ContingencyTable":
-        return ContingencyTable(self.counts.T.copy())
-
 
 def contingency(partition, labels) -> ContingencyTable:
     """Tabulate cluster-vs-label counts, compacting empty rows/columns.

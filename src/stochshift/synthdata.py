@@ -55,16 +55,8 @@ class GmmSpec:
             raise ValueError("covariance_scale must be a non-negative finite real")
 
     @property
-    def n_components(self) -> int:
-        return int(self.means.shape[0])
-
-    @property
     def dim(self) -> int:
         return int(self.means.shape[1])
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -122,8 +114,8 @@ def preset(name: str, value: float | int | None = None, seed: int = 0) -> GmmSpe
 
     if kind == "imbalance":
         ratio = float(_required(kind, value))
-        if not ratio > 0:
-            raise ValueError("imbalance ratio must be positive")
+        if not (ratio > 0 and np.isfinite(ratio)):
+            raise ValueError(f"imbalance ratio must be a positive finite real, got {ratio}")
         first = max(1, round(_SWEEP_SIZE * ratio))
         return GmmSpec(np.array(_SET_MEANS), _SWEEP_COV, (first, _SWEEP_SIZE, _SWEEP_SIZE), seed)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .algorithms import AlgoConfig, RunTrace, sms_run
 from .clustering import MergePolicy, extract_clusters
 from .core import check_bandwidth, check_state, full_gradient, gradient_max_norm, pairwise_sq_blocks
-from .experiments import RUN_SEED_OFFSET
+from .experiments import index_seed
 from .kernels import Profile
 from .synthdata import generate, parse_preset
 
@@ -423,7 +423,7 @@ def verify_preset(
             algorithm="sms",
             profile=profile,
             h=h,
-            seed=seed + i + RUN_SEED_OFFSET,
+            seed=index_seed(seed, i),
             trace_objective=True,
             trace_gradient=profile.smooth,
             snapshot_every=data.n,
@@ -451,7 +451,7 @@ def verify_preset(
                 algorithm="sms",
                 profile=profile,
                 h=h,
-                seed=seed + i + RUN_SEED_OFFSET,
+                seed=index_seed(seed, i),
             ),
         )
         for i in range(n_seeds)

@@ -44,6 +44,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             AlgoConfig(move_tolerance=-1.0)
 
+    @pytest.mark.parametrize(
+        "algorithm, flag",
+        [("ms", "trace_objective"), ("ms", "trace_gradient"), ("bms", "trace_gradient")],
+    )
+    def test_trace_switch_the_driver_ignores_rejected(self, algorithm, flag):
+        with pytest.raises(ValueError, match=f"{algorithm} does not trace"):
+            AlgoConfig(algorithm=algorithm, **{flag: True})
+
     def test_budget_below_n_rejected(self):
         cfg = AlgoConfig(max_updates=2)
         with pytest.raises(ValueError, match="max_updates"):

@@ -32,6 +32,11 @@ class TestSynth:
         code = run_cli("synth", "--preset", "set9", "--out", tmp_path / "x.csv")
         assert code == EXIT_USAGE
 
+    def test_infinite_imbalance_usage_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli("synth", "--preset", "imbalance:inf", "--out", out) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestCluster:
     def test_two_far_gaussians_perfect_metrics(self, tmp_path):
@@ -102,6 +107,20 @@ class TestCluster:
             "cluster", "--input", data_path, "--algo", "kmeans", "--out", tmp_path / "o"
         ) == EXIT_USAGE
 
+    def test_ms_trace_objective_usage_error(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_dataset_csv(data_path, np.zeros((2, 1)))
+        out = tmp_path / "o"
+        assert run_cli(
+            "cluster", "--input", data_path, "--algo", "ms", "--trace-objective", "--out", out
+        ) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_repeated_column_data_error(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("x0,label,label\n0.5,1,1\n1.5,2,2\n")
+        assert run_cli("cluster", "--input", data_path, "--out", tmp_path / "o") == EXIT_DATA
+
 
 class TestBench:
     def test_too_few_sizes_usage_error(self, tmp_path):
@@ -126,6 +145,11 @@ class TestBench:
 
 
 class TestVerify:
+    def test_infinite_imbalance_usage_error(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--preset", "imbalance:inf", "--out", out) == EXIT_USAGE
+        assert not out.exists()
+
     def test_small_verify_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = run_cli(
@@ -186,6 +210,11 @@ class TestSweep:
     def test_empty_range_usage_error(self, tmp_path):
         assert run_cli(
             "sweep", "--kind", "imbalance", "--range", ",", "--out", tmp_path / "s.csv"
+        ) == EXIT_USAGE
+
+    def test_infinite_imbalance_usage_error(self, tmp_path):
+        assert run_cli(
+            "sweep", "--kind", "imbalance", "--range", "inf", "--out", tmp_path / "s.csv"
         ) == EXIT_USAGE
 
     def test_unknown_kind_usage_error(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochshift.clustering import MergePolicy, Partition, cluster_count, cluster_summary, extract_clusters
+from stochshift.clustering import MergePolicy, Partition, cluster_summary, extract_clusters
 
 
 class TestMergePolicy:
@@ -38,7 +38,7 @@ class TestExtractClusters:
         pos = np.array([[0.0], [0.1], [5.0], [5.05]])
         part = extract_clusters(pos, 1.0)
         assert part.assignment.tolist() == [1, 1, 2, 2]
-        assert cluster_count(part) == 2
+        assert part.n_clusters == 2
 
     def test_all_identical_single_cluster(self):
         part = extract_clusters(np.tile([[2.0, 2.0]], (6, 1)), 1.0)

@@ -6,13 +6,11 @@ import pytest
 from stochshift.core import (
     full_gradient,
     gradient_max_norm,
-    is_isolated,
     kde_value,
     mean_shift_operator,
     neighborhood,
     objective_value,
     partial_gradient,
-    shift_vector,
 )
 from stochshift.kernels import EPANECHNIKOV, Profile
 
@@ -67,7 +65,7 @@ class TestMeanShiftOperator:
 
     def test_isolated_query_returned_unchanged(self):
         pts = np.array([[5.0]])
-        assert is_isolated([0.0], pts, 1.0)
+        assert neighborhood([0.0], pts, 1.0).size == 0
         np.testing.assert_array_equal(mean_shift_operator([0.0], pts, 1.0, P2), [0.0])
 
     def test_output_in_neighborhood_hull(self):
@@ -85,16 +83,21 @@ class TestMeanShiftOperator:
 
 
 class TestShiftVector:
+    """The mean-shift vector S_h(x) - x."""
+
     def test_hand_example(self):
         pts = np.array([[0.0], [0.5]])
-        np.testing.assert_allclose(shift_vector([0.0], pts, 1.0, P2), [1.5 * 0.5 / 3.5])
+        x = np.array([0.0])
+        np.testing.assert_allclose(mean_shift_operator(x, pts, 1.0, P2) - x, [1.5 * 0.5 / 3.5])
 
     def test_zero_at_barycenter(self):
         pts = np.array([[-0.3], [0.3]])
-        np.testing.assert_allclose(shift_vector([0.0], pts, 1.0, EPANECHNIKOV), [0.0], atol=1e-15)
+        x = np.array([0.0])
+        np.testing.assert_allclose(mean_shift_operator(x, pts, 1.0, EPANECHNIKOV) - x, [0.0], atol=1e-15)
 
     def test_isolated_zero(self):
-        np.testing.assert_array_equal(shift_vector([0.0], np.array([[9.0]]), 1.0, P2), [0.0])
+        x = np.array([0.0])
+        np.testing.assert_array_equal(mean_shift_operator(x, np.array([[9.0]]), 1.0, P2) - x, [0.0])
 
 
 class TestObjective:
@@ -151,7 +154,7 @@ class TestGradients:
                 w = -(-2.0) * np.clip(1.0 - t, 0.0, None)  # biweight G values
                 total = w.sum()
                 lhs = partial_gradient(pts, h, P2, i)
-                rhs = (2.0 * total / (h * h)) * shift_vector(pts[i], pts, h, P2)
+                rhs = (2.0 * total / (h * h)) * (mean_shift_operator(pts[i], pts, h, P2) - pts[i])
                 scale = max(1.0, np.abs(lhs).max())
                 assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -190,7 +193,7 @@ class TestKde:
         while checked < 15:
             pts = rng.uniform(-1, 1, size=(8, 2))
             x = rng.uniform(-0.8, 0.8, size=2)
-            sv = shift_vector(x, pts, 1.0, P2)
+            sv = mean_shift_operator(x, pts, 1.0, P2) - x
             fd = np.array(
                 [
                     (

@@ -62,6 +62,13 @@ class TestDatasetCsv:
         with pytest.raises(DataError, match="expected 2 fields"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("header", ["x0,label,label", "x0,x0,label", "label,x0,x0"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n0.5,1,2\n")
+        with pytest.raises(DataError, match="repeated column name"):
+            read_dataset_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             read_dataset_csv(tmp_path / "nope.csv")
@@ -85,22 +92,22 @@ class TestPartitionCsv:
 
 class TestTraceJsonl:
     @pytest.mark.parametrize(
-        "algorithm, trace_gradient, keys, first_k",
+        "algorithm, trace_objective, trace_gradient, keys, first_k",
         [
-            ("sms", True, {"L", "grad_norm", "i", "k", "shift"}, 1),
-            ("bms", False, {"L", "i", "k", "shift"}, 4),
-            ("ms", False, {"i", "k", "shift"}, 4),
+            ("sms", True, True, {"L", "grad_norm", "i", "k", "shift"}, 1),
+            ("bms", True, False, {"L", "i", "k", "shift"}, 4),
+            ("ms", False, False, {"i", "k", "shift"}, 4),
         ],
         ids=["sms", "bms", "ms"],
     )
-    def test_record_fields(self, tmp_path, algorithm, trace_gradient, keys, first_k):
+    def test_record_fields(self, tmp_path, algorithm, trace_objective, trace_gradient, keys, first_k):
         pts = np.array([[0.0], [0.4], [0.9], [3.0]])
         cfg = AlgoConfig(
             algorithm=algorithm,
             profile=Profile(2),
             seed=0,
             max_updates=200,
-            trace_objective=True,
+            trace_objective=trace_objective,
             trace_gradient=trace_gradient,
         )
         _, trace = run(pts, cfg)

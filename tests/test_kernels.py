@@ -9,11 +9,9 @@ from stochshift.kernels import (
     EPANECHNIKOV,
     PROFILE_NAMES,
     Profile,
-    kernel_value,
     profile_derivative,
     profile_from_name,
     profile_value,
-    weight_value,
 )
 
 PROFILES = [Profile(1), Profile(2), Profile(3), Profile(4)]
@@ -61,33 +59,36 @@ class TestProfileDerivative:
 
 
 class TestKernelAndWeight:
+    """The kernel K(u) = k(|u|^2) and the weight G(u) = -k'(|u|^2)."""
+
     def test_kernel_examples(self):
-        assert kernel_value(Profile(2), np.zeros(3)) == 1.0
-        assert kernel_value(Profile(2), np.array([0.5])) == pytest.approx(0.5625)
+        assert profile_value(Profile(2), 0.0) == 1.0  # u = 0
+        assert profile_value(Profile(2), 0.5**2) == pytest.approx(0.5625)
         for p in PROFILES:
-            assert kernel_value(p, np.array([2.0, 0.0])) == 0.0
+            assert profile_value(p, 2.0**2) == 0.0
 
     def test_weight_examples(self):
-        assert weight_value(Profile(2), np.zeros(2)) == 2.0
-        assert weight_value(Profile(2), np.array([0.5])) == pytest.approx(1.5)
-        assert weight_value(EPANECHNIKOV, np.array([0.7])) == 1.0
-        assert weight_value(EPANECHNIKOV, np.array([1.3])) == 0.0
+        assert -profile_derivative(Profile(2), 0.0) == 2.0
+        assert -profile_derivative(Profile(2), 0.5**2) == pytest.approx(1.5)
+        assert -profile_derivative(EPANECHNIKOV, 0.7**2) == 1.0
+        assert -profile_derivative(EPANECHNIKOV, 1.3**2) == 0.0
 
     def test_weight_nonnegative_rowwise(self):
         rng = np.random.default_rng(0)
         u = rng.normal(size=(50, 3))
-        w = weight_value(Profile(3), u)
+        w = -profile_derivative(Profile(3), np.einsum("ij,ij->i", u, u))
         assert np.all(w >= 0.0)
 
     @pytest.mark.parametrize("p", PROFILES)
     def test_weight_non_increasing_in_radius(self, p):
         radii = np.linspace(0.0, 1.5, 40)
-        w = [weight_value(p, np.array([r])) for r in radii]
-        assert all(a >= b - 1e-15 for a, b in zip(w, w[1:]))
+        w = -profile_derivative(p, radii**2)
+        assert np.all(w[:-1] >= w[1:] - 1e-15)
 
     def test_non_finite_input(self):
-        with pytest.raises(ValueError):
-            kernel_value(Profile(2), np.array([np.nan]))
+        for fn in (profile_value, profile_derivative):
+            with pytest.raises(ValueError, match="finite"):
+                fn(Profile(2), np.array([0.5, np.nan]))
 
 
 @given(

@@ -75,6 +75,13 @@ class TestPresets:
         assert preset("imbalance", 0.1).sizes == (25, 250, 250)
         assert preset("imbalance", 0.001).sizes == (1, 250, 250)
 
+    @pytest.mark.parametrize("ratio", [float("inf"), float("-inf"), float("nan"), 0.0, -1.0])
+    def test_imbalance_ratio_not_positive_finite_rejected(self, ratio):
+        with pytest.raises(ValueError, match="imbalance ratio"):
+            preset("imbalance", ratio)
+        with pytest.raises(ValueError, match="imbalance ratio"):
+            parse_preset(f"imbalance:{ratio}")
+
     def test_dim_means_are_sign_vectors(self):
         spec = preset("dim", 5, seed=3)
         assert spec.means.shape == (3, 5)
