@@ -457,15 +457,18 @@ def sms_run(points, cfg: AlgoConfig):
 def bms_sweep(points, cfg: AlgoConfig):
     """One synchronous sweep: all n new positions from the same state.
 
-    Returns ``(new_points, max_shift)``.  The denominator is always
-    positive because the self term contributes G(0) > 0.
+    Returns ``(new_points, max_shift)``.  The self term G(0) > 0 keeps a
+    row's weight positive unless the norm identity rounds the point's own
+    squared distance up to h^2 or more, which happens once h^2 is near
+    the identity's rounding error (h around 1e-8 at unit-scale
+    coordinates); such a row has no weight and stays where it is.
     """
     pts = check_state(points)
     h2 = cfg.h * cfg.h
-    new = np.empty_like(pts)
+    new = pts.copy()
     for lo, hi, sq in pairwise_sq_blocks(pts, pts):
         w, totals = _weights(cfg.profile.alpha, sq, h2)
-        new[lo:hi] = (w @ pts) / totals[:, None]
+        np.divide(w @ pts, totals[:, None], out=new[lo:hi], where=totals[:, None] > 0)
     diff = new - pts
     max_shift = float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
     return new, max_shift

@@ -16,7 +16,6 @@ from . import bench as bench_mod
 from . import io as io_mod
 from .algorithms import ALGORITHMS, AlgoConfig
 from .clustering import MergePolicy, cluster_summary
-from .core import check_bandwidth
 from .experiments import run_pipeline
 from .kernels import PROFILE_NAMES, profile_from_name
 from .synthdata import parse_preset, generate
@@ -84,14 +83,9 @@ def cluster(input_path, algo, profile_name, bandwidth, seed, max_updates, tol,
             merge_factor, trace_objective, out_dir):
     """Cluster a CSV dataset; write partition, trace and metrics files."""
     try:
-        profile = profile_from_name(profile_name)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    points, labels = io_mod.read_dataset_csv(input_path)
-    try:
         cfg = AlgoConfig(
             algorithm=algo,
-            profile=profile,
+            profile=profile_from_name(profile_name),
             h=bandwidth,
             max_updates=max_updates,
             move_tolerance=tol,
@@ -101,6 +95,7 @@ def cluster(input_path, algo, profile_name, bandwidth, seed, max_updates, tol,
         policy = MergePolicy(merge_factor)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    points, labels = io_mod.read_dataset_csv(input_path)
     if max_updates < points.shape[0]:
         raise io_mod.DataError(
             f"max_updates={max_updates} is below the number of points n={points.shape[0]}"
@@ -169,15 +164,12 @@ def bench(sizes, algos, reps, seed, profile_name, bandwidth, timeout, out_dir):
 def verify(preset_text, profile_name, seeds, seed, bandwidth, negative_controls, out):
     """Run the theory-check suite over seeded runs; exit 0 iff all pass."""
     try:
-        profile = profile_from_name(profile_name)
-        parse_preset(preset_text, seed=seed)
-        check_bandwidth(bandwidth)
+        report = verify_preset(
+            preset_text, profile_from_name(profile_name), n_seeds=seeds, h=bandwidth, seed=seed,
+            include_negative=negative_controls,
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    report = verify_preset(
-        preset_text, profile, n_seeds=seeds, h=bandwidth, seed=seed,
-        include_negative=negative_controls,
-    )
     io_mod.write_json(out, report.to_json_dict())
     for check in report.checks:
         slack = "" if check.worst_slack is None else f" worst_slack={check.worst_slack:.3g}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _row_blocks, check_bandwidth, check_state, pairwise_sq_blocks
+from .core import _diff_sq_blocks, check_bandwidth, check_state, pairwise_sq_blocks
 
 __all__ = ["MergePolicy", "Partition", "extract_clusters", "cluster_summary"]
 
@@ -92,19 +92,13 @@ def extract_clusters(final_positions, h, policy: MergePolicy = MergePolicy()) ->
 
 
 def _diameter(members: np.ndarray) -> float:
-    """Largest pairwise distance, from direct coordinate differences.
+    """Largest pairwise distance of a non-empty point set, exactly.
 
-    Row blocks keep each m x rows x d difference block within the core
-    block rule.  Differences are taken directly rather than through the
-    norm identity, whose cancellation would swamp the sub-1e-9 spread of
-    a collapsed cluster.
+    Takes the maximum over :func:`core._diff_sq_blocks`, whose direct
+    coordinate differences resolve the sub-1e-9 spread of a collapsed
+    cluster that the norm identity's cancellation would swamp.
     """
-    m, d = members.shape
-    best = 0.0
-    for lo, hi in _row_blocks(m, m * d):
-        diff = members[lo:hi, None, :] - members[None, :, :]
-        best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
-    return math.sqrt(best)
+    return math.sqrt(max(float(sq.max()) for _, _, sq in _diff_sq_blocks(members)))
 
 
 def cluster_summary(positions, partition: Partition) -> list[dict]:

@@ -10,11 +10,14 @@ All-pairs work in the package walks row blocks under one rule: a block
 pairing rows of ``a`` (n_a of them) with n_b entries each holds at most
 2^22 float64 values (32 MiB), or one row where a single row is longer:
 ``rows = max(1, min(n_a, 2^22 // n_b))``.
-:func:`pairwise_sq_blocks` yields such blocks of squared distances, and
-cluster diameters use the same rule with n_b = m * d coordinate
-differences.  Memory is thus O(chunk * n) with chunk * n <= 2^22, a few
+:func:`pairwise_sq_blocks` yields such blocks of squared distances from
+the cached-norm identity, for kernel weights and cluster linking;
+:func:`_diff_sq_blocks` yields exact ones from direct coordinate
+differences under the same rule with n_b = m * d, for geometry that is
+compared against thresholds near zero (cluster diameters and the theory
+checks).  Memory is thus O(chunk * n) with chunk * n <= 2^22, a few
 such blocks at a time, however large n is; a state of up to 2048 points
-is a single block.
+is a single identity block.
 """
 
 from __future__ import annotations
@@ -69,8 +72,27 @@ def pairwise_sq_blocks(a: np.ndarray, b: np.ndarray):
         yield lo, hi, sq
 
 
+def _diff_sq_blocks(points: np.ndarray):
+    """Yield ``(lo, hi, sq)`` with sq[r, j] = ||p[lo + r] - p[j]||^2, exactly.
+
+    Each entry squares direct coordinate differences, so coincident
+    points measure exactly 0 and nothing cancels near a large offset,
+    unlike :func:`pairwise_sq_blocks`.  Each rows x m x d difference
+    block follows the module's block rule with n_b = m * d.
+    """
+    m, d = points.shape
+    for lo, hi in _row_blocks(m, m * d):
+        diff = points[lo:hi, None, :] - points[None, :, :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # not held while the caller keeps this sq and the next block is built
+        yield lo, hi, sq
+
+
 def check_state(points) -> np.ndarray:
-    """Validate and coerce a sample to a float64 (n, d) array."""
+    """Validate and coerce a sample to a float64 (n, d) array.
+
+    Each row's squared norm, which the distance identity uses, must be finite.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -79,15 +101,16 @@ def check_state(points) -> np.ndarray:
     n, d = pts.shape
     if n < 1 or d < 1:
         raise ValueError(f"state needs n >= 1 and d >= 1, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("state coordinates must be finite")
+    if not np.all(np.isfinite(np.einsum("ij,ij->i", pts, pts))):
+        raise ValueError("state coordinates must be finite, with finite squared row norms")
     return pts
 
 
 def check_bandwidth(h) -> float:
+    """Validate a bandwidth: h > 0 with h^2 and 1 / h^2 finite and nonzero."""
     h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"bandwidth must be a positive finite real, got {h}")
+    if not (h > 0.0 and 0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf):
+        raise ValueError(f"bandwidth must be positive with h^2 and 1/h^2 finite and nonzero, got {h}")
     return h
 
 

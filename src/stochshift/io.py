@@ -15,6 +15,7 @@ import numpy as np
 
 from .algorithms import RunTrace
 from .clustering import Partition
+from .core import check_state
 
 __all__ = [
     "DataError",
@@ -57,7 +58,9 @@ def read_dataset_csv(path):
 
     Every column is a coordinate except an optional integer column named
     ``label`` (any position).  Column names must be distinct.  Parse
-    failures report the line number.
+    failures report the line number; coordinates that
+    :func:`core.check_state` rejects (not finite, or a row whose squared
+    norm overflows) raise ``DataError`` too.
     """
     path = Path(path)
     try:
@@ -92,9 +95,10 @@ def read_dataset_csv(path):
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
-    points = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(points)):
-        raise DataError(f"{path}: non-finite coordinates")
+    try:
+        points = check_state(rows)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return points, (np.asarray(labels, dtype=np.int64) if label_col is not None else None)
 
 

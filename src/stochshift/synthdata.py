@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GmmSpec", "LabeledDataset", "generate", "preset", "parse_preset", "PRESET_KINDS"]
+__all__ = ["GmmSpec", "LabeledDataset", "generate", "preset", "parse_preset", "PRESET_KINDS", "MAX_COORDINATES"]
 
 _SET_MEANS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 _SET_SIZES = {
@@ -28,6 +28,9 @@ _SWEEP_SIZE = 250
 # sub-stream key for drawing random component means, kept distinct from
 # the sample stream that uses the bare seed
 _MEANS_STREAM = 1
+
+# most coordinates (n * d) a preset may draw: 512 MiB of float64
+MAX_COORDINATES = 1 << 26
 
 PRESET_KINDS = ("set1", "set2", "set3", "set4", "complexity", "imbalance", "dim", "numclusters")
 
@@ -98,7 +101,9 @@ def preset(name: str, value: float | int | None = None, seed: int = 0) -> GmmSpe
     first component, ``dim`` the sample dimension and ``numclusters``
     the number of components.  Random means in the dim/numclusters
     sweeps come from the preset's own seeded sub-stream, so the returned
-    spec is fully determined by (name, value, seed).
+    spec is fully determined by (name, value, seed).  Raises ValueError,
+    before drawing anything, when the sample would hold more than
+    ``MAX_COORDINATES`` coordinates.
     """
     kind = name.strip().lower()
     if kind in _SET_SIZES:
@@ -110,12 +115,14 @@ def preset(name: str, value: float | int | None = None, seed: int = 0) -> GmmSpe
         m = int(_required(kind, value))
         if m < 1:
             raise ValueError("complexity preset needs a per-component size >= 1")
+        _check_size(3 * m, 2)
         return GmmSpec(np.array(_SET_MEANS), _SWEEP_COV, (m, m, m), seed)
 
     if kind == "imbalance":
         ratio = float(_required(kind, value))
         if not (ratio > 0 and np.isfinite(ratio)):
             raise ValueError(f"imbalance ratio must be a positive finite real, got {ratio}")
+        _check_size(_SWEEP_SIZE * ratio + 2 * _SWEEP_SIZE, 2)
         first = max(1, round(_SWEEP_SIZE * ratio))
         return GmmSpec(np.array(_SET_MEANS), _SWEEP_COV, (first, _SWEEP_SIZE, _SWEEP_SIZE), seed)
 
@@ -123,6 +130,7 @@ def preset(name: str, value: float | int | None = None, seed: int = 0) -> GmmSpe
         d = int(_required(kind, value))
         if d < 1:
             raise ValueError("dimension must be >= 1")
+        _check_size(3 * _SWEEP_SIZE, d)
         rng = np.random.default_rng([seed, _MEANS_STREAM])
         means = rng.choice([-1.0, 1.0], size=(3, d))
         return GmmSpec(means, _SWEEP_COV, (_SWEEP_SIZE,) * 3, seed)
@@ -131,12 +139,18 @@ def preset(name: str, value: float | int | None = None, seed: int = 0) -> GmmSpe
         r = int(_required(kind, value))
         if r < 1:
             raise ValueError("number of clusters must be >= 1")
+        _check_size(r * _SWEEP_SIZE, 2)
         rng = np.random.default_rng([seed, _MEANS_STREAM])
         lo, hi = -(r // 2), r // 2
         means = rng.integers(lo, hi + 1, size=(r, 2)).astype(np.float64)
         return GmmSpec(means, _SWEEP_COV, (_SWEEP_SIZE,) * r, seed)
 
     raise ValueError(f"unknown preset {name!r}; expected one of {', '.join(PRESET_KINDS)}")
+
+
+def _check_size(n: float, d: int) -> None:
+    if n * d > MAX_COORDINATES:
+        raise ValueError(f"preset would draw {n:.6g} x {d} coordinates, more than {MAX_COORDINATES}")
 
 
 def _required(kind: str, value):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algorithms import AlgoConfig, RunTrace, sms_run
-from .clustering import MergePolicy, extract_clusters
-from .core import check_bandwidth, check_state, full_gradient, gradient_max_norm, pairwise_sq_blocks
+from .clustering import MergePolicy, _diameter, extract_clusters
+from .core import _diff_sq_blocks, check_bandwidth, check_state, full_gradient, gradient_max_norm
 from .experiments import index_seed
 from .kernels import Profile
 from .synthdata import generate, parse_preset
@@ -49,16 +49,9 @@ class CheckResult:
     worst_slack: float | None = None
     detail: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool | None:
-        if self.status == "pass":
-            return True
-        if self.status == "fail":
-            return False
-        return None
-
     def to_json_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.passed, "status": self.status}
+        passed = {"pass": True, "fail": False}.get(self.status)
+        out = {"name": self.name, "pass": passed, "status": self.status}
         if self.worst_slack is not None:
             out["worst_slack"] = float(self.worst_slack)
         out.update(self.detail)
@@ -81,6 +74,11 @@ class TheoryReport:
             "all_passed": self.all_passed,
             "checks": [c.to_json_dict() for c in self.checks],
         }
+
+
+def _gradient_scale(points, cfg: AlgoConfig) -> float:
+    """max(1, gradient sup norm at ``points``): the unit of the gradient checks."""
+    return max(1.0, gradient_max_norm(full_gradient(points, cfg.h, cfg.profile)))
 
 
 def check_monotone_ascent(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
@@ -126,7 +124,7 @@ def check_partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig) -> CheckResul
     slack = d_const * np.sqrt(deltas) + 1e-9 - trace.grad_norm
     worst = float(slack.min()) if slack.size else float("inf")
 
-    grad_scale = max(1.0, gradient_max_norm(full_gradient(trace.initial_points, cfg.h, cfg.profile)))
+    grad_scale = _gradient_scale(trace.initial_points, cfg)
     budget = n * (n + 1) / 2.0 - trace.initial_objective
     count_ok = True
     count_detail = {}
@@ -152,7 +150,7 @@ def check_gradient_vanishes(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
     eps = 1e-3 * max(1, initial gradient sup norm), which makes the test
     unit-free.
     """
-    scale = max(1.0, gradient_max_norm(full_gradient(trace.initial_points, cfg.h, cfg.profile)))
+    scale = _gradient_scale(trace.initial_points, cfg)
     epsilon = 1e-3 * scale
     final_norm = gradient_max_norm(full_gradient(trace.final_points, cfg.h, cfg.profile))
     slack = epsilon - final_norm
@@ -170,15 +168,15 @@ def check_gradient_vanishes(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
 
 
 def _dist_blocks(points: np.ndarray):
-    """Pairwise distances as row blocks ``(d, upper)``; upper marks j > i."""
+    """Exact pairwise distances as row blocks ``(d, upper)``; upper marks j > i.
+
+    Distances come from :func:`core._diff_sq_blocks`, so coincident points
+    measure exactly 0 wherever the state sits; the norm identity's
+    rounding would put them up to ~1e-8 |x| apart and fail correct states.
+    """
     cols = np.arange(points.shape[0])[None, :]
-    for lo, hi, sq in pairwise_sq_blocks(points, points):
-        np.clip(sq, 0.0, None, out=sq)
+    for lo, hi, sq in _diff_sq_blocks(points):
         yield np.sqrt(sq, out=sq), cols > np.arange(lo, hi)[:, None]
-
-
-def _max_dist(points: np.ndarray) -> float:
-    return max(float(d.max()) for d, _ in _dist_blocks(points)) if points.shape[0] > 1 else 0.0
 
 
 def check_cluster_stability(trace: RunTrace, h, tau: float) -> CheckResult:
@@ -231,7 +229,7 @@ def check_single_cluster_convergence(initial_points, cfg: AlgoConfig) -> CheckRe
     """
     pts = check_state(initial_points)
     n, d = pts.shape
-    diameter = _max_dist(pts)
+    diameter = _diameter(pts)
     if diameter >= cfg.h:
         return CheckResult(
             "single_cluster_convergence",
@@ -244,24 +242,17 @@ def check_single_cluster_convergence(initial_points, cfg: AlgoConfig) -> CheckRe
                       snapshot_every=max(1, n))
     final, trace = sms_run(pts, run_cfg)
 
-    max_dist = _max_dist(final)
+    max_dist = _diameter(final)
     threshold = 10.0 * cfg.move_tolerance
     slack = threshold - max_dist
 
-    dirs = np.eye(d)
     extra = np.random.default_rng([cfg.seed, 2]).standard_normal((d, d))
     norms = np.sqrt(np.einsum("ij,ij->i", extra, extra))
-    dirs = np.vstack([dirs, extra / norms[:, None]])
-    width_tol = 1e-9 * max(1.0, diameter)
-    monotone = True
-    prev_widths = None
-    for _, snap in trace.snapshots:
-        proj = snap @ dirs.T
-        widths = proj.max(axis=0) - proj.min(axis=0)
-        if prev_widths is not None and np.any(widths > prev_widths + width_tol):
-            monotone = False
-            break
-        prev_widths = widths
+    dirs = np.vstack([np.eye(d), extra / norms[:, None]])
+    # hull widths per snapshot (rows) and direction (columns)
+    proj = np.stack([snap @ dirs.T for _, snap in trace.snapshots])
+    widths = proj.max(axis=1) - proj.min(axis=1)
+    monotone = not np.any(widths[1:] > widths[:-1] + 1e-9 * max(1.0, diameter))
 
     status = "pass" if max_dist < threshold and monotone else "fail"
     return CheckResult(
@@ -309,6 +300,7 @@ def check_critical_characterization(points, h, profile: Profile) -> CheckResult:
 
 
 def _fake_trace(initial_points, objective0, objectives, shifts, grads=None) -> RunTrace:
+    """A frozen SMS trace: the given records, the initial state in both snapshots."""
     pts = check_state(initial_points)
     m = len(shifts)
     objective = np.asarray(objectives, dtype=np.float64)
@@ -322,6 +314,7 @@ def _fake_trace(initial_points, objective0, objectives, shifts, grads=None) -> R
         initial_objective=float(objective0),
         initial_points=pts,
         final_points=pts.copy(),
+        snapshots=[(0, pts.copy()), (m, pts.copy())],
         total_updates=m,
     )
 
@@ -355,15 +348,7 @@ def negative_controls(profile: Profile | None = None, h: float = 1.0) -> list[Ch
     res = check_gradient_vanishes(short_trace, frozen_cfg)
     results.append(replace(res, name="negative_gradient_vanishes"))
 
-    pair = np.array([[0.0, 0.0], [h / 2.0, 0.0]])
-    band_trace = RunTrace(
-        algorithm="sms",
-        moved_index=np.zeros(0, dtype=np.int64),
-        shift=np.zeros(0),
-        initial_points=pair,
-        final_points=pair.copy(),
-        snapshots=[(0, pair.copy()), (1, pair.copy())],
-    )
+    band_trace = _fake_trace(np.array([[0.0, 0.0], [h / 2.0, 0.0]]), 0.0, [], [])
     res = check_cluster_stability(band_trace, h, h / 3.0)
     results.append(replace(res, name="negative_cluster_stability"))
     return results
@@ -393,6 +378,16 @@ def _random_ball_state(n: int, d: int, radius: float, seed: int) -> np.ndarray:
     return radius * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / d) * raw
 
 
+def _critical_trials(h: float, profile: Profile, seed: int):
+    """Arguments of the critical-point check: 100 random small states, then the constructed ones."""
+    rng = np.random.default_rng([seed, 4])
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        yield rng.uniform(-1.5, 1.5, size=(n, 2)), h, profile
+    for state in _constructed_states(h):
+        yield state, h, profile
+
+
 def verify_preset(
     preset_text: str,
     profile: Profile,
@@ -403,84 +398,58 @@ def verify_preset(
 ) -> TheoryReport:
     """Run the whole check suite over seeded runs of one preset.
 
-    Gradient-based checks are skipped for non-C1 profiles.  Cluster
+    The report lists the checks in a fixed order.  Checks that need a C1
+    profile are reported as skipped for other profiles.  Cluster
     stability is a statistical check passed at the 95% seed fraction;
-    the other per-trace checks must pass on every seed.  Raises
-    ValueError when ``n_seeds`` is below 1, since a report over no runs
-    would pass vacuously.
+    the other checks must pass on every trial.  Raises ValueError before
+    the first run when ``preset_text`` does not parse, when ``h`` is not
+    a valid bandwidth, or when ``n_seeds`` is below 1, since a report
+    over no runs would pass vacuously.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    per_seed: dict[str, list[CheckResult]] = {
-        "monotone_ascent": [],
-        "partial_gradient_bound": [],
-        "gradient_vanishes": [],
-        "cluster_stability": [],
-    }
-    for i in range(n_seeds):
-        data = generate(parse_preset(preset_text, seed=seed + i))
-        cfg = AlgoConfig(
-            algorithm="sms",
-            profile=profile,
-            h=h,
-            seed=index_seed(seed, i),
-            trace_objective=True,
-            trace_gradient=profile.smooth,
-            snapshot_every=data.n,
-        )
-        _, trace = sms_run(data.points, cfg)
-        per_seed["monotone_ascent"].append(check_monotone_ascent(trace, cfg))
-        if profile.smooth:
-            per_seed["partial_gradient_bound"].append(check_partial_gradient_bound(trace, cfg))
-            per_seed["gradient_vanishes"].append(check_gradient_vanishes(trace, cfg))
-        per_seed["cluster_stability"].append(check_cluster_stability(trace, h, h / 3.0))
+    parse_preset(preset_text, seed=seed)
+    check_bandwidth(h)
 
-    checks = [_aggregate("monotone_ascent", per_seed["monotone_ascent"])]
-    if profile.smooth:
-        checks.append(_aggregate("partial_gradient_bound", per_seed["partial_gradient_bound"]))
-        checks.append(_aggregate("gradient_vanishes", per_seed["gradient_vanishes"]))
-    else:
-        checks.append(CheckResult("partial_gradient_bound", "skipped", None, {"reason": "profile assumption"}))
-        checks.append(CheckResult("gradient_vanishes", "skipped", None, {"reason": "profile assumption"}))
-    checks.append(_aggregate("cluster_stability", per_seed["cluster_stability"], 0.95))
+    def runs():
+        for i in range(n_seeds):
+            data = generate(parse_preset(preset_text, seed=seed + i))
+            cfg = AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i),
+                             trace_objective=True, trace_gradient=profile.smooth, snapshot_every=data.n)
+            yield sms_run(data.points, cfg)[1], cfg
 
-    single = [
-        check_single_cluster_convergence(
-            _random_ball_state(20, 2, 0.4 * h, seed + i),
-            AlgoConfig(
-                algorithm="sms",
-                profile=profile,
-                h=h,
-                seed=index_seed(seed, i),
-            ),
-        )
-        for i in range(n_seeds)
+    balls = ((_random_ball_state(20, 2, 0.4 * h, seed + i),
+              AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i))) for i in range(n_seeds))
+    # Report order, grouped by shared trials (argument tuples) so one traced run
+    # is alive at a time; entries are (name, check, needs a C1 profile, min pass
+    # fraction).  Built per call, so a check patched onto the module is the one run.
+    table = [
+        (runs(), [
+            ("monotone_ascent", check_monotone_ascent, False, 1.0),
+            ("partial_gradient_bound", check_partial_gradient_bound, True, 1.0),
+            ("gradient_vanishes", check_gradient_vanishes, True, 1.0),
+            ("cluster_stability", lambda trace, _: check_cluster_stability(trace, h, h / 3.0), False, 0.95),
+        ]),
+        (balls, [("single_cluster_convergence", check_single_cluster_convergence, False, 1.0)]),
+        (_critical_trials(h, profile, seed), [
+            ("critical_characterization", check_critical_characterization, True, 1.0),
+        ]),
     ]
-    checks.append(_aggregate("single_cluster_convergence", single))
-
-    if profile.smooth:
-        rng = np.random.default_rng([seed, 4])
-        agree = []
-        for _ in range(100):
-            n = int(rng.integers(2, 12))
-            state = rng.uniform(-1.5, 1.5, size=(n, 2))
-            agree.append(check_critical_characterization(state, h, profile))
-        constructed = _constructed_states(h)
-        agree.extend(check_critical_characterization(s, h, profile) for s in constructed)
-        checks.append(_aggregate("critical_characterization", agree))
-    else:
-        checks.append(CheckResult("critical_characterization", "skipped", None, {"reason": "profile assumption"}))
+    checks = []
+    for trials, entries in table:
+        active = [(name, check) for name, check, needs_c1, _ in entries if profile.smooth or not needs_c1]
+        results = {name: [] for name, _ in active}
+        for trial in trials if active else ():
+            for name, check in active:
+                results[name].append(check(*trial))
+        checks += [_aggregate(name, results[name], fraction) if name in results
+                   else CheckResult(name, "skipped", None, {"reason": "profile assumption"})
+                   for name, _, _, fraction in entries]
 
     if include_negative:
         checks.extend(negative_controls(profile, h))
 
-    meta = {
-        "preset": preset_text,
-        "profile": profile.name,
-        "n_seeds": n_seeds,
-        "h": h,
-        "seed": seed,
-    }
+    meta = {"preset": preset_text, "profile": profile.name, "n_seeds": n_seeds, "h": h, "seed": seed}
     return TheoryReport(checks, meta)
 
 

@@ -547,3 +547,11 @@ class TestBmsRun:
         values = np.concatenate(([trace.initial_objective], trace.objective))
         assert np.all(np.diff(values) >= -1e-9 * max(1.0, values[0]))
         assert trace.total_updates == data.n * trace.n_events
+
+    def test_tiny_bandwidth_keeps_weightless_rows(self):
+        # at h = 1e-8 the norm identity rounds some points' own squared
+        # distance past h^2; those rows have no weight and must stay put
+        data = generate(preset("set2", seed=0))
+        final, trace = bms_run(data.points, AlgoConfig(algorithm="bms", profile=EPANECHNIKOV, h=1e-8))
+        np.testing.assert_array_equal(final, data.points)
+        assert trace.stop_reason == "converged"

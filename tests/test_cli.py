@@ -121,6 +121,13 @@ class TestCluster:
         data_path.write_text("x0,label,label\n0.5,1,1\n1.5,2,2\n")
         assert run_cli("cluster", "--input", data_path, "--out", tmp_path / "o") == EXIT_DATA
 
+    @pytest.mark.parametrize("algo", ["sms", "bms"])
+    def test_overflowing_coordinates_data_error(self, tmp_path, algo):
+        # each coordinate is finite, but its square is not
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("x0,x1\n1e200,0\n0,1\n")
+        assert run_cli("cluster", "--input", data_path, "--algo", algo, "--out", tmp_path / "o") == EXIT_DATA
+
 
 class TestBench:
     def test_too_few_sizes_usage_error(self, tmp_path):
@@ -244,6 +251,9 @@ class TestUsage:
             ("sweep", "--kind", "imbalance", "--range", "1", "--workers", 0),
             ("verify", "--h", 0, "--seeds", 1),
             ("verify", "--h", "nan", "--seeds", 1),
+            ("verify", "--h", 1e-200, "--seeds", 1),
+            ("cluster", "--input", "absent.csv", "--h", 1e-200),
+            ("cluster", "--input", "absent.csv", "--h", 1e200),
             ("sweep", "--kind", "imbalance", "--range", "1", "--h", 0),
             ("sweep", "--kind", "imbalance", "--range", "1", "--merge-factor", 0.9),
             ("sweep", "--kind", "imbalance", "--range", "1", "--algos", "sms,kmeans"),

@@ -1,8 +1,11 @@
 """Preset definitions and seeded mixture sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stochshift import synthdata
 from stochshift.synthdata import GmmSpec, generate, parse_preset, preset
 
 
@@ -81,6 +84,25 @@ class TestPresets:
             preset("imbalance", ratio)
         with pytest.raises(ValueError, match="imbalance ratio"):
             parse_preset(f"imbalance:{ratio}")
+
+    @pytest.mark.parametrize(
+        "text", ["imbalance:1e12", "complexity:1000000000000", "dim:1000000000000", "numclusters:1000000000000"]
+    )
+    def test_huge_preset_rejected_before_drawing(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="coordinates"):
+                parse_preset(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_largest_dim_within_bound_accepted(self):
+        d = synthdata.MAX_COORDINATES // 750
+        assert preset("dim", d).dim == d
+        with pytest.raises(ValueError, match="coordinates"):
+            preset("dim", d + 1)
 
     def test_dim_means_are_sign_vectors(self):
         spec = preset("dim", 5, seed=3)

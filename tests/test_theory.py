@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stochshift import theory
 from stochshift.algorithms import AlgoConfig, RunTrace, sms_run
 from stochshift.clustering import extract_clusters
 from stochshift.kernels import EPANECHNIKOV, Profile
@@ -19,9 +20,12 @@ from stochshift.theory import (
     negative_controls,
     verify_preset,
     _constructed_states,
+    _random_ball_state,
 )
 
 P2 = Profile(2)
+REPORT_ORDER = ["monotone_ascent", "partial_gradient_bound", "gradient_vanishes",
+                "cluster_stability", "single_cluster_convergence", "critical_characterization"]
 
 
 def traced_run(seed, preset_text="set2", profile=P2):
@@ -80,6 +84,14 @@ class TestPositiveChecks:
         assert res.status == "pass"
         assert res.detail["final_max_distance"] < 10 * cfg.move_tolerance
 
+    def test_single_cluster_convergence_far_from_origin(self):
+        # criterion 4's ball states, moved by +1000: the norm identity
+        # would measure the collapsed state as ~2e-5 wide
+        for i in range(20):
+            state = _random_ball_state(20, 2, 0.4, seed=500 + i) + 1000.0
+            res = check_single_cluster_convergence(state, AlgoConfig(profile=P2, h=1.0, seed=900 + i))
+            assert res.status == "pass", (i, res.detail)
+
     def test_single_point_passes_immediately(self):
         res = check_single_cluster_convergence(np.array([[1.0, 1.0]]), AlgoConfig(profile=P2))
         assert res.status == "pass"
@@ -105,6 +117,15 @@ class TestCriticalCharacterization:
         inside_band = np.array([[0.0, 0.0], [0.5, 0.0]])
         res = check_critical_characterization(inside_band, 1.0, P2)
         assert not res.detail["gradient_zero"] and not res.detail["geometry_critical"]
+
+    def test_coincident_pairs_agree(self):
+        # three exactly coincident pairs; the norm identity would put a
+        # pair up to ~1e-7 apart and call a critical state non-critical
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            state = np.repeat(rng.uniform(-5.0, 5.0, size=(3, 2)), 2, axis=0)
+            res = check_critical_characterization(state, 1.0, P2)
+            assert res.status == "pass", (state, res.detail)
 
     def test_random_agreement(self):
         rng = np.random.default_rng(5)
@@ -222,16 +243,18 @@ class TestSuite:
     def test_small_suite_passes(self):
         report = verify_preset("set2", P2, n_seeds=2, seed=0)
         assert report.all_passed
-        names = [c.name for c in report.checks]
-        assert "monotone_ascent" in names and "cluster_stability" in names
+        assert [c.name for c in report.checks] == REPORT_ORDER
         payload = report.to_json_dict()
         assert payload["schema"] == "theory-report/1"
+        assert [c["pass"] for c in payload["checks"]] == [True] * 6
         stat = next(c for c in report.checks if c.name == "cluster_stability")
         assert stat.detail["n_trials"] == 2
         assert "pass_fraction" in stat.detail
 
     def test_epanechnikov_gates_c1_checks(self):
         report = verify_preset("set2", EPANECHNIKOV, n_seeds=1, seed=0)
+        assert [c.name for c in report.checks] == REPORT_ORDER
+        assert [c["pass"] for c in report.to_json_dict()["checks"]] == [True, None, None, True, True, None]
         by_name = {c.name: c for c in report.checks}
         for gated in ("partial_gradient_bound", "gradient_vanishes", "critical_characterization"):
             assert by_name[gated].status == "skipped"
@@ -242,6 +265,18 @@ class TestSuite:
         # a report over no runs would pass every check vacuously
         with pytest.raises(ValueError, match="n_seeds"):
             verify_preset("set2", P2, n_seeds=0)
+
+    @pytest.mark.parametrize(
+        "preset_text, h", [("set9", 1.0), ("imbalance:1e12", 1.0), ("set2", 0.0), ("set2", 1e-200)]
+    )
+    def test_bad_input_rejected_before_first_run(self, monkeypatch, preset_text, h):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran SMS before validating the input")
+
+        monkeypatch.setattr(theory, "sms_run", no_run)
+        monkeypatch.setattr(theory, "generate", no_run)
+        with pytest.raises(ValueError):
+            verify_preset(preset_text, P2, n_seeds=1, h=h)
 
     def test_suite_with_negative_controls_reports_failures(self):
         report = verify_preset("set2", P2, n_seeds=1, seed=0, include_negative=True)
