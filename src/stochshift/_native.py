@@ -90,7 +90,8 @@ def _open(path: Path):
         ctypes.c_double,  # tol
         np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # stamp
         np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # state
-        f64,  # shifts
+        f64, f64, f64,  # shifts, deltas, grads
+        i64, i64,  # trace_objective, trace_gradient
         f64,  # scratch
     ]
     return lib
@@ -108,29 +109,37 @@ def load():
 
 
 class SmsBlockKernel:
-    """Runs blocks of untraced distance SMS steps on one state in place.
+    """Runs blocks of distance SMS steps on one state in place.
 
     The compiled twin of ``algorithms._PySteps``, driven by the same
     ``algorithms._sms_loop``.  Holds the cached squared norms, the
     stop-rule state (the points' epoch stamps, the epoch and its coverage
     count, which carry over between blocks) and the buffers
     the kernel writes; sizes, dtypes and contiguity are fixed here, so
-    every pointer handed to the library is valid for the call.
+    every pointer handed to the library is valid for the call.  As in
+    ``_PySteps``, ``deltas`` (objective increments) and ``grads``
+    (partial-gradient norms) are None unless ``trace_objective`` and
+    ``trace_gradient`` ask for them; the library is always handed both
+    buffers and writes only the traced ones.
     """
 
-    def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, block: int):
+    def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, block: int,
+                 trace_objective: bool, trace_gradient: bool):
         if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous:
             raise ValueError("the kernel needs a C-contiguous float64 (n, d) state")
         self.pts = pts
-        self.shifts = np.empty(block)  # the shifts of the last block's steps
-        self.deltas = self.grads = None  # never traced
+        # the last block's shifts, increments and gradient norms
+        self.shifts, self._deltas, self._grads = np.empty((3, block))
+        self.deltas = self._deltas if trace_objective else None
+        self.grads = self._grads if trace_gradient else None
+        self._trace = int(bool(trace_objective)), int(bool(trace_gradient))
         self._lib = lib
         self._n, self._d = pts.shape
         self._h2, self._alpha, self._tol = h * h, int(alpha), float(tol)
         self._sqn = np.einsum("ij,ij->i", pts, pts)
         self._stamp = np.full(self._n, -1, dtype=np.int64)
         self._state = np.zeros(3, dtype=np.int64)  # epoch, covered, converged
-        self._scratch = np.empty(2 * self._d)
+        self._scratch = np.empty(2 * self._d + self._n)
 
     def run(self, idx: np.ndarray) -> tuple[int, bool]:
         """Apply the steps of ``idx`` until the stop rule fires; returns (steps, converged)."""
@@ -140,5 +149,6 @@ class SmsBlockKernel:
             raise ValueError("index out of range")
         steps = self._lib.sms_block(self.pts, self._sqn, self._n, self._d, np.ascontiguousarray(idx),
                                     idx.shape[0], self._h2, self._alpha, self._tol, self._stamp,
-                                    self._state, self.shifts, self._scratch)
+                                    self._state, self.shifts, self._deltas, self._grads, *self._trace,
+                                    self._scratch)
         return int(steps), bool(self._state[2])

@@ -1,6 +1,7 @@
-/* One block of untraced distance SMS steps, with the SMS stop rule: stop
- * once every point has been drawn, with a shift below tolerance, since the
- * last shift at or above it.
+/* One block of distance SMS steps, with the SMS stop rule: stop once
+ * every point has been drawn, with a shift below tolerance, since the
+ * last shift at or above it.  A traced block also gives each step's
+ * objective increment and partial-gradient norm.
  *
  * The arithmetic follows the numpy path in algorithms._sms_move step for
  * step: squared distances from the cached-norm identity grouped as
@@ -30,13 +31,18 @@ static inline double poly_weight(double sq, double inv_h2, int64_t alpha)
     return (double)alpha * p;
 }
 
-/* Move point i onto the weighted mean of the state; returns its shift.
- * x and acc are d-length scratch. */
-static double move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64_t i,
-                           double h2, double inv_h2, int64_t alpha, double *x, double *acc)
+/* Move point i onto the weighted mean of the state; returns its shift and
+ * the weight total in *total.  x and acc are d-length scratch; on return
+ * x holds the old position.  When sq is not NULL, sq[j] receives the
+ * squared distance from the old position to point j.  Always inlined, so
+ * the untraced call, with a constant NULL, keeps no store or test of sq
+ * in its loop. */
+static inline __attribute__((always_inline)) double
+move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64_t i, double h2, double inv_h2,
+             int64_t alpha, double *x, double *acc, double *sq, double *total)
 {
     const double sqi = sqn[i];
-    double total = 0.0;
+    double wsum = 0.0;
     memcpy(x, pts + i * d, (size_t)d * sizeof(double));
     memset(acc, 0, (size_t)d * sizeof(double));
     for (int64_t j = 0; j < n; j++) {
@@ -44,25 +50,84 @@ static double move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64
         double dot = 0.0;
         for (int64_t k = 0; k < d; k++)
             dot += p[k] * x[k];
-        const double sq = (dot * -2.0 + sqn[j]) + sqi;
-        const double w = alpha == 1 ? (double)(sq < h2) : poly_weight(sq, inv_h2, alpha);
+        const double sqj = (dot * -2.0 + sqn[j]) + sqi;
+        if (sq)
+            sq[j] = sqj;
+        const double w = alpha == 1 ? (double)(sqj < h2) : poly_weight(sqj, inv_h2, alpha);
         if (w != 0.0) {
             for (int64_t k = 0; k < d; k++)
                 acc[k] += w * p[k];
-            total += w;
+            wsum += w;
         }
     }
     double shift2 = 0.0, norm2 = 0.0;
     double *row = pts + i * d;
     for (int64_t k = 0; k < d; k++) {
-        const double v = acc[k] / total;
+        const double v = acc[k] / wsum;
         const double dx = v - x[k];
         shift2 += dx * dx;
         norm2 += v * v;
         row[k] = v;
     }
     sqn[i] = norm2;
+    *total = wsum;
     return sqrt(shift2);
+}
+
+/* A traced step: move_generic's move, then the moved point's
+ * partial-gradient norm (2 / h^2) W |dx| into *grad when grad is not
+ * NULL, and when delta is not NULL the objective increment
+ * sum_{j != i} k(t_new) - k(t_old) into *delta.  The increment is taken
+ * in algorithms._sms_move's cancellation-free form: with
+ * b = (1 - t)_+, each term is (b_new - b_old) * sum_p b_new^p
+ * b_old^(alpha - 1 - p), and where both bases are positive the base
+ * difference is the inner product ((x_j . dx) * 2 - dx . (x_old + new))
+ * / h^2, so increments far below the profile values keep their relative
+ * accuracy.  scratch holds 2 * d + n doubles. */
+static double move_traced(double *pts, double *sqn, int64_t n, int64_t d, int64_t i,
+                          double h2, double inv_h2, int64_t alpha, double *scratch,
+                          double *delta, double *grad)
+{
+    double *x = scratch, *dx = scratch + d, *sq = scratch + 2 * d;
+    double total;
+    const double shift = move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, x, dx, sq, &total);
+    if (grad)
+        *grad = (2.0 * inv_h2 * total) * shift;
+    if (!delta)
+        return shift;
+    const double *new = pts + i * d;
+    const double sqnew_i = sqn[i];
+    double cross = 0.0; /* dx . (x_old + new) */
+    for (int64_t k = 0; k < d; k++) {
+        dx[k] = new[k] - x[k];
+        cross += dx[k] * (x[k] + new[k]);
+    }
+    double sum = 0.0;
+    for (int64_t j = 0; j < n; j++) {
+        if (j == i)
+            continue; /* the self term is zero */
+        const double *p = pts + j * d;
+        double dot_new = 0.0, dot_dx = 0.0;
+        for (int64_t k = 0; k < d; k++) {
+            dot_new += p[k] * new[k];
+            dot_dx += p[k] * dx[k];
+        }
+        const double sqnew = (dot_new * -2.0 + sqn[j]) + sqnew_i;
+        double b_old = 1.0 - sq[j] * inv_h2, b_new = 1.0 - sqnew * inv_h2;
+        b_old = b_old > 0.0 ? b_old : 0.0;
+        b_new = b_new > 0.0 ? b_new : 0.0;
+        const double dbase = b_old > 0.0 && b_new > 0.0 ? (dot_dx * 2.0 - cross) * inv_h2
+                                                        : b_new - b_old;
+        /* sum_p b_new^p b_old^(alpha - 1 - p) by Horner's rule in b_new */
+        double poly = 1.0, b_old_p = 1.0;
+        for (int64_t k = 1; k < alpha; k++) {
+            b_old_p *= b_old;
+            poly = poly * b_new + b_old_p;
+        }
+        sum += dbase * poly;
+    }
+    *delta = sum;
+    return shift;
 }
 
 /* Exact sums for the cell aggregates: a double-double accumulator
@@ -301,23 +366,34 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h
  * epoch.  The stop state lives in stamp (n epochs) and state = {epoch,
  * covered, converged}, and carries over between blocks.  Returns the
  * number of steps taken; state[2] is set to 1 when the stop rule fired on
- * the last of them.  A step runs move_grid when the grid applies and the
- * plain loop move_generic otherwise; scratch holds its 2 * d doubles. */
+ * the last of them.  When trace_objective (trace_gradient) is nonzero,
+ * step s also writes its objective increment to deltas[s] (its
+ * partial-gradient norm to grads[s]); a traced block runs move_traced,
+ * an untraced one move_grid when the grid applies and the plain loop
+ * move_generic otherwise.  scratch holds 2 * d + n doubles. */
 int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
                   const int64_t *idx, int64_t m, double h2, int64_t alpha,
                   double tol, int64_t *stamp, int64_t *state, double *shifts,
-                  double *scratch)
+                  double *deltas, double *grads, int64_t trace_objective,
+                  int64_t trace_gradient, double *scratch)
 {
     const double inv_h2 = 1.0 / h2;
     int64_t epoch = state[0], covered = state[1];
     int64_t s = 0;
     grid_t g;
-    const int gridded = d == 2 && alpha == 1 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2);
+    const int traced = trace_objective || trace_gradient;
+    const int gridded = !traced && d == 2 && alpha == 1 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2);
     state[2] = 0;
     while (s < m) {
         const int64_t i = idx[s];
-        const double shift = gridded ? move_grid(&g, pts, sqn, i, h2)
-            : move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, scratch + d);
+        double shift, total; /* the plain loop's total is not used untraced */
+        if (traced)
+            shift = move_traced(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch,
+                                trace_objective ? deltas + s : NULL, trace_gradient ? grads + s : NULL);
+        else if (gridded)
+            shift = move_grid(&g, pts, sqn, i, h2);
+        else
+            shift = move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, scratch + d, NULL, &total);
         shifts[s++] = shift;
         if (shift < tol) {
             if (stamp[i] != epoch) {

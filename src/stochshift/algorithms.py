@@ -35,10 +35,11 @@ share ``run(idx) -> (steps, converged)`` and the step buffers
 * ``_PySteps`` calls a ``move(i)`` that updates row i in place and
   returns ``(shift, delta, grad)``: ``_sms_move`` (shared with
   ``sms_step``) or the neighbour-mean move of ``affinity.knn_sms_run``.
-* ``_native.SmsBlockKernel`` runs untraced distance SMS in C, averaging
-  the same points as ``_sms_move`` (see ``_sms_kernel.c``).  ``sms_run``
-  uses it when it loads; ``_PySteps`` is the fallback and its test
-  reference.
+* ``_native.SmsBlockKernel`` runs distance SMS in C, traced or not,
+  averaging the same points as ``_sms_move`` and taking the increment
+  and the gradient norm in its form (see ``_sms_kernel.c``).
+  ``sms_run`` uses it whenever it loads; ``_PySteps`` is the fallback
+  and its test reference.
 
 Pairwise work walks row blocks from ``core.pairwise_sq_blocks``.
 
@@ -439,18 +440,19 @@ def sms_run(points, cfg: AlgoConfig):
 
     Stopping: every index has been drawn, with a shift below
     ``move_tolerance``, since the most recent above-tolerance shift.
-    Untraced runs use the compiled kernel when it is available
+    Runs, traced or not, use the compiled kernel when it is available
     and the numpy path otherwise; both take the same steps.  Returns
     ``(final_points, RunTrace)``.
     """
     pts = check_state(points).copy()
     n = pts.shape[0]
     rec = _Recorder("sms", pts, cfg, cfg.trace_objective, cfg.trace_gradient)
-    lib = None if cfg.trace_objective or cfg.trace_gradient else _native.load()
+    lib = _native.load()
     if lib is None:
         steps = _PySteps(_sms_move(pts, cfg), n, cfg)
     else:
-        steps = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance, _BLOCK)
+        steps = _native.SmsBlockKernel(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance, _BLOCK,
+                                       cfg.trace_objective, cfg.trace_gradient)
     return _sms_loop(pts, cfg, steps, rec)
 
 

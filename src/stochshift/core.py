@@ -88,10 +88,17 @@ def _diff_sq_blocks(points: np.ndarray):
         yield lo, hi, sq
 
 
+_MAX_SQ_NORM = np.finfo(np.float64).max / 4  # largest squared row norm a state may have
+
+
 def check_state(points) -> np.ndarray:
     """Validate and coerce a sample to a float64 (n, d) array.
 
-    Each row's squared norm, which the distance identity uses, must be finite.
+    Each row's squared norm must be at most a quarter of the largest
+    float64 (about 4.5e307, so coordinates up to about 6.7e153).  The
+    distance identity |a|^2 - 2 a.b + |b|^2 and the traced SMS step's
+    x_old + new then keep every intermediate below 4 times that bound,
+    which is finite.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -101,8 +108,9 @@ def check_state(points) -> np.ndarray:
     n, d = pts.shape
     if n < 1 or d < 1:
         raise ValueError(f"state needs n >= 1 and d >= 1, got shape {pts.shape}")
-    if not np.all(np.isfinite(np.einsum("ij,ij->i", pts, pts))):
-        raise ValueError("state coordinates must be finite, with finite squared row norms")
+    if not np.all(np.einsum("ij,ij->i", pts, pts) <= _MAX_SQ_NORM):
+        raise ValueError("state coordinates must be finite, with squared row norms at most "
+                         f"{_MAX_SQ_NORM:.3g} (a quarter of the largest float64)")
     return pts
 
 

@@ -4,6 +4,7 @@ import ctypes
 import re
 import shutil
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,22 @@ class TestConfig:
         cfg = AlgoConfig(max_updates=2)
         with pytest.raises(ValueError, match="max_updates"):
             sms_run(np.zeros((5, 1)), cfg)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pts: sms_run(pts, AlgoConfig()),
+    lambda pts: bms_run(pts, AlgoConfig(algorithm="bms")),
+    lambda pts: ms_run(pts, AlgoConfig(algorithm="ms")),
+    lambda pts: extract_clusters(pts, 1.0),
+], ids=["sms", "bms", "ms", "extract_clusters"])
+def test_squared_norms_past_a_quarter_of_the_float_range_rejected(call):
+    # squares are finite, but the distance identity's -2 a.b overflows:
+    # SMS used to move both points to (1e154, 0.615), 5 h apart
+    with pytest.raises(ValueError, match="squared row norms"):
+        call(np.array([[1e154, 0.0], [1e154, 5.0]]))
+    # a squared norm just below a quarter of the largest float64 is accepted
+    edge = np.array([[np.sqrt(np.finfo(np.float64).max / 4) * (1 - 1e-15), 0.0], [0.0, 0.0]])
+    call(edge)
 
 
 class TestRandomIndexStream:
@@ -301,8 +318,36 @@ class TestSmsRun:
         assert trace.updates_per_point == pytest.approx(trace.total_updates / data.n)
 
 
+TRACES = {
+    "traced": {"trace_objective": True, "trace_gradient": True},
+    "objective": {"trace_objective": True},
+    "gradient": {"trace_gradient": True},
+}
+
+
+def assert_within(actual, desired, tol):
+    """|actual - desired| <= tol elementwise, for a tolerance per element."""
+    tol = np.broadcast_to(tol, np.shape(actual))
+    excess = np.abs(actual - desired) - tol
+    worst = int(np.argmax(excess))
+    assert excess[worst] <= 0, f"entry {worst}: {actual[worst]!r} vs {desired[worst]!r}, tolerance {tol[worst]!r}"
+
+
 def assert_same_run(points, cfg, monkeypatch):
-    """The compiled SMS path takes the numpy path's steps, to rounding."""
+    """The compiled SMS path takes the numpy path's steps, to rounding.
+
+    The two paths sum in different orders (BLAS and pairwise sums against
+    index order), so values agree to a floor set by the state and the
+    objective, not to a flat relative error, which a value near zero
+    cannot meet.  With s = max |final state| and L0 = max(1, |initial
+    objective|): positions, shifts and snapshots within 1e-12 s;
+    increments within 1e-12 (L0 + |increment|); gradient norms within
+    1e-12 grad + (2 / h^2) alpha n 1e-12 s, the shift floor carried
+    through grad = (2 / h^2) W shift with W <= alpha n; objectives within
+    1e-11 L0.  Long alpha >= 2 runs on other seeds can exceed these floors
+    mid-run, where the collapse amplifies rounding (README, "Compiled SMS
+    loop"); the untraced kernel does the same, and the cases here do not.
+    """
     final, trace = sms_run(points, cfg)
     with monkeypatch.context() as m:
         m.setattr(_native, "load", lambda: None)
@@ -317,6 +362,16 @@ def assert_same_run(points, cfg, monkeypatch):
     np.testing.assert_allclose(trace.shift, ref.shift, rtol=0, atol=atol)
     for (_, snap), (_, ref_snap) in zip(trace.snapshots, ref.snapshots):
         np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=atol)
+    assert trace.initial_objective == ref.initial_objective
+    for column in ("objective", "objective_delta", "grad_norm"):
+        assert (getattr(trace, column) is None) == (getattr(ref, column) is None), column
+    if ref.objective is not None:
+        l0 = max(1.0, abs(ref.initial_objective))
+        assert_within(trace.objective_delta, ref.objective_delta, 1e-12 * (l0 + np.abs(ref.objective_delta)))
+        assert_within(trace.objective, ref.objective, 1e-11 * l0)
+    if ref.grad_norm is not None:
+        floor = 2.0 / (cfg.h * cfg.h) * cfg.profile.alpha * points.shape[0] * atol
+        assert_within(trace.grad_norm, ref.grad_norm, 1e-12 * ref.grad_norm + floor)
     policy = MergePolicy(1.0 / 3.0)
     np.testing.assert_array_equal(
         extract_clusters(final, cfg.h, policy).assignment,
@@ -325,13 +380,15 @@ def assert_same_run(points, cfg, monkeypatch):
     return trace
 
 
+@pytest.fixture
+def needs_kernel():
+    if _native.load() is None:
+        pytest.skip("the SMS kernel could not be built here (no gcc?)")
+
+
+@pytest.mark.usefixtures("needs_kernel")
 class TestCompiledSms:
     """The C kernel of untraced SMS against the numpy path, its reference."""
-
-    @pytest.fixture(autouse=True)
-    def kernel_available(self):
-        if _native.load() is None:
-            pytest.skip("the SMS kernel could not be built here (no gcc?)")
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("name", ["set1", "set2"])
@@ -386,6 +443,65 @@ class TestCompiledSms:
         assert _native.build(tmp_path) == path
         assert list(tmp_path.iterdir()) == [path]
         assert _native._open(path) is not None
+
+
+@pytest.mark.usefixtures("needs_kernel")
+class TestCompiledTracedSms:
+    """The C kernel of traced SMS against the numpy path, its reference."""
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["set1", "set2"])
+    def test_presets_match_numpy_path(self, name, alpha, monkeypatch):
+        data = generate(preset(name, seed=0))
+        cfg = AlgoConfig(profile=Profile(alpha), seed=1000003, **TRACES["traced"])
+        assert assert_same_run(data.points, cfg, monkeypatch).stop_reason == "converged"
+
+    def test_generic_dimension(self, monkeypatch):
+        data = generate(parse_preset("dim:5", seed=0))
+        cfg = AlgoConfig(seed=7, **TRACES["traced"])
+        assert assert_same_run(data.points, cfg, monkeypatch).stop_reason == "converged"
+
+    @pytest.mark.parametrize("trace", ["objective", "gradient"])
+    def test_one_column_with_snapshots(self, trace, monkeypatch):
+        data = generate(preset("set2", seed=1))
+        cfg = AlgoConfig(profile=P2, seed=4, snapshot_every=37, **TRACES[trace])
+        run = assert_same_run(data.points, cfg, monkeypatch)
+        assert [k for k, _ in run.snapshots][:-1] == list(range(0, run.total_updates, 37))
+
+    def test_budget_ends_mid_block(self, monkeypatch):
+        data = generate(preset("set1", seed=0))
+        cfg = AlgoConfig(seed=2, max_updates=5000, **TRACES["traced"])
+        trace = assert_same_run(data.points, cfg, monkeypatch)
+        assert (trace.stop_reason, trace.total_updates) == ("max_updates", 5000)
+
+    @pytest.mark.parametrize("name, alpha", [("set1", 2), ("dim:5", 1)])
+    def test_same_bits_as_untraced_plain_loop(self, name, alpha):
+        # tracing only adds passes after each move, so where the untraced
+        # kernel runs the plain loop as well the runs are bit-identical
+        data = generate(parse_preset(name, seed=0))
+        cfg = AlgoConfig(profile=Profile(alpha), seed=1000004, snapshot_every=997)
+        final, trace = sms_run(data.points, cfg)
+        traced_final, traced = sms_run(data.points, replace(cfg, **TRACES["traced"]))
+        np.testing.assert_array_equal(traced_final, final)
+        np.testing.assert_array_equal(traced.moved_index, trace.moved_index)
+        np.testing.assert_array_equal(traced.shift, trace.shift)
+        assert [k for k, _ in traced.snapshots] == [k for k, _ in trace.snapshots]
+        for (_, snap), (_, ref_snap) in zip(traced.snapshots, trace.snapshots):
+            np.testing.assert_array_equal(snap, ref_snap)
+
+    def test_runs_in_the_kernel(self, monkeypatch):
+        steps = []
+        kernel_run = _native.SmsBlockKernel.run
+
+        def counted(self, idx):
+            m, converged = kernel_run(self, idx)
+            steps.append(m)
+            return m, converged
+
+        monkeypatch.setattr(_native.SmsBlockKernel, "run", counted)
+        data = generate(preset("set2", seed=0))
+        _, trace = sms_run(data.points, AlgoConfig(profile=P2, seed=3, **TRACES["traced"]))
+        assert sum(steps) == trace.total_updates > 0
 
 
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")

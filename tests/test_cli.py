@@ -128,6 +128,12 @@ class TestCluster:
         data_path.write_text("x0,x1\n1e200,0\n0,1\n")
         assert run_cli("cluster", "--input", data_path, "--algo", algo, "--out", tmp_path / "o") == EXIT_DATA
 
+    def test_coordinates_near_1e154_data_error(self, tmp_path):
+        # squares are finite, but the distance identity's -2 a.b is not
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("x0,x1\n1e154,0\n1e154,5\n")
+        assert run_cli("cluster", "--input", data_path, "--out", tmp_path / "o") == EXIT_DATA
+
 
 class TestBench:
     def test_too_few_sizes_usage_error(self, tmp_path):
