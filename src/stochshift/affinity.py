@@ -97,6 +97,8 @@ def top_score_neighbors(scores, k: int) -> np.ndarray:
     neighbour indices, each row sorted by descending score.
     """
     s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError(f"score matrix must be a square (n, n) array, got shape {s.shape}")
     n = s.shape[0]
     s = _check_scores(s, n)
     if not 1 <= k <= n - 1:

@@ -41,7 +41,9 @@ share ``run(idx) -> (steps, converged)`` and the step buffers
   ``sms_run`` uses it whenever it loads; ``_PySteps`` is the fallback
   and its test reference.
 
-Pairwise work walks row blocks from ``core.pairwise_sq_blocks``.
+MS and BMS share one batch map, ``_shift_rows``, the one walk over
+``core.pairwise_sq_blocks`` here: BMS maps the state against itself, MS
+its active probes against the fixed sample.
 
 Budgets are counted in point-updates so the three are unit-consistent:
 one SMS step is 1 update, one BMS sweep is n updates, one MS inner
@@ -106,6 +108,10 @@ class AlgoConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         check_bandwidth(self.h)
+        for name in ("max_updates", "seed", "snapshot_every"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, (int, np.integer)) or isinstance(value, bool)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.max_updates < 1:
             raise ValueError("max_updates must be positive")
         if not (self.move_tolerance > 0 and np.isfinite(self.move_tolerance)):
@@ -273,22 +279,6 @@ class _Recorder:
         )
 
 
-def _weights(alpha: int, sq: np.ndarray, h2: float):
-    """Weights G(sq / h^2) and their totals over the last axis of sq.
-
-    The uniform (alpha = 1) weight stays a bool support mask with integer
-    counts as totals.  Float weights from ``_weight`` give the same
-    sums, but their clip, scale, select and float sum are extra passes
-    that would dominate an Epanechnikov SMS move.
-    """
-    if alpha == 1:
-        w = sq < h2
-        # a single row is counted without `axis`, which is far cheaper
-        return w, np.count_nonzero(w, axis=None if w.ndim == 1 else -1)
-    w = _weight(alpha, np.clip(sq, 0.0, None) * (1.0 / h2))
-    return w, w.sum(axis=-1)
-
-
 def _sms_move(pts: np.ndarray, cfg: AlgoConfig):
     """The SMS distance move on ``pts``: returns ``move(i)`` for ``_PySteps``.
 
@@ -317,8 +307,12 @@ def _sms_move(pts: np.ndarray, cfg: AlgoConfig):
         np.multiply(pts @ x_old, -2.0, out=sqbuf)
         np.add(sqbuf, sqn, out=sqbuf)
         np.add(sqbuf, sqn[i], out=sqbuf)
-        w, total = _weights(alpha, sqbuf, h2)
-        total = float(total)
+        if alpha == 1:
+            w = sqbuf < h2
+            total = float(np.count_nonzero(w))  # counting a bool mask is cheaper than a float sum
+        else:
+            w = _weight(alpha, np.clip(sqbuf, 0.0, None) * inv_h2)
+            total = float(w.sum())
         new = (w @ pts) / total
         dx = new - x_old
         shift = math.sqrt(dx @ dx)
@@ -456,34 +450,46 @@ def sms_run(points, cfg: AlgoConfig):
     return _sms_loop(pts, cfg, steps, rec)
 
 
-def bms_sweep(points, cfg: AlgoConfig):
-    """One synchronous sweep: all n new positions from the same state.
+def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
+    """Move each query row onto the G-weighted mean of ``sample``; returns ``(new, shifts)``.
 
-    Returns ``(new_points, max_shift)``.  The self term G(0) > 0 keeps a
-    row's weight positive unless the norm identity rounds the point's own
-    squared distance up to h^2 or more, which happens once h^2 is near
-    the identity's rounding error (h around 1e-8 at unit-scale
-    coordinates); such a row has no weight and stays where it is.
+    The uniform (alpha = 1) weight is written into the distance block in
+    place as 0.0 / 1.0, whose float row sums are exact counts.  A row
+    with no weight stays at its query.  In BMS the self term G(0) > 0
+    rules that out unless the norm identity rounds a point's own squared
+    distance up to h^2, once h^2 nears the identity's rounding error (h
+    around 1e-8 at unit-scale coordinates).
     """
-    pts = check_state(points)
     h2 = cfg.h * cfg.h
-    new = pts.copy()
-    for lo, hi, sq in pairwise_sq_blocks(pts, pts):
-        w, totals = _weights(cfg.profile.alpha, sq, h2)
-        np.divide(w @ pts, totals[:, None], out=new[lo:hi], where=totals[:, None] > 0)
-    diff = new - pts
-    max_shift = float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
-    return new, max_shift
+    alpha = cfg.profile.alpha
+    new = queries.copy()
+    for lo, hi, sq in pairwise_sq_blocks(queries, sample):
+        if alpha == 1:
+            w = np.less(sq, h2, out=sq)
+        else:
+            w = _weight(alpha, np.clip(sq, 0.0, None) * (1.0 / h2))
+        totals = w.sum(axis=1)[:, None]
+        np.divide(w @ sample, totals, out=new[lo:hi], where=totals > 0)
+    diff = new - queries
+    return new, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def bms_sweep(points, cfg: AlgoConfig):
+    """One synchronous sweep of ``_shift_rows``; returns ``(new_points, max_shift)``."""
+    pts = check_state(points)
+    new, shifts = _shift_rows(pts, pts, cfg)
+    return new, float(shifts.max())
 
 
 def bms_run(points, cfg: AlgoConfig):
     """Repeat synchronous sweeps until the maximal shift converges."""
-    pts = check_state(points).copy()
+    pts = check_state(points).copy()  # once: a sweep keeps each row a convex combination of rows
     n = pts.shape[0]
     rec = _Recorder("bms", pts, cfg, cfg.trace_objective)
     stop_reason = "max_updates"
     for _ in range(cfg.max_updates // n):
-        pts, max_shift = bms_sweep(pts, cfg)
+        pts, shifts = _shift_rows(pts, pts, cfg)
+        max_shift = float(shifts.max())
         rec.event(pts, max_shift, n)
         if max_shift < cfg.move_tolerance:
             stop_reason = "converged"
@@ -495,8 +501,8 @@ def ms_run(points, cfg: AlgoConfig):
     """Classic mean-shift: probes iterate against the fixed sample.
 
     Every probe point starts at its sample position and repeatedly
-    applies the mean-shift operator computed on the *original* state
-    until its displacement drops below tolerance or its per-point budget
+    applies ``_shift_rows`` against the *original* state until its
+    displacement drops below tolerance or its per-point budget
     (``max_updates // n``) is exhausted.  A probe always keeps a sample
     point strictly within h: it starts on one, and with weights w_j > 0
     only within h of its position x, summing to W, its move to the
@@ -509,25 +515,11 @@ def ms_run(points, cfg: AlgoConfig):
     n = sample.shape[0]
     probes = sample.copy()
     rec = _Recorder("ms", sample, cfg)
-    h2 = cfg.h * cfg.h
     active = np.arange(n)
     for _ in range(cfg.max_updates // n):
         if active.size == 0:
             break
-        moved = probes[active]
-        new = np.empty_like(moved)
-        for lo, hi, sq in pairwise_sq_blocks(moved, sample):
-            w, totals = _weights(cfg.profile.alpha, sq, h2)
-            # rounding at the support boundary could zero a total; the
-            # probe then stays where it is
-            empty = totals <= 0
-            if np.any(empty):
-                totals[empty] = 1
-            out = (w @ sample) / totals[:, None]
-            out[empty] = moved[lo:hi][empty]
-            new[lo:hi] = out
-        diff = new - moved
-        shifts = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        new, shifts = _shift_rows(probes[active], sample, cfg)
         probes[active] = new
         rec.event(probes, float(shifts.max()), int(active.size))
         active = active[shifts >= cfg.move_tolerance]

@@ -104,6 +104,8 @@ def _diameter(members: np.ndarray) -> float:
 def cluster_summary(positions, partition: Partition) -> list[dict]:
     """Per-cluster size, centroid and diameter (for the JSON export)."""
     pos = check_state(positions)
+    if partition.n != pos.shape[0]:
+        raise ValueError(f"partition labels {partition.n} points, but positions have shape {pos.shape}")
     out = []
     for cid in range(1, partition.n_clusters + 1):
         members = pos[partition.assignment == cid]

@@ -99,6 +99,10 @@ class TestTopScoreNeighbors:
         with pytest.raises(ValueError, match="score matrix"):
             top_score_neighbors(np.zeros((3, 4)), 1)
 
+    def test_scalar_scores_rejected(self):
+        with pytest.raises(ValueError, match=r"score matrix must be a square \(n, n\) array, got shape \(\)"):
+            top_score_neighbors(3.0, 1)
+
 
 class TestKnnSmsRun:
     def test_two_points_converge_to_common_point(self):

@@ -4,6 +4,7 @@ import ctypes
 import re
 import shutil
 import subprocess
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,11 @@ class TestConfig:
             AlgoConfig(h=0.0)
         with pytest.raises(ValueError):
             AlgoConfig(move_tolerance=-1.0)
+        # integer fields take Python or numpy integers, never floats or bools
+        for bad in ({"seed": 1.5}, {"max_updates": 1e3}, {"snapshot_every": 2.5}, {"seed": True}):
+            with pytest.raises(TypeError, match=f"{next(iter(bad))} must be an integer"):
+                AlgoConfig(**bad)
+        assert AlgoConfig(seed=np.int64(3), max_updates=np.int32(10), snapshot_every=np.uint8(2)).seed == 3
 
     @pytest.mark.parametrize(
         "algorithm, flag",
@@ -664,10 +670,29 @@ class TestBmsRun:
         assert np.all(np.diff(values) >= -1e-9 * max(1.0, values[0]))
         assert trace.total_updates == data.n * trace.n_events
 
-    def test_tiny_bandwidth_keeps_weightless_rows(self):
+    @pytest.mark.parametrize("algorithm", ["ms", "bms"])
+    def test_tiny_bandwidth_keeps_weightless_rows(self, algorithm):
         # at h = 1e-8 the norm identity rounds some points' own squared
         # distance past h^2; those rows have no weight and must stay put
         data = generate(preset("set2", seed=0))
-        final, trace = bms_run(data.points, AlgoConfig(algorithm="bms", profile=EPANECHNIKOV, h=1e-8))
+        final, trace = run(data.points, AlgoConfig(algorithm=algorithm, profile=EPANECHNIKOV, h=1e-8))
         np.testing.assert_array_equal(final, data.points)
         assert trace.stop_reason == "converged"
+
+
+@pytest.mark.parametrize("call", [
+    lambda pts: bms_sweep(pts, AlgoConfig(algorithm="bms")),
+    lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])),
+], ids=["bms_sweep", "ms_run"])
+def test_batch_map_peak_memory_is_one_distance_block(call):
+    # n = 1000 rows fit one n x n block (8 MB); the uniform weight is
+    # written into it, so no second block-sized array may appear
+    pts = generate(parse_preset("imbalance:2", seed=0)).points
+    n = pts.shape[0]
+    tracemalloc.start()
+    try:
+        call(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n * n, f"peak {peak / 2**20:.1f} MiB at n={n}"

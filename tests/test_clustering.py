@@ -200,6 +200,11 @@ class TestSummary:
         assert summary[0]["diameter"] == pytest.approx(0.1)
         assert summary[1]["centroid"] == [5.0, 5.0]
 
+    def test_partition_of_another_length_rejected(self):
+        pos = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
+        with pytest.raises(ValueError, match=r"partition labels 2 points, but positions have shape \(3, 2\)"):
+            cluster_summary(pos, Partition(np.array([1, 2]), 2))
+
     def test_diameter_peak_memory_on_collapsed_cluster(self):
         n = 4000
         pos = np.tile([[1.0, -2.0]], (n, 1))
