@@ -1,18 +1,23 @@
-/* One block of distance SMS steps, with the SMS stop rule: stop once
- * every point has been drawn, with a shift below tolerance, since the
- * last shift at or above it.  A traced block also gives each step's
- * objective increment and partial-gradient norm.
+/* The package's one compiled kernel.  sms_block runs one block of
+ * distance SMS steps, with the SMS stop rule: stop once every point has
+ * been drawn, with a shift below tolerance, since the last shift at or
+ * above it.  A traced block also gives each step's objective increment
+ * and partial-gradient norm.  shift_rows is the mean-shift batch map of
+ * algorithms._shift_rows: every query row moves onto the weighted mean
+ * of a sample, as MS's probes do against the input and a BMS sweep's
+ * state does against itself.
  *
- * The arithmetic follows the numpy path in algorithms._sms_move step for
- * step: squared distances from the cached-norm identity grouped as
- * ((x_j . x_i) * -2 + |x_j|^2) + |x_i|^2, the weight G(t) = 1[t < 1] as a
- * 0/1 value with an integer-valued total for alpha = 1 and
- * alpha * (1 - t)_+^(alpha - 1) for alpha >= 2, and the drawn point
- * averaged together with its own weight.  The plain loop sums in index
- * order; BLAS sums in its own order and the grid (below) by cells, so
- * positions agree with the numpy path to rounding.  Build without
- * -ffast-math and with -ffp-contract=off, so the compiler keeps the order
- * of the sums and the exactness of the two-sum below.
+ * The arithmetic follows the numpy path (algorithms._sms_move and
+ * algorithms._shift_rows) step for step: squared distances from the
+ * cached-norm identity grouped as ((x_j . x) * -2 + |x_j|^2) + |x|^2 for
+ * a query x (the numpy batch map adds |x|^2 first), the weight
+ * G(t) = 1[t < 1] as a 0/1 value with an integer-valued total for
+ * alpha = 1 and alpha * (1 - t)_+^(alpha - 1) for alpha >= 2, and in SMS
+ * the drawn point averaged together with its own weight.  The plain loop
+ * sums in index order; BLAS sums in its own order and the grid (below)
+ * by cells, so positions agree with the numpy path to rounding.
+ * Build without -ffast-math and with -ffp-contract=off, so the compiler
+ * keeps the order of the sums and the exactness of the two-sum below.
  */
 #include <math.h>
 #include <stdint.h>
@@ -31,26 +36,24 @@ static inline double poly_weight(double sq, double inv_h2, int64_t alpha)
     return (double)alpha * p;
 }
 
-/* Move point i onto the weighted mean of the state; returns its shift and
- * the weight total in *total.  x and acc are d-length scratch; on return
- * x holds the old position.  When sq is not NULL, sq[j] receives the
- * squared distance from the old position to point j.  Always inlined, so
- * the untraced call, with a constant NULL, keeps no store or test of sq
+/* The weighted sum of the n points of pts (n x d, squared norms sqn)
+ * around x, whose squared norm is sqx: acc (d-length) receives
+ * sum_j w_j p_j, and the weight total is returned.  When sq is not NULL,
+ * sq[j] receives the squared distance from x to point j.  Always
+ * inlined, so a call with a constant NULL keeps no store or test of sq
  * in its loop. */
 static inline __attribute__((always_inline)) double
-move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64_t i, double h2, double inv_h2,
-             int64_t alpha, double *x, double *acc, double *sq, double *total)
+weighted_sum(const double *pts, const double *sqn, int64_t n, int64_t d, const double *x, double sqx,
+             double h2, double inv_h2, int64_t alpha, double *acc, double *sq)
 {
-    const double sqi = sqn[i];
     double wsum = 0.0;
-    memcpy(x, pts + i * d, (size_t)d * sizeof(double));
     memset(acc, 0, (size_t)d * sizeof(double));
     for (int64_t j = 0; j < n; j++) {
         const double *p = pts + j * d;
         double dot = 0.0;
         for (int64_t k = 0; k < d; k++)
             dot += p[k] * x[k];
-        const double sqj = (dot * -2.0 + sqn[j]) + sqi;
+        const double sqj = (dot * -2.0 + sqn[j]) + sqx;
         if (sq)
             sq[j] = sqj;
         const double w = alpha == 1 ? (double)(sqj < h2) : poly_weight(sqj, inv_h2, alpha);
@@ -60,6 +63,18 @@ move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64_t i, double h
             wsum += w;
         }
     }
+    return wsum;
+}
+
+/* Move point i onto the weighted mean of the state; returns its shift and
+ * the weight total in *total.  x and acc are d-length scratch; on return
+ * x holds the old position.  sq is weighted_sum's. */
+static inline __attribute__((always_inline)) double
+move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64_t i, double h2, double inv_h2,
+             int64_t alpha, double *x, double *acc, double *sq, double *total)
+{
+    memcpy(x, pts + i * d, (size_t)d * sizeof(double));
+    const double wsum = weighted_sum(pts, sqn, n, d, x, sqn[i], h2, inv_h2, alpha, acc, sq);
     double shift2 = 0.0, norm2 = 0.0;
     double *row = pts + i * d;
     for (int64_t k = 0; k < d; k++) {
@@ -147,25 +162,26 @@ static inline void dd_add(dd *a, double b)
 }
 
 /* A uniform grid of cells of side h / GRID_DIV over the bounding box of
- * the state, for d = 2 and the uniform weight (alpha = 1).  Each cell
- * keeps the count and the exact sum of the positions of its points.
- * SMS moves a point onto a convex combination of the state, so every
- * position stays inside the box for the whole block (cell_coord clamps
- * what rounding puts outside it).
+ * a set of points, for d = 2 and the uniform weight (alpha = 1).  Each
+ * cell keeps the count and the exact sum of the positions of its points.
+ * SMS builds it on the state and moves a point onto a convex combination
+ * of the state, so every position stays inside the box for the whole
+ * block (cell_coord clamps what rounding puts outside it); shift_rows
+ * builds it on the sample once per call and never changes it.
  *
- * A step visits the cells that meet the square of side 2 * reach (just
- * over 2h) around x_i.
+ * A query around x visits the cells that meet the square of side
+ * 2 * reach (just over 2h) around it.
  * A cell lying inside the h-ball with a margin well above the rounding
  * of the cached-norm identity contributes its sum and count at once; a
  * cell outside it with that margin contributes nothing; the points of
  * the remaining cells are tested one by one with the identity, exactly
  * as the plain loop tests them.  So the same points are averaged,
  * and only the rounding of their sum differs.  Once clusters have
- * shrunk to a few cells, a step costs O(cells) instead of O(n).
+ * shrunk to a few cells, a query costs O(cells) instead of O(n).
  *
  * The points of a cell form a doubly linked list, built in index order;
- * a point that changes cell is unlinked and pushed onto the front of its
- * new cell's list. */
+ * in SMS a point that changes cell is unlinked and pushed onto the front
+ * of its new cell's list. */
 #define GRID_DIV 4
 #define GRID_MIN_N 128 /* below about this n the plain loop is faster */
 #define GRID_SPAN (2 * GRID_DIV + 4) /* at least the columns a step visits */
@@ -231,9 +247,11 @@ static void grid_free(grid_t *g)
     free(g->sx);
 }
 
-/* Build the grid over the current state; returns 0 when it would need
- * too many cells (a spread far beyond h) or memory runs out. */
-static int grid_build(grid_t *g, const double *pts, int64_t n, double h2)
+/* Build the grid over the n points of pts; returns 0 when it would need
+ * too many cells (a spread far beyond h) or memory runs out.  Queries
+ * may come from points up to qscale from the origin in each coordinate,
+ * beyond the box's own. */
+static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double qscale)
 {
     double xmin = pts[0], xmax = pts[0], ymin = pts[1], ymax = pts[1];
     for (int64_t j = 1; j < n; j++) {
@@ -256,11 +274,12 @@ static int grid_build(grid_t *g, const double *pts, int64_t n, double h2)
     /* Margins: a point may sit outside its cell by the rounding of its
      * cell coordinate, and the identity's rounding is below
      * 32 eps (|x_j|^2 + |x_i|^2); both are taken 100x larger. */
-    const double scale = fmax(fmax(fabs(xmin), fabs(xmax)), fmax(fabs(ymin), fabs(ymax)));
+    const double box = fmax(fmax(fabs(xmin), fabs(xmax)), fmax(fabs(ymin), fabs(ymax)));
+    const double scale = fmax(box, qscale);
     g->pad = 1e-12 * (scale + g->s);
     g->errb = 1e-12 * (4.0 * scale * scale + h2);
     /* a point the identity puts inside the ball lies within this reach;
-     * far from the origin the margins widen it past what a step may visit */
+     * far from the origin the margins widen it past what a query may visit */
     g->reach = sqrt(h2 + 2.0 * g->errb) + g->pad;
     if (!(2.0 * g->reach * g->inv_s + 3.0 <= GRID_SPAN))
         return 0;
@@ -293,15 +312,18 @@ static int grid_build(grid_t *g, const double *pts, int64_t n, double h2)
     return 1;
 }
 
-static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h2)
+/* The count of the grid's points (pts, squared norms sqn) that the
+ * identity test sq < h^2 puts inside the ball around (x0, x1), whose
+ * squared norm is sqx; their coordinate sums go to sum[0] and sum[1]. */
+static int64_t grid_query(const grid_t *g, const double *pts, const double *sqn, double x0,
+                          double x1, double sqx, double h2, double *sum)
 {
-    const double x0 = pts[2 * i], x1 = pts[2 * i + 1], sqi = sqn[i];
     const double reach = g->reach;
     const int64_t cx0 = cell_coord(x0 - reach, g->x0, g->inv_s, g->nx);
     const int64_t cx1 = cell_coord(x0 + reach, g->x0, g->inv_s, g->nx);
     const int64_t cy0 = cell_coord(x1 - reach, g->y0, g->inv_s, g->ny);
     const int64_t cy1 = cell_coord(x1 + reach, g->y0, g->inv_s, g->ny);
-    /* squared farthest and nearest x-distances from x_i to each column */
+    /* squared farthest and nearest x-distances from x to each column */
     double far_x[GRID_SPAN], near_x[GRID_SPAN];
     for (int64_t cx = cx0; cx <= cx1; cx++) {
         const double lx = g->x0 + (double)cx * g->s - g->pad;
@@ -330,7 +352,7 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h
             } else if (near_x[cx - cx0] + near_y < h2) {
                 for (int64_t j = g->head[c]; j >= 0; j = g->next[j]) {
                     const double p0 = pts[2 * j], p1 = pts[2 * j + 1];
-                    const double sq = ((p0 * x0 + p1 * x1) * -2.0 + sqn[j]) + sqi;
+                    const double sq = ((p0 * x0 + p1 * x1) * -2.0 + sqn[j]) + sqx;
                     /* no branch: whether a point of a boundary cell is
                      * inside the ball is unpredictable */
                     const int64_t in = sq < h2;
@@ -341,7 +363,19 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h
             }
         }
     }
-    const double n0 = ax / (double)total, n1 = ay / (double)total;
+    sum[0] = ax;
+    sum[1] = ay;
+    return total;
+}
+
+/* SMS's gridded step: query the ball around point i, then move i onto
+ * the mean and carry its position over in its cells' sums and lists. */
+static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h2)
+{
+    const double x0 = pts[2 * i], x1 = pts[2 * i + 1];
+    double sum[2];
+    const int64_t total = grid_query(g, pts, sqn, x0, x1, sqn[i], h2, sum);
+    const double n0 = sum[0] / (double)total, n1 = sum[1] / (double)total;
     const double d0 = n0 - x0, d1 = n1 - x1;
     pts[2 * i] = n0;
     pts[2 * i + 1] = n1;
@@ -382,7 +416,7 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
     int64_t s = 0;
     grid_t g;
     const int traced = trace_objective || trace_gradient;
-    const int gridded = !traced && d == 2 && alpha == 1 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2);
+    const int gridded = !traced && d == 2 && alpha == 1 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2, 0.0);
     state[2] = 0;
     while (s < m) {
         const int64_t i = idx[s];
@@ -413,4 +447,38 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
     state[0] = epoch;
     state[1] = covered;
     return s;
+}
+
+/* The batch map: move each of the m query rows q (m x d, squared norms
+ * sqq) onto the G-weighted mean of the n sample rows s (squared norms
+ * sqs), into out (m x d), which may alias neither.  A row with no weight
+ * stays at its query.  For alpha = 1 in 2-D with
+ * n >= GRID_MIN_N the rows query a grid built on the sample; otherwise,
+ * or when the grid is refused, each row is weighted_sum's plain loop
+ * over the sample. */
+void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
+                const double *sqs, int64_t n, int64_t d, double h2, int64_t alpha, double *out)
+{
+    grid_t g;
+    int gridded = 0;
+    if (d == 2 && alpha == 1 && n >= GRID_MIN_N) {
+        double qscale = 0.0;
+        for (int64_t k = 0; k < 2 * m; k++)
+            qscale = dmax(qscale, fabs(q[k]));
+        gridded = grid_build(&g, s, n, h2, qscale);
+    }
+    const double inv_h2 = 1.0 / h2;
+    for (int64_t r = 0; r < m; r++) {
+        const double *x = q + r * d;
+        double *row = out + r * d;
+        double total;
+        if (gridded)
+            total = (double)grid_query(&g, s, sqs, x[0], x[1], sqq[r], h2, row);
+        else
+            total = weighted_sum(s, sqs, n, d, x, sqq[r], h2, inv_h2, alpha, row, NULL);
+        for (int64_t k = 0; k < d; k++)
+            row[k] = total > 0.0 ? row[k] / total : x[k];
+    }
+    if (gridded)
+        grid_free(&g);
 }

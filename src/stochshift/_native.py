@@ -1,10 +1,12 @@
-"""The compiled SMS block kernel, built on first use with the system gcc.
+"""The package's compiled kernel, built on first use with the system gcc.
 
-``_sms_kernel.c`` ships with the package.  ``load()`` compiles it once
-into a shared library in the user cache directory (``$XDG_CACHE_HOME``
-or ``~/.cache``, else a per-user directory under the system temporary
-directory), under a file name keyed by a hash of the source and the
-flags, and loads it with ctypes.  Concurrent first uses (``sweep
+``_kernel.c`` ships with the package.  It exports ``sms_block``, the
+SMS block runner behind :class:`SmsBlockKernel`, and ``shift_rows``,
+the mean-shift batch map behind :func:`shift_rows`, which ``ms_run``
+runs.  ``load()`` compiles it once into a shared library in the user
+cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, else a per-user
+directory under the system temporary directory), under a file name
+keyed by a hash of the source and the flags, and loads it with ctypes.  Concurrent first uses (``sweep
 --workers``) each compile to a private temporary name and publish with
 an atomic ``os.replace``.  The flags are portable: no ``-ffast-math``,
 which would reorder the sums, and no ``-march=native``.
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-_SOURCE = Path(__file__).with_name("_sms_kernel.c")
+_SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILER = "gcc"
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
@@ -43,7 +45,7 @@ def _cache_dirs() -> list[Path]:
 def library_path(cache_dir: Path) -> Path:
     """The library's file name in ``cache_dir``: a hash of source and flags."""
     key = hashlib.sha256(_SOURCE.read_bytes() + "\0".join(_FLAGS).encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"sms_kernel-{key}.so"
+    return Path(cache_dir) / f"kernel-{key}.so"
 
 
 def build(cache_dir: Path) -> Path | None:
@@ -78,6 +80,8 @@ def _open(path: Path):
     except OSError:
         return None
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = ctypes.c_int64
     lib.sms_block.restype = i64
     lib.sms_block.argtypes = [
@@ -93,6 +97,14 @@ def _open(path: Path):
         f64, f64, f64,  # shifts, deltas, grads
         i64, i64,  # trace_objective, trace_gradient
         f64,  # scratch
+    ]
+    lib.shift_rows.restype = None
+    lib.shift_rows.argtypes = [
+        rows, vec, i64,  # q, sqq, m
+        rows, vec, i64,  # s, sqs, n
+        i64,  # d
+        ctypes.c_double, i64,  # h2, alpha
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # out
     ]
     return lib
 
@@ -152,3 +164,22 @@ class SmsBlockKernel:
                                     self._state, self.shifts, self._deltas, self._grads, *self._trace,
                                     self._scratch)
         return int(steps), bool(self._state[2])
+
+
+def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: int) -> np.ndarray:
+    """The compiled twin of the numpy body of ``algorithms._shift_rows``: the moved rows.
+
+    The squared norms of the distance identity are numpy's, as in
+    ``core.pairwise_sq_blocks``; sizes, dtypes and contiguity are fixed
+    here, so every pointer handed to the library is valid for the call.
+    """
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    sample = np.ascontiguousarray(sample, dtype=np.float64)
+    if queries.ndim != 2 or sample.ndim != 2 or queries.shape[1] != sample.shape[1]:
+        raise ValueError("the kernel needs (m, d) queries and an (n, d) sample")
+    sqq = np.einsum("ij,ij->i", queries, queries)
+    sqs = sqq if sample is queries else np.einsum("ij,ij->i", sample, sample)
+    (m, d), n = queries.shape, sample.shape[0]
+    out = np.empty((m, d))
+    lib.shift_rows(queries, sqq, m, sample, sqs, n, d, h * h, int(alpha), out)
+    return out

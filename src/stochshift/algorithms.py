@@ -37,13 +37,17 @@ share ``run(idx) -> (steps, converged)`` and the step buffers
   ``sms_step``) or the neighbour-mean move of ``affinity.knn_sms_run``.
 * ``_native.SmsBlockKernel`` runs distance SMS in C, traced or not,
   averaging the same points as ``_sms_move`` and taking the increment
-  and the gradient norm in its form (see ``_sms_kernel.c``).
+  and the gradient norm in its form (see ``_kernel.c``).
   ``sms_run`` uses it whenever it loads; ``_PySteps`` is the fallback
   and its test reference.
 
-MS and BMS share one batch map, ``_shift_rows``, the one walk over
-``core.pairwise_sq_blocks`` here: BMS maps the state against itself, MS
-its active probes against the fixed sample.
+MS and BMS share one batch map, ``_shift_rows``: BMS maps the state
+against itself, MS its active probes against the fixed sample.  Handed
+the kernel, it runs ``_native.shift_rows`` (a cell grid on the sample
+for the uniform weight in 2-D, a plain loop otherwise); handed None, it
+walks ``core.pairwise_sq_blocks``, the one such walk here.  MS hands it
+the kernel whenever it loads; BMS always runs the numpy map (see
+``bms_run``).  Its docstring states how far the two paths agree.
 
 Budgets are counted in point-updates so the three are unit-consistent:
 one SMS step is 1 update, one BMS sweep is n updates, one MS inner
@@ -450,26 +454,50 @@ def sms_run(points, cfg: AlgoConfig):
     return _sms_loop(pts, cfg, steps, rec)
 
 
-def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
+def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig, lib):
     """Move each query row onto the G-weighted mean of ``sample``; returns ``(new, shifts)``.
 
-    The uniform (alpha = 1) weight is written into the distance block in
-    place as 0.0 / 1.0, whose float row sums are exact counts.  A row
-    with no weight stays at its query.  In BMS the self term G(0) > 0
-    rules that out unless the norm identity rounds a point's own squared
-    distance up to h^2, once h^2 nears the identity's rounding error (h
-    around 1e-8 at unit-scale coordinates).
+    With ``lib``, the loaded kernel, ``_native.shift_rows`` does the
+    work: it queries a cell grid built on the sample for the uniform
+    weight in 2-D with n >= 128, and runs a plain loop over the sample
+    otherwise.  With ``lib`` None the numpy body below does it; it is
+    also the kernel's test reference.
+
+    In the numpy body the uniform (alpha = 1) weight is written into the
+    distance block in place as 0.0 / 1.0, whose float row sums are exact
+    counts; for alpha >= 2 the clip and the 1 / h^2 scale are done in
+    place too.  A row with no weight stays at its query.  In BMS the self
+    term G(0) > 0 rules that out unless the norm identity rounds a
+    point's own squared distance up to h^2, once h^2 nears the identity's
+    rounding error (h around 1e-8 at unit-scale coordinates).
+
+    The two paths average the same sample points except where the
+    identity rounds a distance within rounding of h differently, and sum
+    them in different orders (BLAS against cells or index order).  Over
+    MS runs the rule, with s the largest absolute coordinate of the final
+    state: update counts, stop reasons, ``unconverged`` and partitions
+    are identical; final positions agree within 1e-12 s; mid-run shifts
+    and snapshots within 1e-12 s for alpha = 1 and 1e-10 s for
+    alpha >= 2, where a collapse amplifies the rounding before it closes
+    again.  Far from the origin the identity rounds by about eps |x|^2, a
+    few hundredths of h^2 at coordinates around 1e7 h, and the two paths
+    can then part ways.
     """
-    h2 = cfg.h * cfg.h
-    alpha = cfg.profile.alpha
-    new = queries.copy()
-    for lo, hi, sq in pairwise_sq_blocks(queries, sample):
-        if alpha == 1:
-            w = np.less(sq, h2, out=sq)
-        else:
-            w = _weight(alpha, np.clip(sq, 0.0, None) * (1.0 / h2))
-        totals = w.sum(axis=1)[:, None]
-        np.divide(w @ sample, totals, out=new[lo:hi], where=totals > 0)
+    if lib is not None:
+        new = _native.shift_rows(lib, queries, sample, cfg.h, cfg.profile.alpha)
+    else:
+        h2 = cfg.h * cfg.h
+        alpha = cfg.profile.alpha
+        new = queries.copy()
+        for lo, hi, sq in pairwise_sq_blocks(queries, sample):
+            if alpha == 1:
+                w = np.less(sq, h2, out=sq)
+            else:
+                np.clip(sq, 0.0, None, out=sq)
+                sq *= 1.0 / h2
+                w = _weight(alpha, sq)
+            totals = w.sum(axis=1)[:, None]
+            np.divide(w @ sample, totals, out=new[lo:hi], where=totals > 0)
     diff = new - queries
     return new, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
@@ -477,18 +505,24 @@ def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
 def bms_sweep(points, cfg: AlgoConfig):
     """One synchronous sweep of ``_shift_rows``; returns ``(new_points, max_shift)``."""
     pts = check_state(points)
-    new, shifts = _shift_rows(pts, pts, cfg)
+    new, shifts = _shift_rows(pts, pts, cfg, None)
     return new, float(shifts.max())
 
 
 def bms_run(points, cfg: AlgoConfig):
-    """Repeat synchronous sweeps until the maximal shift converges."""
+    """Repeat synchronous sweeps until the maximal shift converges.
+
+    Sweeps run on the numpy map, whose cost grows as n^2 per sweep:
+    acceptance criterion 7 requires that growth of BMS wall time (a
+    log-log slope in [1.6, 2.4] over n = 30 to 3000), and the kernel's
+    gridded map reads a slope of about 1.0.
+    """
     pts = check_state(points).copy()  # once: a sweep keeps each row a convex combination of rows
     n = pts.shape[0]
     rec = _Recorder("bms", pts, cfg, cfg.trace_objective)
     stop_reason = "max_updates"
     for _ in range(cfg.max_updates // n):
-        pts, shifts = _shift_rows(pts, pts, cfg)
+        pts, shifts = _shift_rows(pts, pts, cfg, None)
         max_shift = float(shifts.max())
         rec.event(pts, max_shift, n)
         if max_shift < cfg.move_tolerance:
@@ -509,17 +543,19 @@ def ms_run(points, cfg: AlgoConfig):
     weighted mean y gives sum_j w_j |y - x_j|^2 <= sum_j w_j |x - x_j|^2
     < W h^2, so some x_j lies within h of y.  Returns
     ``(modes, RunTrace)`` with the n limit positions in input order and
-    the probes still moving in ``RunTrace.unconverged``.
+    the probes still moving in ``RunTrace.unconverged``.  The map runs
+    in the compiled kernel when it is available and in numpy otherwise.
     """
     sample = check_state(points)
     n = sample.shape[0]
     probes = sample.copy()
     rec = _Recorder("ms", sample, cfg)
+    lib = _native.load()
     active = np.arange(n)
     for _ in range(cfg.max_updates // n):
         if active.size == 0:
             break
-        new, shifts = _shift_rows(probes[active], sample, cfg)
+        new, shifts = _shift_rows(probes[active], sample, cfg, lib)
         probes[active] = new
         rec.event(probes, float(shifts.max()), int(active.size))
         active = active[shifts >= cfg.move_tolerance]

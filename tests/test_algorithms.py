@@ -14,6 +14,7 @@ from stochshift import _native
 from stochshift.affinity import knn_sms_run
 from stochshift.algorithms import (
     AlgoConfig,
+    _shift_rows,
     RandomIndexStream,
     bms_run,
     bms_sweep,
@@ -386,10 +387,22 @@ def assert_same_run(points, cfg, monkeypatch):
     return trace
 
 
+# MS and BMS cases on the default runner (for MS the kernel when it loads)
+# and MS on the numpy fallback (BMS always runs it); the default case keeps
+# the plain id
+RUNNER_CASES = [("ms", "default"), ("bms", "default"), ("ms", "numpy")]
+RUNNER_IDS = ["ms", "bms", "ms-numpy"]
+
+
+def use_runner(runner, monkeypatch):
+    if runner == "numpy":
+        monkeypatch.setattr(_native, "load", lambda: None)
+
+
 @pytest.fixture
 def needs_kernel():
     if _native.load() is None:
-        pytest.skip("the SMS kernel could not be built here (no gcc?)")
+        pytest.skip("the kernel could not be built here (no gcc?)")
 
 
 @pytest.mark.usefixtures("needs_kernel")
@@ -510,6 +523,139 @@ class TestCompiledTracedSms:
         assert sum(steps) == trace.total_updates > 0
 
 
+def assert_same_batch_run(points, cfg, monkeypatch):
+    """The compiled MS map takes the numpy path's iterations, to rounding.
+
+    The rule for MS runs, with s the largest absolute coordinate of the
+    final state:
+    * identical: update counts, moved indices, stop reasons, snapshot
+      update counts, ``unconverged`` and partitions;
+    * final positions within 1e-12 s;
+    * mid-run values (shifts and snapshots) within 1e-12 s for alpha = 1
+      and within 1e-10 s for alpha >= 2, whose weights vary with the
+      distance, so a collapse amplifies the rounding of the two summation
+      orders (BLAS against cells or index order) before it closes again.
+      Over 192 MS and BMS parity runs (set1-set4, imbalance:0.5,
+      imbalance:2 and dim:5, five data seeds, two for set3) the largest
+      mid-run gaps were 8e-14 s at alpha = 1 and 3.1e-11 s at
+      alpha >= 2 (set3, alpha = 3, MS), and the largest final gap
+      3.6e-14 s.
+    """
+    final, trace = ms_run(points, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(_native, "load", lambda: None)
+        ref_final, ref = ms_run(points, cfg)
+    np.testing.assert_array_equal(trace.update_count, ref.update_count)
+    np.testing.assert_array_equal(trace.moved_index, ref.moved_index)
+    assert (trace.total_updates, trace.stop_reason) == (ref.total_updates, ref.stop_reason)
+    np.testing.assert_array_equal(trace.unconverged, ref.unconverged)
+    assert [k for k, _ in trace.snapshots] == [k for k, _ in ref.snapshots]
+    scale = np.abs(ref_final).max()
+    np.testing.assert_allclose(final, ref_final, rtol=0, atol=1e-12 * scale)
+    mid_run = (1e-12 if cfg.profile.alpha == 1 else 1e-10) * scale
+    np.testing.assert_allclose(trace.shift, ref.shift, rtol=0, atol=mid_run)
+    for (_, snap), (_, ref_snap) in zip(trace.snapshots, ref.snapshots):
+        np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=mid_run)
+    policy = MergePolicy(1.0 / 3.0)
+    np.testing.assert_array_equal(
+        extract_clusters(final, cfg.h, policy).assignment,
+        extract_clusters(ref_final, cfg.h, policy).assignment,
+    )
+    return trace
+
+
+PLAIN_LOOP_LAYOUTS = ["small", "far_apart", "offset", "tiny_h"]
+
+
+def plain_loop_input(layout):
+    """A sample and bandwidth that the kernel's grid leaves to the plain loop.
+
+    The uniform-weight d=2 map queries a grid of cells only for a sample
+    of n >= 128 (small), a spread of not too many cells (far_apart,
+    tiny_h) and rounding margins that stay within a query's reach
+    (offset).  At a +1e7 offset the identity rounds squared distances by
+    about eps |x|^2 = 0.02 h^2, so both paths decide pairs near the
+    support boundary by rounding: the offset sample has two groups with
+    no pair near it.
+    """
+    rng = np.random.default_rng(3)
+    if layout == "tiny_h":
+        return generate(preset("set2", seed=0)).points, 1e-8
+    if layout == "offset":
+        pts = rng.normal(scale=0.05, size=(200, 2)) + 1e7
+        pts[::2] += 10.0
+        return pts, 1.0
+    pts = rng.normal(scale=0.5, size=(100 if layout == "small" else 200, 2))
+    if layout == "far_apart":
+        pts[::2] += 1000.0
+    return pts, 1.0
+
+
+@pytest.mark.usefixtures("needs_kernel")
+class TestCompiledBatchMap:
+    """The C batch map behind MS against the numpy map, its reference."""
+
+    @pytest.mark.parametrize("name", ["set1", "set2", "set4", "imbalance:0.5", "imbalance:2", "dim:5"])
+    def test_presets_match_numpy_path(self, name, monkeypatch):
+        data = generate(parse_preset(name, seed=0))
+        trace = assert_same_batch_run(data.points, AlgoConfig(algorithm="ms"), monkeypatch)
+        assert trace.stop_reason == "converged"
+
+    def test_budget_runs_out_on_the_largest_preset(self, monkeypatch):
+        data = generate(preset("set3", seed=0))
+        cfg = AlgoConfig(algorithm="ms", max_updates=4 * data.n)
+        trace = assert_same_batch_run(data.points, cfg, monkeypatch)
+        assert trace.stop_reason == "max_updates" and trace.unconverged.size > 0
+
+    @pytest.mark.parametrize("name, alpha", [("set2", 2), ("set2", 3), ("set4", 2)])
+    def test_smooth_profiles_match_numpy_path(self, name, alpha, monkeypatch):
+        data = generate(preset(name, seed=0))
+        cfg = AlgoConfig(algorithm="ms", profile=Profile(alpha))
+        assert assert_same_batch_run(data.points, cfg, monkeypatch).stop_reason == "converged"
+
+    def test_snapshots(self, monkeypatch):
+        data = generate(preset("set2", seed=2))
+        trace = assert_same_batch_run(data.points, AlgoConfig(algorithm="ms", snapshot_every=1), monkeypatch)
+        assert len(trace.snapshots) == trace.n_events + 1
+
+    @pytest.mark.parametrize("layout", PLAIN_LOOP_LAYOUTS)
+    def test_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
+        pts, h = plain_loop_input(layout)
+        assert assert_same_batch_run(pts, AlgoConfig(algorithm="ms", h=h), monkeypatch).stop_reason == "converged"
+
+    # not the offset layout with alpha = 2: there the identity's rounding,
+    # about 0.02 h^2, enters every smooth weight, not only boundary pairs
+    @pytest.mark.parametrize("name, alpha", [
+        (name, alpha) for name in ["set1", "set3", "dim:5", *PLAIN_LOOP_LAYOUTS] for alpha in (1, 2)
+        if (name, alpha) != ("offset", 2)
+    ])
+    def test_state_against_itself(self, name, alpha):
+        # a BMS sweep's use of the map: the sample is the query array
+        if name in PLAIN_LOOP_LAYOUTS:
+            pts, h = plain_loop_input(name)
+        else:
+            pts, h = generate(parse_preset(name, seed=0)).points, 1.0
+        cfg = AlgoConfig(algorithm="bms", profile=Profile(alpha), h=h)
+        new, shifts = _shift_rows(pts, pts, cfg, _native.load())
+        ref_new, ref_shifts = _shift_rows(pts, pts, cfg, None)
+        atol = 1e-12 * np.abs(ref_new).max()
+        np.testing.assert_allclose(new, ref_new, rtol=0, atol=atol)
+        np.testing.assert_allclose(shifts, ref_shifts, rtol=0, atol=atol)
+
+    def test_runs_in_the_kernel(self, monkeypatch):
+        rows = []
+        kernel_map = _native.shift_rows
+
+        def counted(lib, queries, sample, h, alpha):
+            rows.append(queries.shape[0])
+            return kernel_map(lib, queries, sample, h, alpha)
+
+        monkeypatch.setattr(_native, "shift_rows", counted)
+        data = generate(preset("set2", seed=0))
+        _, trace = ms_run(data.points, AlgoConfig(algorithm="ms"))
+        assert sum(rows) == trace.total_updates > 0
+
+
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
 def test_kernel_compiles_without_warnings(tmp_path):
     # an unused helper or variable left in the kernel fails here
@@ -519,25 +665,34 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+NPY_ARRAY_WRITEABLE = 0x0400  # the flag bit of an ndpointer built with flags="WRITEABLE"
+
+
 def test_kernel_prototype_matches_c_definition():
     # ctypes passes whatever argtypes says; a parameter added to or dropped
     # from the C side alone would shift every later argument unnoticed
     lib = _native.load()
     if lib is None:
-        pytest.skip("the SMS kernel could not be built here (no gcc?)")
+        pytest.skip("the kernel could not be built here (no gcc?)")
     source = _native._SOURCE.read_text()
-    params = re.search(r"\bint64_t\s+sms_block\s*\(([^)]*)\)", source).group(1).split(",")
-    argtypes = lib.sms_block.argtypes
-    assert len(params) == len(argtypes)
+    exported = re.findall(r"^(int64_t|void)\s+(\w+)\s*\(([^)]*)\)", source, flags=re.M)
+    assert sorted(name for _, name, _ in exported) == ["shift_rows", "sms_block"]
     pointees = {"double": np.float64, "int64_t": np.int64}
     scalars = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
-    for param, argtype in zip(params, argtypes):
-        ctype = param.replace("const", "").split()[0]
-        if "*" in param:
-            assert np.dtype(argtype._dtype_) == pointees[ctype], param
-        else:
-            assert argtype is scalars[ctype], param
-    assert lib.sms_block.restype is ctypes.c_int64
+    restypes = {"int64_t": ctypes.c_int64, "void": None}
+    for restype, name, params in exported:
+        func = getattr(lib, name)
+        params = params.split(",")
+        assert len(params) == len(func.argtypes), name
+        for param, argtype in zip(params, func.argtypes):
+            ctype = param.replace("const", "").split()[0]
+            if "*" in param:
+                assert np.dtype(argtype._dtype_) == pointees[ctype], (name, param)
+                # the library writes through every pointer not declared const
+                assert "const" in param or argtype._flags_ & NPY_ARRAY_WRITEABLE, (name, param)
+            else:
+                assert argtype is scalars[ctype], (name, param)
+        assert func.restype is restypes[restype], name
 
 
 def assert_stop_rule(trace, n, tol):
@@ -567,7 +722,7 @@ class TestStopRule:
 
     def test_compiled_run(self):
         if _native.load() is None:
-            pytest.skip("the SMS kernel could not be built here (no gcc?)")
+            pytest.skip("the kernel could not be built here (no gcc?)")
         data = generate(preset("set1", seed=0))
         cfg = AlgoConfig(seed=1000003)
         _, trace = sms_run(data.points, cfg)
@@ -670,29 +825,47 @@ class TestBmsRun:
         assert np.all(np.diff(values) >= -1e-9 * max(1.0, values[0]))
         assert trace.total_updates == data.n * trace.n_events
 
-    @pytest.mark.parametrize("algorithm", ["ms", "bms"])
-    def test_tiny_bandwidth_keeps_weightless_rows(self, algorithm):
+    @pytest.mark.parametrize("algorithm, runner", RUNNER_CASES, ids=RUNNER_IDS)
+    def test_tiny_bandwidth_keeps_weightless_rows(self, algorithm, runner, monkeypatch):
         # at h = 1e-8 the norm identity rounds some points' own squared
         # distance past h^2; those rows have no weight and must stay put
+        use_runner(runner, monkeypatch)
         data = generate(preset("set2", seed=0))
         final, trace = run(data.points, AlgoConfig(algorithm=algorithm, profile=EPANECHNIKOV, h=1e-8))
         np.testing.assert_array_equal(final, data.points)
         assert trace.stop_reason == "converged"
 
 
-@pytest.mark.parametrize("call", [
-    lambda pts: bms_sweep(pts, AlgoConfig(algorithm="bms")),
-    lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])),
-], ids=["bms_sweep", "ms_run"])
-def test_batch_map_peak_memory_is_one_distance_block(call):
-    # n = 1000 rows fit one n x n block (8 MB); the uniform weight is
-    # written into it, so no second block-sized array may appear
-    pts = generate(parse_preset("imbalance:2", seed=0)).points
-    n = pts.shape[0]
+def peak_traced_bytes(call, *args):
     tracemalloc.start()
     try:
-        call(pts)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call, runner", [
+    (lambda pts: bms_sweep(pts, AlgoConfig(algorithm="bms")), "default"),
+    (lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])), "default"),
+    (lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])), "numpy"),
+], ids=["bms_sweep", "ms_run", "ms_run-numpy"])
+def test_batch_map_peak_memory_is_one_distance_block(call, runner, monkeypatch):
+    # n = 1000 rows fit one n x n block (8 MB); the numpy path writes the
+    # uniform weight into it, so no second block-sized array may appear,
+    # and the kernel holds no block at all
+    use_runner(runner, monkeypatch)
+    pts = generate(parse_preset("imbalance:2", seed=0)).points
+    n = pts.shape[0]
+    peak = peak_traced_bytes(call, pts)
     assert peak < 1.25 * 8 * n * n, f"peak {peak / 2**20:.1f} MiB at n={n}"
+
+
+def test_biweight_batch_map_peak_memory_is_three_distance_blocks(monkeypatch):
+    # the numpy alpha >= 2 map clips and scales the distance block in
+    # place; only the weight formula's own two temporaries remain
+    monkeypatch.setattr(_native, "load", lambda: None)
+    pts = generate(parse_preset("imbalance:2", seed=0)).points
+    n = pts.shape[0]
+    peak = peak_traced_bytes(bms_sweep, pts, AlgoConfig(algorithm="bms", profile=P2))
+    assert peak < 3.25 * 8 * n * n, f"peak {peak / 2**20:.1f} MiB at n={n}"

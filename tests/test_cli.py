@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from stochshift import _native
 from stochshift.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from stochshift.io import read_dataset_csv, write_dataset_csv
 
@@ -89,6 +90,20 @@ class TestCluster:
         assert (a / "partition.csv").read_bytes() == (b / "partition.csv").read_bytes()
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
         assert (a / "trace.jsonl").read_bytes() == (b / "trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("algo", ["ms", "bms"])
+    @pytest.mark.parametrize("preset", ["set1", "set2"])
+    def test_kernel_and_numpy_paths_write_the_same_bytes(self, tmp_path, monkeypatch, preset, algo):
+        if _native.load() is None:
+            pytest.skip("the kernel could not be built here (no gcc?)")
+        data_path = tmp_path / "d.csv"
+        assert run_cli("synth", "--preset", preset, "--seed", 0, "--out", data_path) == EXIT_OK
+        kernel, numpy = tmp_path / "kernel", tmp_path / "numpy"
+        assert run_cli("cluster", "--input", data_path, "--algo", algo, "--out", kernel) == EXIT_OK
+        monkeypatch.setattr(_native, "load", lambda: None)
+        assert run_cli("cluster", "--input", data_path, "--algo", algo, "--out", numpy) == EXIT_OK
+        for name in ("partition.csv", "metrics.json"):
+            assert (kernel / name).read_bytes() == (numpy / name).read_bytes(), name
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
