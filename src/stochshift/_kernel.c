@@ -4,8 +4,7 @@
  * above it.  A traced block also gives each step's objective increment
  * and partial-gradient norm.  shift_rows is the mean-shift batch map of
  * algorithms._shift_rows: every query row moves onto the weighted mean
- * of a sample, as MS's probes do against the input and a BMS sweep's
- * state does against itself.
+ * of a sample, as MS's probes do against the input.
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the

@@ -178,7 +178,7 @@ def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: in
     if queries.ndim != 2 or sample.ndim != 2 or queries.shape[1] != sample.shape[1]:
         raise ValueError("the kernel needs (m, d) queries and an (n, d) sample")
     sqq = np.einsum("ij,ij->i", queries, queries)
-    sqs = sqq if sample is queries else np.einsum("ij,ij->i", sample, sample)
+    sqs = np.einsum("ij,ij->i", sample, sample)
     (m, d), n = queries.shape, sample.shape[0]
     out = np.empty((m, d))
     lib.shift_rows(queries, sqq, m, sample, sqs, n, d, h * h, int(alpha), out)

@@ -44,7 +44,7 @@ share ``run(idx) -> (steps, converged)`` and the step buffers
 MS and BMS share one batch map, ``_shift_rows``: BMS maps the state
 against itself, MS its active probes against the fixed sample.  Handed
 the kernel, it runs ``_native.shift_rows`` (a cell grid on the sample
-for the uniform weight in 2-D, a plain loop otherwise); handed None, it
+for the uniform weight in 2-D, a plain loop otherwise); otherwise it
 walks ``core.pairwise_sq_blocks``, the one such walk here.  MS hands it
 the kernel whenever it loads; BMS always runs the numpy map (see
 ``bms_run``).  Its docstring states how far the two paths agree.
@@ -454,14 +454,14 @@ def sms_run(points, cfg: AlgoConfig):
     return _sms_loop(pts, cfg, steps, rec)
 
 
-def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig, lib):
+def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig, lib=None):
     """Move each query row onto the G-weighted mean of ``sample``; returns ``(new, shifts)``.
 
     With ``lib``, the loaded kernel, ``_native.shift_rows`` does the
     work: it queries a cell grid built on the sample for the uniform
     weight in 2-D with n >= 128, and runs a plain loop over the sample
-    otherwise.  With ``lib`` None the numpy body below does it; it is
-    also the kernel's test reference.
+    otherwise.  Without it the numpy body below does it; it is also the
+    kernel's test reference.  Only ``ms_run`` hands over the kernel.
 
     In the numpy body the uniform (alpha = 1) weight is written into the
     distance block in place as 0.0 / 1.0, whose float row sums are exact
@@ -505,7 +505,7 @@ def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig, lib):
 def bms_sweep(points, cfg: AlgoConfig):
     """One synchronous sweep of ``_shift_rows``; returns ``(new_points, max_shift)``."""
     pts = check_state(points)
-    new, shifts = _shift_rows(pts, pts, cfg, None)
+    new, shifts = _shift_rows(pts, pts, cfg)
     return new, float(shifts.max())
 
 
@@ -522,7 +522,7 @@ def bms_run(points, cfg: AlgoConfig):
     rec = _Recorder("bms", pts, cfg, cfg.trace_objective)
     stop_reason = "max_updates"
     for _ in range(cfg.max_updates // n):
-        pts, shifts = _shift_rows(pts, pts, cfg, None)
+        pts, shifts = _shift_rows(pts, pts, cfg)
         max_shift = float(shifts.max())
         rec.event(pts, max_shift, n)
         if max_shift < cfg.move_tolerance:

@@ -14,7 +14,6 @@ from stochshift import _native
 from stochshift.affinity import knn_sms_run
 from stochshift.algorithms import (
     AlgoConfig,
-    _shift_rows,
     RandomIndexStream,
     bms_run,
     bms_sweep,
@@ -622,25 +621,6 @@ class TestCompiledBatchMap:
     def test_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
         pts, h = plain_loop_input(layout)
         assert assert_same_batch_run(pts, AlgoConfig(algorithm="ms", h=h), monkeypatch).stop_reason == "converged"
-
-    # not the offset layout with alpha = 2: there the identity's rounding,
-    # about 0.02 h^2, enters every smooth weight, not only boundary pairs
-    @pytest.mark.parametrize("name, alpha", [
-        (name, alpha) for name in ["set1", "set3", "dim:5", *PLAIN_LOOP_LAYOUTS] for alpha in (1, 2)
-        if (name, alpha) != ("offset", 2)
-    ])
-    def test_state_against_itself(self, name, alpha):
-        # a BMS sweep's use of the map: the sample is the query array
-        if name in PLAIN_LOOP_LAYOUTS:
-            pts, h = plain_loop_input(name)
-        else:
-            pts, h = generate(parse_preset(name, seed=0)).points, 1.0
-        cfg = AlgoConfig(algorithm="bms", profile=Profile(alpha), h=h)
-        new, shifts = _shift_rows(pts, pts, cfg, _native.load())
-        ref_new, ref_shifts = _shift_rows(pts, pts, cfg, None)
-        atol = 1e-12 * np.abs(ref_new).max()
-        np.testing.assert_allclose(new, ref_new, rtol=0, atol=atol)
-        np.testing.assert_allclose(shifts, ref_shifts, rtol=0, atol=atol)
 
     def test_runs_in_the_kernel(self, monkeypatch):
         rows = []
