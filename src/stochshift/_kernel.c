@@ -1,10 +1,12 @@
 /* The package's one compiled kernel.  sms_block runs one block of
- * distance SMS steps, with the SMS stop rule: stop once every point has
- * been drawn, with a shift below tolerance, since the last shift at or
- * above it.  A traced block also gives each step's objective increment
- * and partial-gradient norm.  shift_rows is the mean-shift batch map of
- * algorithms._shift_rows: every query row moves onto the weighted mean
- * of a sample, as MS's probes do against the input.
+ * distance SMS steps and knn_block one block of score-matrix SMS steps
+ * (affinity.knn_sms_run), both under one stop rule, stop_rule below:
+ * stop once every point has been drawn, with a shift below tolerance,
+ * since the last shift at or above it.  A traced distance block also
+ * gives each step's objective increment and partial-gradient norm.
+ * shift_rows is the mean-shift batch map of algorithms._shift_rows:
+ * every query row moves onto the weighted mean of a sample, as MS's
+ * probes do against the input.
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the
@@ -14,7 +16,11 @@
  * alpha = 1 and alpha * (1 - t)_+^(alpha - 1) for alpha >= 2, and in SMS
  * the drawn point averaged together with its own weight.  The plain loop
  * sums in index order; BLAS sums in its own order and the grid (below)
- * by cells, so positions agree with the numpy path to rounding.
+ * by cells, so positions agree with the numpy path to rounding.  The
+ * neighbour mean of knn_block sums its k rows in order and divides by k,
+ * as numpy's mean over a (k, d) gather does for d >= 2, so its positions
+ * match numpy's bit for bit; its shifts are index-order sums, where
+ * numpy's dot product is BLAS's.
  * Build without -ffast-math and with -ffp-contract=off, so the compiler
  * keeps the order of the sums and the exactness of the two-sum below.
  */
@@ -392,15 +398,35 @@ static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h
     return sqrt(d0 * d0 + d1 * d1);
 }
 
+/* The SMS stop rule after a step of point i with the given shift: a
+ * shift < tol stamps i with the current epoch, and one >= tol starts a
+ * new epoch.  Returns 1 once all n points carry the current epoch.  The
+ * stop state is stamp (n epochs), the epoch and the count of points
+ * stamped in it; a block runner keeps the last two in locals and carries
+ * all three over between blocks in stamp and state = {epoch, covered,
+ * converged}.  Always inlined, so the locals stay in registers in the
+ * step loops. */
+static inline __attribute__((always_inline)) int
+stop_rule(double shift, double tol, int64_t i, int64_t n, int64_t *stamp, int64_t *epoch,
+          int64_t *covered)
+{
+    if (shift < tol) {
+        if (stamp[i] != *epoch) {
+            stamp[i] = *epoch;
+            return ++*covered == n;
+        }
+    } else {
+        ++*epoch;
+        *covered = 0;
+    }
+    return 0;
+}
+
 /* Run the steps idx[0..m) on pts (n x d, row-major) with cached squared
- * norms sqn, writing each step's shift to shifts.  A step of point i with
- * shift < tol stamps i with the current epoch and one with shift >= tol
- * starts a new epoch; the run stops once all n points carry the current
- * epoch.  The stop state lives in stamp (n epochs) and state = {epoch,
- * covered, converged}, and carries over between blocks.  Returns the
- * number of steps taken; state[2] is set to 1 when the stop rule fired on
- * the last of them.  When trace_objective (trace_gradient) is nonzero,
- * step s also writes its objective increment to deltas[s] (its
+ * norms sqn, writing each step's shift to shifts, under stop_rule.
+ * Returns the number of steps taken; state[2] is set to 1 when the stop
+ * rule fired on the last of them.  When trace_objective (trace_gradient)
+ * is nonzero, step s also writes its objective increment to deltas[s] (its
  * partial-gradient norm to grads[s]); a traced block runs move_traced,
  * an untraced one move_grid when the grid applies and the plain loop
  * move_generic otherwise.  scratch holds 2 * d + n doubles. */
@@ -428,21 +454,55 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
         else
             shift = move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, scratch + d, NULL, &total);
         shifts[s++] = shift;
-        if (shift < tol) {
-            if (stamp[i] != epoch) {
-                stamp[i] = epoch;
-                if (++covered == n) {
-                    state[2] = 1;
-                    break;
-                }
-            }
-        } else {
-            epoch++;
-            covered = 0;
+        if (stop_rule(shift, tol, i, n, stamp, &epoch, &covered)) {
+            state[2] = 1;
+            break;
         }
     }
     if (gridded)
         grid_free(&g);
+    state[0] = epoch;
+    state[1] = covered;
+    return s;
+}
+
+/* Run the score-matrix SMS steps idx[0..m) on pts (n x d, row-major),
+ * under stop_rule as in sms_block: a step of point i moves it onto the
+ * mean of the rows nb[i * k + r], r = 0..k-1, summed in that order and
+ * divided by k, and writes its shift to shifts.  The caller guarantees
+ * that every entry of nb lies in [0, n) and that row i of nb holds no i.
+ * scratch holds d doubles. */
+int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k,
+                  const int64_t *idx, int64_t m, double tol, int64_t *stamp, int64_t *state,
+                  double *shifts, double *scratch)
+{
+    int64_t epoch = state[0], covered = state[1];
+    int64_t s = 0;
+    state[2] = 0;
+    while (s < m) {
+        const int64_t i = idx[s];
+        const int64_t *row_nb = nb + i * k;
+        memcpy(scratch, pts + row_nb[0] * d, (size_t)d * sizeof(double));
+        for (int64_t r = 1; r < k; r++) {
+            const double *p = pts + row_nb[r] * d;
+            for (int64_t c = 0; c < d; c++)
+                scratch[c] += p[c];
+        }
+        double *row = pts + i * d;
+        double shift2 = 0.0;
+        for (int64_t c = 0; c < d; c++) {
+            const double v = scratch[c] / (double)k;
+            const double dx = v - row[c];
+            shift2 += dx * dx;
+            row[c] = v;
+        }
+        const double shift = sqrt(shift2);
+        shifts[s++] = shift;
+        if (stop_rule(shift, tol, i, n, stamp, &epoch, &covered)) {
+            state[2] = 1;
+            break;
+        }
+    }
     state[0] = epoch;
     state[1] = covered;
     return s;

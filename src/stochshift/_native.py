@@ -1,15 +1,18 @@
 """The package's compiled kernel, built on first use with the system gcc.
 
 ``_kernel.c`` ships with the package.  It exports ``sms_block``, the
-SMS block runner behind :class:`SmsBlockKernel`, and ``shift_rows``,
-the mean-shift batch map behind :func:`shift_rows`, which ``ms_run``
-runs.  ``load()`` compiles it once into a shared library in the user
-cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, else a per-user
-directory under the system temporary directory), under a file name
-keyed by a hash of the source and the flags, and loads it with ctypes.  Concurrent first uses (``sweep
---workers``) each compile to a private temporary name and publish with
-an atomic ``os.replace``.  The flags are portable: no ``-ffast-math``,
-which would reorder the sums, and no ``-march=native``.
+distance SMS block runner behind :class:`SmsBlockKernel`, ``knn_block``,
+the score-matrix SMS block runner behind :class:`KnnBlockKernel`, and
+``shift_rows``, the mean-shift batch map behind :func:`shift_rows`,
+which ``ms_run`` runs.  The two block runners share one stop rule in C
+and its state and checks here (:class:`_BlockRunner`).  ``load()``
+compiles it once into a shared library in the user cache directory
+(``$XDG_CACHE_HOME`` or ``~/.cache``, else a per-user directory under
+the system temporary directory), under a file name keyed by a hash of
+the source and the flags, and loads it with ctypes.  Concurrent first
+uses (``sweep --workers``) each compile to a private temporary name and
+publish with an atomic ``os.replace``.  The flags are portable: no
+``-ffast-math``, which would reorder the sums, and no ``-march=native``.
 
 Any failure (no gcc, no kernel source, a failed compile, an unwritable
 cache, a library that does not load) makes ``load()`` return None, and callers run the
@@ -98,6 +101,19 @@ def _open(path: Path):
         i64, i64,  # trace_objective, trace_gradient
         f64,  # scratch
     ]
+    lib.knn_block.restype = i64
+    lib.knn_block.argtypes = [
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # pts
+        i64, i64,  # n, d
+        np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),  # nb
+        i64,  # k
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),  # idx
+        i64,  # m
+        ctypes.c_double,  # tol
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # stamp
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # state
+        f64, f64,  # shifts, scratch
+    ]
     lib.shift_rows.restype = None
     lib.shift_rows.argtypes = [
         rows, vec, i64,  # q, sqq, m
@@ -120,15 +136,42 @@ def load():
     return None
 
 
-class SmsBlockKernel:
+class _BlockRunner:
+    """What the two compiled SMS runners share: the state, the stop rule and ``run``.
+
+    The compiled twins of ``algorithms._PySteps``, driven by the same
+    ``algorithms._sms_loop``.  Each holds the state it moves in place,
+    the last block's ``shifts`` and the stop-rule state (the points'
+    epoch stamps, the epoch and its coverage count, which carry over
+    between blocks); sizes, dtypes and contiguity are fixed here, so
+    every pointer handed to the library is valid for the call.  A
+    subclass's ``_block(idx)`` runs one checked index block in C.
+    """
+
+    def __init__(self, lib, pts: np.ndarray, block: int):
+        if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous:
+            raise ValueError("the kernel needs a C-contiguous float64 (n, d) state")
+        self.pts = pts
+        self.shifts = np.empty(block)
+        self._lib = lib
+        self._n, self._d = pts.shape
+        self._stamp = np.full(self._n, -1, dtype=np.int64)
+        self._state = np.zeros(3, dtype=np.int64)  # epoch, covered, converged
+
+    def run(self, idx: np.ndarray) -> tuple[int, bool]:
+        """Apply the steps of ``idx`` until the stop rule fires; returns (steps, converged)."""
+        if idx.dtype != np.int64 or idx.ndim != 1 or idx.shape[0] > self.shifts.shape[0]:
+            raise ValueError("index block must be a 1-d int64 array no longer than the shift buffer")
+        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self._n):
+            raise ValueError("index out of range")
+        steps = self._block(np.ascontiguousarray(idx))
+        return int(steps), bool(self._state[2])
+
+
+class SmsBlockKernel(_BlockRunner):
     """Runs blocks of distance SMS steps on one state in place.
 
-    The compiled twin of ``algorithms._PySteps``, driven by the same
-    ``algorithms._sms_loop``.  Holds the cached squared norms, the
-    stop-rule state (the points' epoch stamps, the epoch and its coverage
-    count, which carry over between blocks) and the buffers
-    the kernel writes; sizes, dtypes and contiguity are fixed here, so
-    every pointer handed to the library is valid for the call.  As in
+    Holds the cached squared norms beside the shared state.  As in
     ``_PySteps``, ``deltas`` (objective increments) and ``grads``
     (partial-gradient norms) are None unless ``trace_objective`` and
     ``trace_gradient`` ask for them; the library is always handed both
@@ -137,33 +180,52 @@ class SmsBlockKernel:
 
     def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, block: int,
                  trace_objective: bool, trace_gradient: bool):
-        if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous:
-            raise ValueError("the kernel needs a C-contiguous float64 (n, d) state")
-        self.pts = pts
-        # the last block's shifts, increments and gradient norms
-        self.shifts, self._deltas, self._grads = np.empty((3, block))
+        super().__init__(lib, pts, block)
+        # the last block's increments and gradient norms
+        self._deltas, self._grads = np.empty((2, block))
         self.deltas = self._deltas if trace_objective else None
         self.grads = self._grads if trace_gradient else None
         self._trace = int(bool(trace_objective)), int(bool(trace_gradient))
-        self._lib = lib
-        self._n, self._d = pts.shape
         self._h2, self._alpha, self._tol = h * h, int(alpha), float(tol)
         self._sqn = np.einsum("ij,ij->i", pts, pts)
-        self._stamp = np.full(self._n, -1, dtype=np.int64)
-        self._state = np.zeros(3, dtype=np.int64)  # epoch, covered, converged
         self._scratch = np.empty(2 * self._d + self._n)
 
-    def run(self, idx: np.ndarray) -> tuple[int, bool]:
-        """Apply the steps of ``idx`` until the stop rule fires; returns (steps, converged)."""
-        if idx.dtype != np.int64 or idx.ndim != 1 or idx.shape[0] > self.shifts.shape[0]:
-            raise ValueError("index block must be a 1-d int64 array no longer than the shift buffer")
-        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self._n):
-            raise ValueError("index out of range")
-        steps = self._lib.sms_block(self.pts, self._sqn, self._n, self._d, np.ascontiguousarray(idx),
-                                    idx.shape[0], self._h2, self._alpha, self._tol, self._stamp,
-                                    self._state, self.shifts, self._deltas, self._grads, *self._trace,
-                                    self._scratch)
-        return int(steps), bool(self._state[2])
+    def _block(self, idx: np.ndarray) -> int:
+        return self._lib.sms_block(self.pts, self._sqn, self._n, self._d, idx, idx.shape[0], self._h2,
+                                   self._alpha, self._tol, self._stamp, self._state, self.shifts,
+                                   self._deltas, self._grads, *self._trace, self._scratch)
+
+
+class KnnBlockKernel(_BlockRunner):
+    """Runs blocks of score-matrix SMS steps on one state in place.
+
+    A step moves point i onto the mean of the rows ``neighbors[i]``.  The
+    (n, k) int64 table is checked here, because the library reads the
+    rows it names unchecked: every entry must lie in [0, n), and row i
+    must not hold i.  The move has no objective, so ``deltas`` and
+    ``grads`` are None.
+    """
+
+    deltas = grads = None
+
+    def __init__(self, lib, pts: np.ndarray, neighbors: np.ndarray, tol: float, block: int):
+        super().__init__(lib, pts, block)
+        nb = np.asarray(neighbors)
+        if nb.dtype != np.int64 or nb.ndim != 2 or nb.shape[0] != self._n or nb.shape[1] < 1:
+            raise ValueError(f"neighbour table must be a ({self._n}, k) int64 array with k >= 1, "
+                             f"got {nb.dtype} {nb.shape}")
+        if int(nb.min()) < 0 or int(nb.max()) >= self._n:
+            raise ValueError(f"neighbour index out of range [0, {self._n})")
+        if np.any(nb == np.arange(self._n)[:, None]):
+            raise ValueError("a point is listed among its own neighbours")
+        self._nb = np.ascontiguousarray(nb)
+        self._k = nb.shape[1]
+        self._tol = float(tol)
+        self._scratch = np.empty(self._d)
+
+    def _block(self, idx: np.ndarray) -> int:
+        return self._lib.knn_block(self.pts, self._n, self._d, self._nb, self._k, idx, idx.shape[0],
+                                   self._tol, self._stamp, self._state, self.shifts, self._scratch)
 
 
 def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: int) -> np.ndarray:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AlgoConfig, _PySteps, _Recorder, _sms_loop
-from .core import check_state
+from . import _native
+from .algorithms import _BLOCK, AlgoConfig, _PySteps, _Recorder, _sms_loop
+from .core import _row_blocks, check_state
 
 __all__ = ["PreprocessConfig", "spherical_normalize", "top_score_neighbors", "knn_sms_run"]
 
@@ -94,7 +95,13 @@ def top_score_neighbors(scores, k: int) -> np.ndarray:
     """For each column i, the k rows j != i with the highest scores[j, i].
 
     Ties break toward the lower index.  Returns an (n, k) int array of
-    neighbour indices, each row sorted by descending score.
+    neighbour indices, each row sorted by descending score.  Row i of the
+    negated transpose, with +inf in place of the self score, ranks
+    column i's scores; ``np.partition`` finds each row's k-th best value,
+    and only the entries at or above it are sorted, by (row, score,
+    index), so the cost is linear in the matrix and not n log n per
+    column.  Rows go in blocks under ``core``'s block rule, so the
+    temporaries stay O(chunk * n).
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
@@ -104,9 +111,14 @@ def top_score_neighbors(scores, k: int) -> np.ndarray:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
     out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        order = np.argsort(-s[:, i], kind="stable")
-        out[i] = order[order != i][:k]
+    for lo, hi in _row_blocks(n, n):
+        cost = -s[:, lo:hi].T
+        cost[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # self last: n - 1 finite entries fill k
+        kth = np.partition(cost, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(cost <= kth[:, None])  # at least k per row, in row-major order
+        order = np.lexsort((cols, cost[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(hi - lo))  # the lexsort keeps each row's span
+        out[lo:hi] = cols[order][starts[:, None] + np.arange(k)]
     return out
 
 
@@ -120,20 +132,35 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
     shift.  The move has no objective, so a config that traces the
     objective or the gradient is rejected, as is a score matrix that is
     not n x n for the n points.
+
+    The steps run in the compiled kernel (``_native.KnnBlockKernel``)
+    when it loads and the points have d >= 2, and on the numpy runner
+    otherwise.  For d >= 2 numpy's mean over the (k, d) gather sums the
+    rows in order and divides by k, as the kernel does, so both take the
+    same steps to the same bits; only the shifts differ in the last
+    bits, as numpy's dot product sums in BLAS's order, so a stop
+    decision can differ only for a shift within rounding of the
+    tolerance.  For d = 1 and k >= 8 numpy sums a (k, 1) gather in its
+    own unrolled order, which the kernel would not match, so d = 1 stays
+    on numpy.
     """
     if cfg.trace_objective or cfg.trace_gradient:
         raise ValueError("knn_sms_run has no objective to trace; "
                          "set trace_objective and trace_gradient to False")
     pts = check_state(points).copy()
-    n = pts.shape[0]
+    n, d = pts.shape
     if np.shape(scores) != (n, n):
         raise ValueError(f"score matrix must be ({n}, {n}) for {n} points, got {np.shape(scores)}")
     neighbor_sets = top_score_neighbors(scores, k)
+    lib = _native.load() if d > 1 else None
+    if lib is not None:
+        steps = _native.KnnBlockKernel(lib, pts, neighbor_sets, cfg.move_tolerance, _BLOCK)
+    else:
+        def move(i):
+            new = pts[neighbor_sets[i]].mean(axis=0)
+            dx = new - pts[i]
+            pts[i] = new
+            return math.sqrt(dx @ dx), None, None
 
-    def move(i):
-        new = pts[neighbor_sets[i]].mean(axis=0)
-        dx = new - pts[i]
-        pts[i] = new
-        return math.sqrt(dx @ dx), None, None
-
-    return _sms_loop(pts, cfg, _PySteps(move, n, cfg), _Recorder("sms", pts, cfg))
+        steps = _PySteps(move, n, cfg)
+    return _sms_loop(pts, cfg, steps, _Recorder("sms", pts, cfg))

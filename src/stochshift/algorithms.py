@@ -28,7 +28,7 @@ budget.  A runner applies each block with the stop rule, keeping its
 state between blocks, and the loop records the block.  The stop rule:
 a step with shift >= tol starts a new epoch, one below tol stamps its
 point into the current epoch, and the run stops once all n points carry
-the current epoch's stamp.  The two runners
+the current epoch's stamp.  The runners
 share ``run(idx) -> (steps, converged)`` and the step buffers
 ``shifts``, ``deltas`` and ``grads`` (None when untraced):
 
@@ -38,8 +38,13 @@ share ``run(idx) -> (steps, converged)`` and the step buffers
 * ``_native.SmsBlockKernel`` runs distance SMS in C, traced or not,
   averaging the same points as ``_sms_move`` and taking the increment
   and the gradient norm in its form (see ``_kernel.c``).
-  ``sms_run`` uses it whenever it loads; ``_PySteps`` is the fallback
-  and its test reference.
+  ``sms_run`` uses it whenever it loads.
+* ``_native.KnnBlockKernel`` runs the neighbour-mean move in C, to the
+  same positions as numpy's for d >= 2.  ``knn_sms_run`` uses it
+  whenever it loads and d >= 2 (see its docstring).
+
+The two compiled runners share one stop rule in C.  ``_PySteps`` is
+their fallback and their test reference.
 
 MS and BMS share one batch map, ``_shift_rows``: BMS maps the state
 against itself, MS its active probes against the fixed sample.  Handed
@@ -421,8 +426,8 @@ class _PySteps:
 def _sms_loop(pts, cfg: AlgoConfig, steps, rec: _Recorder):
     """The one SMS loop, shared by :func:`sms_run` and ``knn_sms_run``.
 
-    Runs each index block through ``steps``, a ``_PySteps`` or an
-    ``_native.SmsBlockKernel``, records it through ``rec`` and stops
+    Runs each index block through ``steps``, a ``_PySteps``, an
+    ``_native.SmsBlockKernel`` or an ``_native.KnnBlockKernel``, records it through ``rec`` and stops
     when the stop rule fires; returns ``(pts, RunTrace)``.
     """
     for block in _index_blocks(pts.shape[0], cfg):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochshift import _native
 from stochshift.affinity import (
     PreprocessConfig,
     knn_sms_run,
@@ -12,6 +13,7 @@ from stochshift.affinity import (
 from stochshift.algorithms import AlgoConfig, RandomIndexStream, sms_step
 from stochshift.core import neighborhood
 from stochshift.kernels import EPANECHNIKOV
+from stochshift.synthdata import generate, parse_preset
 
 
 class TestSphericalNormalize:
@@ -99,6 +101,24 @@ class TestTopScoreNeighbors:
         with pytest.raises(ValueError, match="score matrix"):
             top_score_neighbors(np.zeros((3, 4)), 1)
 
+    def test_matches_sorting_loop_on_tie_heavy_matrices(self):
+        # the rule, as one stable sort per column: descending score, ties
+        # to the lower index, self excluded; few distinct values force ties
+        # across the k-th place
+        def sorting_loop(s, k):
+            out = np.empty((s.shape[0], k), dtype=np.int64)
+            for i in range(s.shape[0]):
+                order = np.argsort(-s[:, i], kind="stable")
+                out[i] = order[order != i][:k]
+            return out
+
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            k = int(rng.integers(1, n))
+            scores = rng.integers(-2, 3, size=(n, n)).astype(np.float64)
+            np.testing.assert_array_equal(top_score_neighbors(scores, k), sorting_loop(scores, k))
+
     def test_scalar_scores_rejected(self):
         with pytest.raises(ValueError, match=r"score matrix must be a square \(n, n\) array, got shape \(\)"):
             top_score_neighbors(3.0, 1)
@@ -179,6 +199,18 @@ class TestKnnSmsRun:
         with pytest.raises(ValueError, match="for 30 points"):
             knn_sms_run(pts, scores, 3, AlgoConfig())
 
+    def test_one_column_runs_on_numpy(self, monkeypatch):
+        # numpy sums a (k, 1) gather in its own order for k >= 8, which the
+        # kernel's in-order sum would not match
+        def no_kernel(*args):
+            raise AssertionError("a d = 1 run reached the kernel")
+
+        monkeypatch.setattr(_native, "KnnBlockKernel", no_kernel)
+        pts = np.random.default_rng(9).normal(size=(40, 1))
+        diff = pts - pts.T
+        _, trace = knn_sms_run(pts, -diff * diff, 8, AlgoConfig(seed=2))
+        assert trace.stop_reason == "converged"
+
     @pytest.mark.parametrize("flag", ["trace_objective", "trace_gradient"])
     def test_traced_config_rejected(self, flag):
         # the neighbour-mean move has no objective, so a trace would be all None
@@ -186,3 +218,88 @@ class TestKnnSmsRun:
         pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
         with pytest.raises(ValueError, match="trace"):
             knn_sms_run(pts, pts @ pts.T, 3, AlgoConfig(**{flag: True}))
+
+
+def embedding(name, target_dim, step):
+    """Every step-th point of preset ``name`` (data seed 0), spherically normalised, and its cosine scores."""
+    pts = generate(parse_preset(name, seed=0)).points[::step]
+    z = spherical_normalize(pts, PreprocessConfig(target_dim=target_dim))
+    return z, z @ z.T
+
+
+def assert_same_knn_run(points, scores, k, cfg, monkeypatch):
+    """The compiled score-matrix runner takes the numpy runner's steps, to the same bits.
+
+    For d >= 2 both sum a point's k neighbour rows in order and divide by
+    k, so update counts, moved indices, stop reasons and final positions
+    are identical.  The shifts are index-order sums in C and BLAS dot
+    products in numpy, so they agree within 4 eps relative, and a stop
+    decision can differ only for a shift within rounding of the
+    tolerance; the runs here have none.
+    """
+    blocks = []
+    kernel_run = _native.KnnBlockKernel.run
+
+    def counted(self, idx):
+        blocks.append(idx.shape[0])
+        return kernel_run(self, idx)
+
+    with monkeypatch.context() as m:
+        m.setattr(_native.KnnBlockKernel, "run", counted)
+        final, trace = knn_sms_run(points, scores, k, cfg)
+    assert blocks, "the run did not reach the kernel"
+    with monkeypatch.context() as m:
+        m.setattr(_native, "load", lambda: None)
+        ref_final, ref = knn_sms_run(points, scores, k, cfg)
+    np.testing.assert_array_equal(trace.update_count, ref.update_count)
+    np.testing.assert_array_equal(trace.moved_index, ref.moved_index)
+    assert (trace.total_updates, trace.stop_reason) == (ref.total_updates, ref.stop_reason)
+    np.testing.assert_array_equal(final, ref_final)
+    np.testing.assert_allclose(trace.shift, ref.shift, rtol=4 * np.finfo(np.float64).eps, atol=0)
+    return trace
+
+
+class TestCompiledKnnSms:
+    """The C runner of score-matrix SMS against the numpy runner, its reference."""
+
+    @pytest.fixture(autouse=True)
+    def needs_kernel(self):
+        if _native.load() is None:
+            pytest.skip("the kernel could not be built here (no gcc?)")
+
+    # subsamples keep the numpy reference runs short; a 2-D embedding
+    # does not settle within 1e7 updates, so its budget is capped
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name, target_dim, step, budget, reason", [
+        pytest.param("dim:16", 8, 5, 10_000_000, "converged", id="dim:16"),
+        pytest.param("dim:5", 4, 10, 10_000_000, "converged", id="dim:5"),
+        pytest.param("set1", 2, 5, 10_000, "max_updates", id="set1-2d"),
+    ])
+    def test_embeddings_match_numpy_runner(self, name, target_dim, step, budget, reason, seed, monkeypatch):
+        z, scores = embedding(name, target_dim, step)
+        trace = assert_same_knn_run(z, scores, 10, AlgoConfig(seed=seed, max_updates=budget), monkeypatch)
+        assert trace.stop_reason == reason
+
+    @pytest.mark.parametrize("table", ["too_high", "negative", "self", "short", "int32", "empty"])
+    def test_bad_neighbour_table_rejected_before_the_kernel(self, table):
+        class NoCalls:
+            def __getattr__(self, name):
+                raise AssertionError(f"kernel function {name} reached")
+
+        n = 12
+        pts = np.random.default_rng(1).normal(size=(n, 3))
+        nb = (np.arange(n)[:, None] + np.arange(1, 4)) % n
+        if table == "too_high":
+            nb[5, 1] = n
+        elif table == "negative":
+            nb[0, 0] = -1
+        elif table == "self":
+            nb[7, 2] = 7
+        elif table == "short":
+            nb = nb[:-1]
+        elif table == "int32":
+            nb = nb.astype(np.int32)
+        elif table == "empty":
+            nb = nb[:, :0]
+        with pytest.raises(ValueError, match="neighbour"):
+            _native.KnnBlockKernel(NoCalls(), pts, nb, 1e-6, 4096)

@@ -656,7 +656,7 @@ def test_kernel_prototype_matches_c_definition():
         pytest.skip("the kernel could not be built here (no gcc?)")
     source = _native._SOURCE.read_text()
     exported = re.findall(r"^(int64_t|void)\s+(\w+)\s*\(([^)]*)\)", source, flags=re.M)
-    assert sorted(name for _, name, _ in exported) == ["shift_rows", "sms_block"]
+    assert sorted(name for _, name, _ in exported) == ["knn_block", "shift_rows", "sms_block"]
     pointees = {"double": np.float64, "int64_t": np.int64}
     scalars = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
     restypes = {"int64_t": ctypes.c_int64, "void": None}
@@ -724,7 +724,8 @@ class TestStopRule:
         assert trace.stop_reason == "converged"
         assert_stop_rule(trace, data.n, cfg.move_tolerance)
 
-    def test_score_matrix_run(self):
+    @staticmethod
+    def assert_score_matrix_run():
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(60, 3))
         diff = pts[:, None, :] - pts[None, :, :]
@@ -732,6 +733,13 @@ class TestStopRule:
         _, trace = knn_sms_run(pts, -np.einsum("ijk,ijk->ij", diff, diff), 5, cfg)
         assert trace.stop_reason == "converged"
         assert_stop_rule(trace, pts.shape[0], cfg.move_tolerance)
+
+    def test_score_matrix_run(self):
+        self.assert_score_matrix_run()  # the kernel, when it loads
+
+    def test_score_matrix_numpy_run(self, monkeypatch):
+        monkeypatch.setattr(_native, "load", lambda: None)
+        self.assert_score_matrix_run()
 
     def test_budget_spent_before_coverage(self):
         data = generate(preset("set1", seed=0))
