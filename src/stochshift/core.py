@@ -13,11 +13,11 @@ pairing rows of ``a`` (n_a of them) with n_b entries each holds at most
 :func:`pairwise_sq_blocks` yields such blocks of squared distances from
 the cached-norm identity, for kernel weights and cluster linking;
 :func:`_diff_sq_blocks` yields exact ones from direct coordinate
-differences under the same rule with n_b = m * d, for geometry that is
-compared against thresholds near zero (cluster diameters and the theory
-checks).  Memory is thus O(chunk * n) with chunk * n <= 2^22, a few
-such blocks at a time, however large n is; a state of up to 2048 points
-is a single identity block.
+differences (:func:`_diff_sq_rows`) under the same rule with n_b = m * d,
+for geometry compared against thresholds near zero (cluster diameters
+and the theory checks).  Memory is thus O(chunk * n) with
+chunk * n <= 2^22, a few such blocks at a time, however large n is; a
+state of up to 2048 points is a single identity block.
 """
 
 from __future__ import annotations
@@ -72,20 +72,22 @@ def pairwise_sq_blocks(a: np.ndarray, b: np.ndarray):
         yield lo, hi, sq
 
 
-def _diff_sq_blocks(points: np.ndarray):
-    """Yield ``(lo, hi, sq)`` with sq[r, j] = ||p[lo + r] - p[j]||^2, exactly.
+def _diff_sq_rows(points: np.ndarray, rows) -> np.ndarray:
+    """sq[r, j] = ||p[rows][r] - p[j]||^2, exactly, for a slice or index array ``rows``.
 
     Each entry squares direct coordinate differences, so coincident
     points measure exactly 0 and nothing cancels near a large offset,
-    unlike :func:`pairwise_sq_blocks`.  Each rows x m x d difference
-    block follows the module's block rule with n_b = m * d.
+    unlike :func:`pairwise_sq_blocks`.  Entries (i, j) and (j, i) are equal.
     """
+    diff = points[rows, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _diff_sq_blocks(points: np.ndarray):
+    """Yield ``(lo, hi, sq)``: :func:`_diff_sq_rows` of row blocks under the block rule, n_b = m * d."""
     m, d = points.shape
     for lo, hi in _row_blocks(m, m * d):
-        diff = points[lo:hi, None, :] - points[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        del diff  # not held while the caller keeps this sq and the next block is built
-        yield lo, hi, sq
+        yield lo, hi, _diff_sq_rows(points, slice(lo, hi))
 
 
 _MAX_SQ_NORM = np.finfo(np.float64).max / 4  # largest squared row norm a state may have
