@@ -4,20 +4,22 @@
 distance SMS block runner behind :class:`SmsBlockKernel`, ``knn_block``,
 the score-matrix SMS block runner behind :class:`KnnBlockKernel`, and
 ``shift_rows``, the mean-shift batch map behind :func:`shift_rows`,
-which ``ms_run`` runs.  The two block runners share one stop rule in C
-and its state and checks here (:class:`_BlockRunner`).  ``load()``
-compiles it once into a shared library in the user cache directory
-(``$XDG_CACHE_HOME`` or ``~/.cache``, else a per-user directory under
-the system temporary directory), under a file name keyed by a hash of
-the source and the flags, and loads it with ctypes.  Concurrent first
+which ``algorithms._shift_rows`` runs for MS and BMS.  The two block
+runners share one stop rule in C and its state and checks here
+(:class:`_BlockRunner`).  ``load()`` compiles it once into a shared
+library in the user cache directory (``$XDG_CACHE_HOME`` or
+``~/.cache``, else a per-user directory under the system temporary
+directory), under a file name keyed by a hash of the source and the
+flags, and loads it with ctypes.  Concurrent first
 uses (``sweep --workers``) each compile to a private temporary name and
 publish with an atomic ``os.replace``.  The flags are portable: no
 ``-ffast-math``, which would reorder the sums, and no ``-march=native``.
 
 Any failure (no gcc, no kernel source, a failed compile, an unwritable
-cache, a library that does not load) makes ``load()`` return None, and callers run the
-numpy path instead, which is also the reference the kernel is tested
-against.
+cache or one another user owns, a library that does not load) makes
+``load()`` log the reason once at WARNING on the ``stochshift`` logger
+and return None, and callers run the numpy path instead, which is also
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import logging
 import os
 import subprocess
 import tempfile
@@ -36,6 +39,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILER = "gcc"
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
+_log = logging.getLogger("stochshift")
 
 
 def _cache_dirs() -> list[Path]:
@@ -51,37 +55,36 @@ def library_path(cache_dir: Path) -> Path:
     return Path(cache_dir) / f"kernel-{key}.so"
 
 
-def build(cache_dir: Path) -> Path | None:
+def build(cache_dir: Path) -> Path:
     """Return the compiled library in ``cache_dir``, compiling it if absent.
 
-    Returns None when the source is missing, the directory cannot be made
-    or is not the user's own, or the compiler is missing or fails.
+    Raises OSError when the source or the compiler is missing or the
+    directory cannot be made or is not the user's own, and
+    ``subprocess.SubprocessError`` when the compile fails; no
+    half-written library is left behind.
     """
-    tmp = None
+    target = library_path(cache_dir)
+    cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+    if hasattr(os, "getuid") and cache_dir.stat().st_uid != os.getuid():
+        # never load code from a directory another user controls
+        raise PermissionError(f"{cache_dir} is owned by another user")
+    if target.is_file():
+        return target
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache_dir)
+    os.close(fd)
     try:
-        target = library_path(cache_dir)
-        cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
-        if hasattr(os, "getuid") and cache_dir.stat().st_uid != os.getuid():
-            return None  # never load code from a directory another user controls
-        if target.is_file():
-            return target
-        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache_dir)
-        os.close(fd)
         subprocess.run([_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"], check=True,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=_COMPILE_TIMEOUT_S)
         os.replace(tmp, target)
-        return target
-    except (OSError, subprocess.SubprocessError):
-        if tmp is not None and os.path.exists(tmp):
+    finally:
+        if os.path.exists(tmp):
             os.unlink(tmp)
-        return None
+    return target
 
 
 def _open(path: Path):
-    try:
-        lib = ctypes.CDLL(str(path))
-    except OSError:
-        return None
+    """The library at ``path`` with its prototypes set; raises OSError if it does not load."""
+    lib = ctypes.CDLL(str(path))
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
@@ -127,12 +130,14 @@ def _open(path: Path):
 
 @functools.cache
 def load():
-    """The loaded kernel library, or None when it cannot be built or loaded."""
+    """The loaded kernel library, or None (with one warning) when it cannot be built or loaded."""
+    reasons = []
     for cache_dir in _cache_dirs():
-        path = build(cache_dir)
-        lib = None if path is None else _open(path)
-        if lib is not None:
-            return lib
+        try:
+            return _open(build(cache_dir))
+        except (OSError, subprocess.SubprocessError) as exc:
+            reasons.append(f"{cache_dir}: {exc}")
+    _log.warning("compiled kernel unavailable, running on numpy (%s)", "; ".join(reasons))
     return None
 
 

@@ -47,12 +47,12 @@ The two compiled runners share one stop rule in C.  ``_PySteps`` is
 their fallback and their test reference.
 
 MS and BMS share one batch map, ``_shift_rows``: BMS maps the state
-against itself, MS its active probes against the fixed sample.  Handed
-the kernel, it runs ``_native.shift_rows`` (a cell grid on the sample
-for the uniform weight in 2-D, a plain loop otherwise); otherwise it
-walks ``core.pairwise_sq_blocks``, the one such walk here.  MS hands it
-the kernel whenever it loads; BMS always runs the numpy map (see
-``bms_run``).  Its docstring states how far the two paths agree.
+against itself, MS its active probes against the fixed sample.  It is
+the one place that picks the batch path: whenever the kernel loads it
+runs ``_native.shift_rows`` (a cell grid on the sample for the uniform
+weight in 2-D, a plain loop otherwise), and otherwise it walks
+``core.pairwise_sq_blocks``, the one such walk here.  Its docstring
+states how far the two paths agree.
 
 Budgets are counted in point-updates so the three are unit-consistent:
 one SMS step is 1 update, one BMS sweep is n updates, one MS inner
@@ -459,14 +459,14 @@ def sms_run(points, cfg: AlgoConfig):
     return _sms_loop(pts, cfg, steps, rec)
 
 
-def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig, lib=None):
+def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
     """Move each query row onto the G-weighted mean of ``sample``; returns ``(new, shifts)``.
 
-    With ``lib``, the loaded kernel, ``_native.shift_rows`` does the
-    work: it queries a cell grid built on the sample for the uniform
-    weight in 2-D with n >= 128, and runs a plain loop over the sample
-    otherwise.  Without it the numpy body below does it; it is also the
-    kernel's test reference.  Only ``ms_run`` hands over the kernel.
+    When the kernel loads, ``_native.shift_rows`` does the work: it
+    queries a cell grid built on the sample for the uniform weight in
+    2-D with n >= 128, and runs a plain loop over the sample otherwise.
+    Without it the numpy body below does it; it is also the kernel's
+    test reference.
 
     In the numpy body the uniform (alpha = 1) weight is written into the
     distance block in place as 0.0 / 1.0, whose float row sums are exact
@@ -479,15 +479,16 @@ def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig, lib=No
     The two paths average the same sample points except where the
     identity rounds a distance within rounding of h differently, and sum
     them in different orders (BLAS against cells or index order).  Over
-    MS runs the rule, with s the largest absolute coordinate of the final
-    state: update counts, stop reasons, ``unconverged`` and partitions
-    are identical; final positions agree within 1e-12 s; mid-run shifts
-    and snapshots within 1e-12 s for alpha = 1 and 1e-10 s for
-    alpha >= 2, where a collapse amplifies the rounding before it closes
-    again.  Far from the origin the identity rounds by about eps |x|^2, a
-    few hundredths of h^2 at coordinates around 1e7 h, and the two paths
-    can then part ways.
+    MS and BMS runs the rule, with s the largest absolute coordinate of
+    the final state: update counts, stop reasons, ``unconverged`` and
+    partitions are identical; final positions agree within 1e-12 s;
+    mid-run shifts and snapshots within 1e-12 s for alpha = 1 and
+    1e-10 s for alpha >= 2, where a collapse amplifies the rounding
+    before it closes again.  Far from the origin the identity rounds by
+    about eps |x|^2, a few hundredths of h^2 at coordinates around 1e7 h,
+    and the two paths can then part ways.
     """
+    lib = _native.load()
     if lib is not None:
         new = _native.shift_rows(lib, queries, sample, cfg.h, cfg.profile.alpha)
     else:
@@ -515,13 +516,7 @@ def bms_sweep(points, cfg: AlgoConfig):
 
 
 def bms_run(points, cfg: AlgoConfig):
-    """Repeat synchronous sweeps until the maximal shift converges.
-
-    Sweeps run on the numpy map, whose cost grows as n^2 per sweep:
-    acceptance criterion 7 requires that growth of BMS wall time (a
-    log-log slope in [1.6, 2.4] over n = 30 to 3000), and the kernel's
-    gridded map reads a slope of about 1.0.
-    """
+    """Repeat synchronous sweeps of ``_shift_rows`` until the maximal shift converges."""
     pts = check_state(points).copy()  # once: a sweep keeps each row a convex combination of rows
     n = pts.shape[0]
     rec = _Recorder("bms", pts, cfg, cfg.trace_objective)
@@ -555,12 +550,11 @@ def ms_run(points, cfg: AlgoConfig):
     n = sample.shape[0]
     probes = sample.copy()
     rec = _Recorder("ms", sample, cfg)
-    lib = _native.load()
     active = np.arange(n)
     for _ in range(cfg.max_updates // n):
         if active.size == 0:
             break
-        new, shifts = _shift_rows(probes[active], sample, cfg, lib)
+        new, shifts = _shift_rows(probes[active], sample, cfg)
         probes[active] = new
         rec.event(probes, float(shifts.max()), int(active.size))
         active = active[shifts >= cfg.move_tolerance]

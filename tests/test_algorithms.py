@@ -175,6 +175,14 @@ class TestBmsSweep:
         assert not np.allclose(new, sequential)
 
 
+class TestBmsSweepNumpy(TestBmsSweep):
+    """The same sweeps on the numpy map."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_map(self, monkeypatch):
+        monkeypatch.setattr(_native, "load", lambda: None)
+
+
 class TestMsRun:
     def test_single_point(self):
         modes, trace = ms_run(np.array([[2.0, 3.0]]), AlgoConfig(algorithm="ms"))
@@ -386,11 +394,10 @@ def assert_same_run(points, cfg, monkeypatch):
     return trace
 
 
-# MS and BMS cases on the default runner (for MS the kernel when it loads)
-# and MS on the numpy fallback (BMS always runs it); the default case keeps
-# the plain id
-RUNNER_CASES = [("ms", "default"), ("bms", "default"), ("ms", "numpy")]
-RUNNER_IDS = ["ms", "bms", "ms-numpy"]
+# MS and BMS cases on the default runner (the kernel when it loads) and on
+# the numpy fallback; the default case keeps the plain id
+RUNNER_CASES = [("ms", "default"), ("bms", "default"), ("ms", "numpy"), ("bms", "numpy")]
+RUNNER_IDS = ["ms", "bms", "ms-numpy", "bms-numpy"]
 
 
 def use_runner(runner, monkeypatch):
@@ -441,7 +448,7 @@ class TestCompiledSms:
         assert assert_same_run(pts, AlgoConfig(seed=1), monkeypatch).stop_reason == "converged"
 
     @pytest.mark.parametrize("missing", ["_COMPILER", "_SOURCE"])
-    def test_failed_build_falls_back(self, missing, monkeypatch, tmp_path):
+    def test_failed_build_falls_back(self, missing, monkeypatch, tmp_path, caplog):
         monkeypatch.setattr(_native, missing, tmp_path / "missing")
         monkeypatch.setattr(_native, "_cache_dirs", lambda: [tmp_path / "cache"])
         _native.load.cache_clear()
@@ -449,10 +456,28 @@ class TestCompiledSms:
             assert _native.load() is None
             data = generate(preset("set2", seed=3))
             _, trace = sms_run(data.points, AlgoConfig(seed=5))
+            for algorithm in ("ms", "bms"):
+                run(data.points, AlgoConfig(algorithm=algorithm))
         finally:
             _native.load.cache_clear()
         assert trace.stop_reason == "converged"
         assert not any((tmp_path / "cache").glob("*"))  # no half-written library
+        # the fallback is reported once, with its reason
+        records = [r for r in caplog.records if r.name == "stochshift"]
+        assert [r.levelname for r in records] == ["WARNING"]
+        assert "compiled kernel unavailable" in records[0].message
+        assert str(tmp_path / "missing") in records[0].message
+
+    def test_cache_of_another_user_is_refused(self, monkeypatch, tmp_path, caplog):
+        monkeypatch.setattr(_native, "_cache_dirs", lambda: [tmp_path])
+        monkeypatch.setattr(_native.os, "getuid", lambda: tmp_path.stat().st_uid + 1)
+        _native.load.cache_clear()
+        try:
+            assert _native.load() is None
+        finally:
+            _native.load.cache_clear()
+        assert list(tmp_path.iterdir()) == []
+        assert "is owned by another user" in caplog.text
 
     def test_second_build_compiles_nothing(self, monkeypatch, tmp_path):
         path = _native.build(tmp_path)
@@ -523,10 +548,9 @@ class TestCompiledTracedSms:
 
 
 def assert_same_batch_run(points, cfg, monkeypatch):
-    """The compiled MS map takes the numpy path's iterations, to rounding.
+    """The compiled batch map takes the numpy path's MS iterations or BMS sweeps, to rounding.
 
-    The rule for MS runs, with s the largest absolute coordinate of the
-    final state:
+    The rule, with s the largest absolute coordinate of the final state:
     * identical: update counts, moved indices, stop reasons, snapshot
       update counts, ``unconverged`` and partitions;
     * final positions within 1e-12 s;
@@ -538,12 +562,14 @@ def assert_same_batch_run(points, cfg, monkeypatch):
       imbalance:2 and dim:5, five data seeds, two for set3) the largest
       mid-run gaps were 8e-14 s at alpha = 1 and 3.1e-11 s at
       alpha >= 2 (set3, alpha = 3, MS), and the largest final gap
-      3.6e-14 s.
+      3.6e-14 s;
+    * traced BMS objectives under the mid-run factor times L, the largest
+      objective of the run, and the starting objective identical.
     """
-    final, trace = ms_run(points, cfg)
+    final, trace = run(points, cfg)
     with monkeypatch.context() as m:
         m.setattr(_native, "load", lambda: None)
-        ref_final, ref = ms_run(points, cfg)
+        ref_final, ref = run(points, cfg)
     np.testing.assert_array_equal(trace.update_count, ref.update_count)
     np.testing.assert_array_equal(trace.moved_index, ref.moved_index)
     assert (trace.total_updates, trace.stop_reason) == (ref.total_updates, ref.stop_reason)
@@ -551,10 +577,14 @@ def assert_same_batch_run(points, cfg, monkeypatch):
     assert [k for k, _ in trace.snapshots] == [k for k, _ in ref.snapshots]
     scale = np.abs(ref_final).max()
     np.testing.assert_allclose(final, ref_final, rtol=0, atol=1e-12 * scale)
-    mid_run = (1e-12 if cfg.profile.alpha == 1 else 1e-10) * scale
-    np.testing.assert_allclose(trace.shift, ref.shift, rtol=0, atol=mid_run)
+    factor = 1e-12 if cfg.profile.alpha == 1 else 1e-10
+    np.testing.assert_allclose(trace.shift, ref.shift, rtol=0, atol=factor * scale)
     for (_, snap), (_, ref_snap) in zip(trace.snapshots, ref.snapshots):
-        np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=mid_run)
+        np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=factor * scale)
+    assert trace.initial_objective == ref.initial_objective
+    assert (trace.objective is None) == (ref.objective is None)
+    if ref.objective is not None:
+        np.testing.assert_allclose(trace.objective, ref.objective, rtol=0, atol=factor * np.abs(ref.objective).max())
     policy = MergePolicy(1.0 / 3.0)
     np.testing.assert_array_equal(
         extract_clusters(final, cfg.h, policy).assignment,
@@ -590,14 +620,40 @@ def plain_loop_input(layout):
     return pts, 1.0
 
 
+BATCH_PRESETS = ["set1", "set2", "set4", "imbalance:0.5", "imbalance:2", "dim:5"]
+
+
+def count_kernel_rows(algorithm, monkeypatch):
+    """Run set2 and return (rows mapped by the kernel, trace)."""
+    rows = []
+    kernel_map = _native.shift_rows
+
+    def counted(lib, queries, sample, h, alpha):
+        rows.append(queries.shape[0])
+        return kernel_map(lib, queries, sample, h, alpha)
+
+    monkeypatch.setattr(_native, "shift_rows", counted)
+    data = generate(preset("set2", seed=0))
+    _, trace = run(data.points, AlgoConfig(algorithm=algorithm))
+    return sum(rows), trace
+
+
 @pytest.mark.usefixtures("needs_kernel")
 class TestCompiledBatchMap:
-    """The C batch map behind MS against the numpy map, its reference."""
+    """The C batch map behind MS and BMS against the numpy map, its reference."""
 
-    @pytest.mark.parametrize("name", ["set1", "set2", "set4", "imbalance:0.5", "imbalance:2", "dim:5"])
+    @pytest.mark.parametrize("name", BATCH_PRESETS)
     def test_presets_match_numpy_path(self, name, monkeypatch):
         data = generate(parse_preset(name, seed=0))
         trace = assert_same_batch_run(data.points, AlgoConfig(algorithm="ms"), monkeypatch)
+        assert trace.stop_reason == "converged"
+
+    # every preset with data seed 0, and five data seeds on set1 and imbalance:2
+    @pytest.mark.parametrize("name, seed", [(name, 0) for name in BATCH_PRESETS]
+                             + [(name, seed) for name in ("set1", "imbalance:2") for seed in (1, 2, 3, 4)])
+    def test_bms_presets_match_numpy_path(self, name, seed, monkeypatch):
+        data = generate(parse_preset(name, seed=seed))
+        trace = assert_same_batch_run(data.points, AlgoConfig(algorithm="bms"), monkeypatch)
         assert trace.stop_reason == "converged"
 
     def test_budget_runs_out_on_the_largest_preset(self, monkeypatch):
@@ -612,28 +668,46 @@ class TestCompiledBatchMap:
         cfg = AlgoConfig(algorithm="ms", profile=Profile(alpha))
         assert assert_same_batch_run(data.points, cfg, monkeypatch).stop_reason == "converged"
 
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_bms_smooth_profiles_match_numpy_path(self, alpha, monkeypatch):
+        data = generate(preset("set2", seed=0))
+        cfg = AlgoConfig(algorithm="bms", profile=Profile(alpha))
+        assert assert_same_batch_run(data.points, cfg, monkeypatch).stop_reason == "converged"
+
     def test_snapshots(self, monkeypatch):
         data = generate(preset("set2", seed=2))
         trace = assert_same_batch_run(data.points, AlgoConfig(algorithm="ms", snapshot_every=1), monkeypatch)
         assert len(trace.snapshots) == trace.n_events + 1
+
+    def test_bms_snapshots(self, monkeypatch):
+        data = generate(preset("set2", seed=2))
+        trace = assert_same_batch_run(data.points, AlgoConfig(algorithm="bms", snapshot_every=1), monkeypatch)
+        assert len(trace.snapshots) == trace.n_events + 1
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_bms_traced_objective(self, alpha, monkeypatch):
+        data = generate(preset("set1", seed=1))
+        cfg = AlgoConfig(algorithm="bms", profile=Profile(alpha), trace_objective=True)
+        trace = assert_same_batch_run(data.points, cfg, monkeypatch)
+        assert trace.objective.shape == (trace.n_events,)
 
     @pytest.mark.parametrize("layout", PLAIN_LOOP_LAYOUTS)
     def test_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
         pts, h = plain_loop_input(layout)
         assert assert_same_batch_run(pts, AlgoConfig(algorithm="ms", h=h), monkeypatch).stop_reason == "converged"
 
+    @pytest.mark.parametrize("layout", PLAIN_LOOP_LAYOUTS)
+    def test_bms_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
+        pts, h = plain_loop_input(layout)
+        assert assert_same_batch_run(pts, AlgoConfig(algorithm="bms", h=h), monkeypatch).stop_reason == "converged"
+
     def test_runs_in_the_kernel(self, monkeypatch):
-        rows = []
-        kernel_map = _native.shift_rows
+        rows, trace = count_kernel_rows("ms", monkeypatch)
+        assert rows == trace.total_updates > 0
 
-        def counted(lib, queries, sample, h, alpha):
-            rows.append(queries.shape[0])
-            return kernel_map(lib, queries, sample, h, alpha)
-
-        monkeypatch.setattr(_native, "shift_rows", counted)
-        data = generate(preset("set2", seed=0))
-        _, trace = ms_run(data.points, AlgoConfig(algorithm="ms"))
-        assert sum(rows) == trace.total_updates > 0
+    def test_bms_runs_in_the_kernel(self, monkeypatch):
+        rows, trace = count_kernel_rows("bms", monkeypatch)
+        assert rows == trace.total_updates > 0
 
 
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
@@ -835,9 +909,10 @@ def peak_traced_bytes(call, *args):
 
 @pytest.mark.parametrize("call, runner", [
     (lambda pts: bms_sweep(pts, AlgoConfig(algorithm="bms")), "default"),
+    (lambda pts: bms_sweep(pts, AlgoConfig(algorithm="bms")), "numpy"),
     (lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])), "default"),
     (lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])), "numpy"),
-], ids=["bms_sweep", "ms_run", "ms_run-numpy"])
+], ids=["bms_sweep", "bms_sweep-numpy", "ms_run", "ms_run-numpy"])
 def test_batch_map_peak_memory_is_one_distance_block(call, runner, monkeypatch):
     # n = 1000 rows fit one n x n block (8 MB); the numpy path writes the
     # uniform weight into it, so no second block-sized array may appear,
