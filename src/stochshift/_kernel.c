@@ -6,7 +6,8 @@
  * gives each step's objective increment and partial-gradient norm.
  * shift_rows is the mean-shift batch map of algorithms._shift_rows:
  * every query row moves onto the weighted mean of a sample, as MS's
- * probes do against the input.
+ * probes do against the input.  bms_sweeps runs blurring mean-shift
+ * sweeps, each the same map of the state against itself.
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the
@@ -540,4 +541,46 @@ void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
     }
     if (gridded)
         grid_free(&g);
+}
+
+/* Up to max_sweeps blurring mean-shift sweeps on pts (n x d, row-major),
+ * in place.  A sweep moves every row onto the G-weighted mean of the
+ * state with weighted_sum's plain loop, the squared norms summed in
+ * index order, keeps a row with no weight at its position, and writes
+ * its largest row shift to shifts[t]; the sweeps end after the first
+ * whose largest shift is below tol.  Returns the number of sweeps run.
+ * sqn (n doubles) and next (n x d) are scratch.  There is no grid here,
+ * so a sweep costs n^2 pair evaluations at every n, as in Cheng's BMS
+ * (see algorithms.bms_run). */
+int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
+                   int64_t max_sweeps, double *shifts, double *sqn, double *next)
+{
+    const double inv_h2 = 1.0 / h2;
+    for (int64_t t = 0; t < max_sweeps; t++) {
+        for (int64_t j = 0; j < n; j++) {
+            const double *p = pts + j * d;
+            double sq = 0.0;
+            for (int64_t k = 0; k < d; k++)
+                sq += p[k] * p[k];
+            sqn[j] = sq;
+        }
+        double top = 0.0;
+        for (int64_t r = 0; r < n; r++) {
+            const double *x = pts + r * d;
+            double *row = next + r * d;
+            const double total = weighted_sum(pts, sqn, n, d, x, sqn[r], h2, inv_h2, alpha, row, NULL);
+            double shift2 = 0.0;
+            for (int64_t k = 0; k < d; k++) {
+                row[k] = total > 0.0 ? row[k] / total : x[k];
+                const double dx = row[k] - x[k];
+                shift2 += dx * dx;
+            }
+            top = dmax(top, sqrt(shift2));
+        }
+        memcpy(pts, next, (size_t)(n * d) * sizeof(double));
+        shifts[t] = top;
+        if (top < tol)
+            return t + 1;
+    }
+    return max_sweeps;
 }

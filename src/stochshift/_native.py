@@ -4,9 +4,10 @@
 distance SMS block runner behind :class:`SmsBlockKernel`, ``knn_block``,
 the score-matrix SMS block runner behind :class:`KnnBlockKernel`, and
 ``shift_rows``, the mean-shift batch map behind :func:`shift_rows`,
-which ``algorithms._shift_rows`` runs for MS and BMS.  The two block
-runners share one stop rule in C and its state and checks here
-(:class:`_BlockRunner`).  ``load()`` compiles it once into a shared
+which ``algorithms._shift_rows`` runs for MS, and ``bms_sweeps``, the
+blurring mean-shift sweeps behind :func:`bms_sweeps`, which
+``algorithms._bms_sweeps`` runs for BMS.  The two block runners share
+one stop rule in C and its state and checks here (:class:`_BlockRunner`).  ``load()`` compiles it once into a shared
 library in the user cache directory (``$XDG_CACHE_HOME`` or
 ``~/.cache``, else a per-user directory under the system temporary
 directory), under a file name keyed by a hash of the source and the
@@ -124,6 +125,15 @@ def _open(path: Path):
         i64,  # d
         ctypes.c_double, i64,  # h2, alpha
         np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # out
+    ]
+    lib.bms_sweeps.restype = i64
+    lib.bms_sweeps.argtypes = [
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # pts
+        i64, i64,  # n, d
+        ctypes.c_double, i64,  # h2, alpha
+        ctypes.c_double, i64,  # tol, max_sweeps
+        f64, f64,  # shifts, sqn
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # next
     ]
     return lib
 
@@ -250,3 +260,22 @@ def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: in
     out = np.empty((m, d))
     lib.shift_rows(queries, sqq, m, sample, sqs, n, d, h * h, int(alpha), out)
     return out
+
+
+def bms_sweeps(lib, pts: np.ndarray, h: float, alpha: int, tol: float, max_sweeps: int) -> np.ndarray:
+    """Up to ``max_sweeps`` BMS sweeps on ``pts`` in place; returns their largest row shifts.
+
+    The compiled twin of the numpy sweeps of ``algorithms._bms_sweeps``:
+    the sweeps end after the first whose largest shift is below ``tol``.
+    The state's dtype, shape and contiguity are checked and the scratch
+    sized here, so every pointer handed to the library is valid for the
+    call.
+    """
+    if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous or not pts.flags.writeable:
+        raise ValueError("the kernel needs a writeable C-contiguous float64 (n, d) state")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
+    n, d = pts.shape
+    shifts = np.empty(max_sweeps)
+    done = lib.bms_sweeps(pts, n, d, h * h, int(alpha), tol, max_sweeps, shifts, np.empty(n), np.empty((n, d)))
+    return shifts[:done]

@@ -47,12 +47,14 @@ The two compiled runners share one stop rule in C.  ``_PySteps`` is
 their fallback and their test reference.
 
 MS and BMS share one batch map, ``_shift_rows``: BMS maps the state
-against itself, MS its active probes against the fixed sample.  It is
-the one place that picks the batch path: whenever the kernel loads it
-runs ``_native.shift_rows`` (a cell grid on the sample for the uniform
-weight in 2-D, a plain loop otherwise), and otherwise it walks
-``core.pairwise_sq_blocks``, the one such walk here.  Its docstring
-states how far the two paths agree.
+against itself, MS its active probes against the fixed sample.  Its
+numpy body walks ``core.pairwise_sq_blocks``, the one such walk here,
+and is the test reference of both compiled paths.  Whenever the kernel
+loads, MS's map runs ``_native.shift_rows`` (a cell grid on the sample
+for the uniform weight in 2-D, a plain loop otherwise), and BMS runs
+``_native.bms_sweeps`` through ``_bms_sweeps``: many sweeps per call,
+each a plain loop over all pairs (``bms_run`` says why not the grid).
+``_shift_rows``' docstring states how far the two paths agree.
 
 Budgets are counted in point-updates so the three are unit-consistent:
 one SMS step is 1 update, one BMS sweep is n updates, one MS inner
@@ -89,6 +91,7 @@ __all__ = [
 
 ALGORITHMS = ("ms", "bms", "sms")
 _BLOCK = 4096  # SMS index draws per block
+_SWEEPS = 256  # BMS sweeps per kernel call when nothing is recorded between them
 
 
 @dataclass(frozen=True)
@@ -465,8 +468,9 @@ def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
     When the kernel loads, ``_native.shift_rows`` does the work: it
     queries a cell grid built on the sample for the uniform weight in
     2-D with n >= 128, and runs a plain loop over the sample otherwise.
-    Without it the numpy body below does it; it is also the kernel's
-    test reference.
+    Without it the numpy body below does it; it is also the test
+    reference of the kernel's map and of its BMS sweeps
+    (``_native.bms_sweeps``).
 
     In the numpy body the uniform (alpha = 1) weight is written into the
     distance block in place as 0.0 / 1.0, whose float row sums are exact
@@ -476,9 +480,9 @@ def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
     point's own squared distance up to h^2, once h^2 nears the identity's
     rounding error (h around 1e-8 at unit-scale coordinates).
 
-    The two paths average the same sample points except where the
-    identity rounds a distance within rounding of h differently, and sum
-    them in different orders (BLAS against cells or index order).  Over
+    The paths average the same sample points except where the identity
+    rounds a distance within rounding of h differently, and sum them in
+    different orders (BLAS against cells or index order).  Over
     MS and BMS runs the rule, with s the largest absolute coordinate of
     the final state: update counts, stop reasons, ``unconverged`` and
     partitions are identical; final positions agree within 1e-12 s;
@@ -508,24 +512,57 @@ def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
     return new, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+def _bms_sweeps(pts: np.ndarray, cfg: AlgoConfig, sweeps: int) -> np.ndarray:
+    """Run up to ``sweeps`` BMS sweeps on ``pts`` in place; returns their largest row shifts.
+
+    The sweeps end after the first whose largest shift is below the
+    tolerance.  Whenever the kernel loads, ``_native.bms_sweeps`` runs
+    them in one call; otherwise each is ``_shift_rows``' numpy map of
+    the state against itself.
+    """
+    lib = _native.load()
+    if lib is not None:
+        return _native.bms_sweeps(lib, pts, cfg.h, cfg.profile.alpha, cfg.move_tolerance, sweeps)
+    maxima = []
+    for _ in range(sweeps):
+        new, shifts = _shift_rows(pts, pts, cfg)
+        pts[...] = new
+        maxima.append(float(shifts.max()))
+        if maxima[-1] < cfg.move_tolerance:
+            break
+    return np.array(maxima)
+
+
 def bms_sweep(points, cfg: AlgoConfig):
-    """One synchronous sweep of ``_shift_rows``; returns ``(new_points, max_shift)``."""
-    pts = check_state(points)
-    new, shifts = _shift_rows(pts, pts, cfg)
-    return new, float(shifts.max())
+    """One synchronous sweep of ``_bms_sweeps``; returns ``(new_points, max_shift)``."""
+    pts = check_state(points).copy()
+    return pts, float(_bms_sweeps(pts, cfg, 1)[0])
 
 
 def bms_run(points, cfg: AlgoConfig):
-    """Repeat synchronous sweeps of ``_shift_rows`` until the maximal shift converges."""
+    """Repeat synchronous sweeps until the maximal shift converges.
+
+    In the kernel each sweep is a plain loop over all n^2 pairs, as in
+    Cheng's BMS, and not the cell grid MS and SMS query: acceptance
+    criterion 7 requires BMS wall time to grow as about n^2 (a log-log
+    slope in [1.6, 2.4] over n = 30 to 3000), and gridded sweeps read a
+    slope of about 1.0.  Untraced runs without snapshots hand the kernel
+    up to ``_SWEEPS`` sweeps per call, so a small run pays the Python
+    overhead of one call, not of every sweep.
+    """
     pts = check_state(points).copy()  # once: a sweep keeps each row a convex combination of rows
     n = pts.shape[0]
     rec = _Recorder("bms", pts, cfg, cfg.trace_objective)
+    # a traced objective and the snapshots read the state after every sweep
+    per_call = 1 if cfg.trace_objective or cfg.snapshot_every is not None else _SWEEPS
+    left = cfg.max_updates // n
     stop_reason = "max_updates"
-    for _ in range(cfg.max_updates // n):
-        pts, shifts = _shift_rows(pts, pts, cfg)
-        max_shift = float(shifts.max())
-        rec.event(pts, max_shift, n)
-        if max_shift < cfg.move_tolerance:
+    while left > 0:
+        shifts = _bms_sweeps(pts, cfg, min(per_call, left))
+        for shift in shifts.tolist():
+            rec.event(pts, shift, n)
+        left -= shifts.size
+        if shifts[-1] < cfg.move_tolerance:
             stop_reason = "converged"
             break
     return pts, rec.finish(pts, stop_reason)

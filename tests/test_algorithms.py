@@ -624,15 +624,21 @@ BATCH_PRESETS = ["set1", "set2", "set4", "imbalance:0.5", "imbalance:2", "dim:5"
 
 
 def count_kernel_rows(algorithm, monkeypatch):
-    """Run set2 and return (rows mapped by the kernel, trace)."""
+    """Run set2 and return (rows mapped by the kernel, trace): MS's probe rows, BMS's rows times sweeps."""
     rows = []
-    kernel_map = _native.shift_rows
+    kernel_map, kernel_sweeps = _native.shift_rows, _native.bms_sweeps
 
-    def counted(lib, queries, sample, h, alpha):
+    def counted_map(lib, queries, sample, h, alpha):
         rows.append(queries.shape[0])
         return kernel_map(lib, queries, sample, h, alpha)
 
-    monkeypatch.setattr(_native, "shift_rows", counted)
+    def counted_sweeps(lib, pts, *args):
+        shifts = kernel_sweeps(lib, pts, *args)
+        rows.append(pts.shape[0] * shifts.size)
+        return shifts
+
+    monkeypatch.setattr(_native, "shift_rows", counted_map)
+    monkeypatch.setattr(_native, "bms_sweeps", counted_sweeps)
     data = generate(preset("set2", seed=0))
     _, trace = run(data.points, AlgoConfig(algorithm=algorithm))
     return sum(rows), trace
@@ -640,7 +646,7 @@ def count_kernel_rows(algorithm, monkeypatch):
 
 @pytest.mark.usefixtures("needs_kernel")
 class TestCompiledBatchMap:
-    """The C batch map behind MS and BMS against the numpy map, its reference."""
+    """The C batch map behind MS and the C sweeps behind BMS against the numpy map, their reference."""
 
     @pytest.mark.parametrize("name", BATCH_PRESETS)
     def test_presets_match_numpy_path(self, name, monkeypatch):
@@ -661,6 +667,39 @@ class TestCompiledBatchMap:
         cfg = AlgoConfig(algorithm="ms", max_updates=4 * data.n)
         trace = assert_same_batch_run(data.points, cfg, monkeypatch)
         assert trace.stop_reason == "max_updates" and trace.unconverged.size > 0
+
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_bms_budget_runs_out(self, sweeps, monkeypatch):
+        data = generate(preset("set2", seed=0))
+        cfg = AlgoConfig(algorithm="bms", max_updates=sweeps * data.n)
+        trace = assert_same_batch_run(data.points, cfg, monkeypatch)
+        assert (trace.n_events, trace.stop_reason) == (sweeps, "max_updates")
+
+    @pytest.mark.parametrize("record", [{}, {"snapshot_every": 1}, {"trace_objective": True}],
+                             ids=["untraced", "snapshots", "traced"])
+    def test_bms_kernel_calls(self, record, monkeypatch):
+        # an untraced run hands the kernel all its sweeps in one call; a
+        # run that records the state after every sweep makes one call each
+        sweeps = []
+        kernel_sweeps = _native.bms_sweeps
+
+        def counted(lib, pts, *args):
+            shifts = kernel_sweeps(lib, pts, *args)
+            sweeps.append(shifts.size)
+            return shifts
+
+        monkeypatch.setattr(_native, "bms_sweeps", counted)
+        data = generate(preset("set2", seed=0))
+        _, trace = bms_run(data.points, AlgoConfig(algorithm="bms", **record))
+        assert sum(sweeps) == trace.n_events > 1
+        assert len(sweeps) == (trace.n_events if record else 1)
+
+    @pytest.mark.parametrize("state", [np.zeros((4, 2), dtype=np.float32), np.zeros((2, 4)).T,
+                                       np.zeros(4), np.zeros((4, 2))[::2]],
+                             ids=["float32", "fortran", "one_d", "strided"])
+    def test_bms_sweeps_rejects_a_state_it_cannot_take(self, state):
+        with pytest.raises(ValueError):
+            _native.bms_sweeps(_native.load(), state, 1.0, 1, 1e-6, 1)
 
     @pytest.mark.parametrize("name, alpha", [("set2", 2), ("set2", 3), ("set4", 2)])
     def test_smooth_profiles_match_numpy_path(self, name, alpha, monkeypatch):
@@ -697,7 +736,7 @@ class TestCompiledBatchMap:
         assert assert_same_batch_run(pts, AlgoConfig(algorithm="ms", h=h), monkeypatch).stop_reason == "converged"
 
     @pytest.mark.parametrize("layout", PLAIN_LOOP_LAYOUTS)
-    def test_bms_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
+    def test_bms_layouts_match_numpy_path(self, layout, monkeypatch):
         pts, h = plain_loop_input(layout)
         assert assert_same_batch_run(pts, AlgoConfig(algorithm="bms", h=h), monkeypatch).stop_reason == "converged"
 
@@ -730,7 +769,7 @@ def test_kernel_prototype_matches_c_definition():
         pytest.skip("the kernel could not be built here (no gcc?)")
     source = _native._SOURCE.read_text()
     exported = re.findall(r"^(int64_t|void)\s+(\w+)\s*\(([^)]*)\)", source, flags=re.M)
-    assert sorted(name for _, name, _ in exported) == ["knn_block", "shift_rows", "sms_block"]
+    assert sorted(name for _, name, _ in exported) == ["bms_sweeps", "knn_block", "shift_rows", "sms_block"]
     pointees = {"double": np.float64, "int64_t": np.int64}
     scalars = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
     restypes = {"int64_t": ctypes.c_int64, "void": None}
