@@ -1,26 +1,36 @@
-"""The package's compiled kernel, built on first use with the system gcc.
+"""The package's compiled libraries, built on first use with the system compilers.
 
-``_kernel.c`` ships with the package.  It exports ``sms_block``, the
-distance SMS block runner behind :class:`SmsBlockKernel`, ``knn_block``,
-the score-matrix SMS block runner behind :class:`KnnBlockKernel`, and
-``shift_rows``, the mean-shift batch map behind :func:`shift_rows`,
-which ``algorithms._shift_rows`` runs for MS, and ``bms_sweeps``, the
-blurring mean-shift sweeps behind :func:`bms_sweeps`, which
-``algorithms._bms_sweeps`` runs for BMS.  The two block runners share
-one stop rule in C and its state and checks here (:class:`_BlockRunner`).  ``load()`` compiles it once into a shared
-library in the user cache directory (``$XDG_CACHE_HOME`` or
-``~/.cache``, else a per-user directory under the system temporary
-directory), under a file name keyed by a hash of the source and the
-flags, and loads it with ctypes.  Concurrent first
-uses (``sweep --workers``) each compile to a private temporary name and
-publish with an atomic ``os.replace``.  The flags are portable: no
-``-ffast-math``, which would reorder the sums, and no ``-march=native``.
+Two sources ship with the package.  ``_kernel.c`` exports ``sms_block``,
+the distance SMS block runner behind :class:`SmsBlockKernel`,
+``knn_block``, the score-matrix SMS block runner behind
+:class:`KnnBlockKernel`, and ``shift_rows``, the mean-shift batch map
+behind :func:`shift_rows`, which ``algorithms._shift_rows`` runs for MS,
+and ``bms_sweeps``, the blurring mean-shift sweeps behind
+:func:`bms_sweeps`, which ``algorithms._bms_sweeps`` runs for BMS.  The
+two block runners share one stop rule in C and its state and checks
+here (:class:`_BlockRunner`).  ``_format.cpp`` exports ``trace_lines``
+and ``csv_rows``, behind :func:`trace_lines` and :func:`csv_rows`, which
+``io`` writes ``trace.jsonl`` and its CSVs with: floats spelled as
+``repr`` spells them, from the shortest round-trip digits of C++17's
+``std::to_chars``.
 
-Any failure (no gcc, no kernel source, a failed compile, an unwritable
-cache or one another user owns, a library that does not load) makes
-``load()`` log the reason once at WARNING on the ``stochshift`` logger
-and return None, and callers run the numpy path instead, which is also
-the reference the kernel is tested against.
+``load()`` (the kernel, with gcc) and ``load_format()`` (the formatter,
+with g++) each compile their source once into a shared library in the
+user cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, else a
+per-user directory under the system temporary directory), under a file
+name keyed by the source's name and a hash of its text and the flags,
+and load it with ctypes.  The two are separate libraries, so a machine
+without g++ still runs the kernel.  Concurrent first uses (``sweep
+--workers``) each compile to a private temporary name and publish with
+an atomic ``os.replace``.  The flags are portable: no ``-ffast-math``,
+which would reorder the sums, and no ``-march=native``.
+
+Any failure (no compiler, no source, a failed compile, an unwritable
+cache or one another user owns, a library that does not load) makes the
+loader log the reason once at WARNING on the ``stochshift`` logger and
+return None.  Callers then run the numpy path instead of the kernel, or
+``io``'s Python writers instead of the formatter; each is also the
+reference its compiled twin is tested against.
 """
 
 from __future__ import annotations
@@ -39,32 +49,47 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILER = "gcc"
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_FORMAT_SOURCE = Path(__file__).with_name("_format.cpp")
+_FORMAT_COMPILER = "g++"
+_FORMAT_FLAGS = ("-std=c++17", "-O2", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 120
 _log = logging.getLogger("stochshift")
 
 
 def _cache_dirs() -> list[Path]:
-    """Where the library may live, in order of preference."""
+    """Where the libraries may live, in order of preference."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     uid = os.getuid() if hasattr(os, "getuid") else 0
     return [Path(base) / "stochshift", Path(tempfile.gettempdir()) / f"stochshift-{uid}"]
 
 
-def library_path(cache_dir: Path) -> Path:
-    """The library's file name in ``cache_dir``: a hash of source and flags."""
-    key = hashlib.sha256(_SOURCE.read_bytes() + "\0".join(_FLAGS).encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"kernel-{key}.so"
+def library_path(cache_dir: Path, source: Path | None = None, flags: tuple[str, ...] | None = None) -> Path:
+    """The library's file name in ``cache_dir``: the source's name, then a hash of its text and the flags.
+
+    ``source`` and ``flags`` default to the kernel's.  The compiler is
+    not hashed: each source has one, by its language, and a library
+    already built is used without one.
+    """
+    source = _SOURCE if source is None else Path(source)
+    flags = _FLAGS if flags is None else flags
+    key = hashlib.sha256(source.read_bytes() + "\0".join(flags).encode()).hexdigest()[:16]
+    return Path(cache_dir) / f"{source.stem.lstrip('_')}-{key}.so"
 
 
-def build(cache_dir: Path) -> Path:
+def build(cache_dir: Path, source: Path | None = None, compiler: str | None = None,
+          flags: tuple[str, ...] | None = None) -> Path:
     """Return the compiled library in ``cache_dir``, compiling it if absent.
 
+    ``source``, ``compiler`` and ``flags`` default to the kernel's.
     Raises OSError when the source or the compiler is missing or the
     directory cannot be made or is not the user's own, and
     ``subprocess.SubprocessError`` when the compile fails; no
     half-written library is left behind.
     """
-    target = library_path(cache_dir)
+    source = _SOURCE if source is None else Path(source)
+    compiler = _COMPILER if compiler is None else compiler
+    flags = _FLAGS if flags is None else flags
+    target = library_path(cache_dir, source, flags)
     cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
     if hasattr(os, "getuid") and cache_dir.stat().st_uid != os.getuid():
         # never load code from a directory another user controls
@@ -74,7 +99,7 @@ def build(cache_dir: Path) -> Path:
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache_dir)
     os.close(fd)
     try:
-        subprocess.run([_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"], check=True,
+        subprocess.run([compiler, *flags, "-o", tmp, str(source), "-lm"], check=True,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=_COMPILE_TIMEOUT_S)
         os.replace(tmp, target)
     finally:
@@ -138,17 +163,44 @@ def _open(path: Path):
     return lib
 
 
-@functools.cache
-def load():
-    """The loaded kernel library, or None (with one warning) when it cannot be built or loaded."""
+def _load(what: str, fallback: str, opener, source: Path, compiler: str, flags: tuple[str, ...]):
+    """``opener`` of the library built from ``source``, or None with one warning naming every reason."""
     reasons = []
     for cache_dir in _cache_dirs():
         try:
-            return _open(build(cache_dir))
+            return opener(build(cache_dir, source, compiler, flags))
         except (OSError, subprocess.SubprocessError) as exc:
             reasons.append(f"{cache_dir}: {exc}")
-    _log.warning("compiled kernel unavailable, running on numpy (%s)", "; ".join(reasons))
+    _log.warning("%s unavailable, %s (%s)", what, fallback, "; ".join(reasons))
     return None
+
+
+@functools.cache
+def load():
+    """The loaded kernel library, or None (with one warning) when it cannot be built or loaded."""
+    return _load("compiled kernel", "running on numpy", _open, _SOURCE, _COMPILER, _FLAGS)
+
+
+def _open_format(path: Path):
+    """The formatter library at ``path`` with its prototypes set; raises OSError if it does not load."""
+    lib = ctypes.CDLL(str(path))
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.trace_lines.restype = i64
+    lib.trace_lines.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]  # n, L, grad, i, k, shift, buf, cap
+    lib.csv_rows.restype = i64
+    lib.csv_rows.argtypes = [i64, i64, ptr, ptr, ptr, i64]  # n, d, x, labels, buf, cap
+    return lib
+
+
+@functools.cache
+def load_format():
+    """The loaded formatter library, or None (with one warning) when it cannot be built or loaded.
+
+    Called by ``io`` on its first text write, so runs that write no
+    trace or CSV never build or load it.
+    """
+    return _load("compiled formatter", "writing text in Python", _open_format, _FORMAT_SOURCE,
+                 _FORMAT_COMPILER, _FORMAT_FLAGS)
 
 
 class _BlockRunner:
@@ -279,3 +331,59 @@ def bms_sweeps(lib, pts: np.ndarray, h: float, alpha: int, tol: float, max_sweep
     shifts = np.empty(max_sweeps)
     done = lib.bms_sweeps(pts, n, d, h * h, int(alpha), tol, max_sweeps, shifts, np.empty(n), np.empty((n, d)))
     return shifts[:done]
+
+
+# spelled lengths: "-1.2345678901234567e-308" and "-9223372036854775808"
+FLOAT_WIDTH, INT_WIDTH = 24, 20
+
+
+def _filled(size: int, capacity: int) -> int:
+    if size == -1:
+        raise RuntimeError(f"formatted text would pass its {capacity}-byte buffer")
+    return size
+
+
+def trace_lines(lib, shift, moved, count, objective=None, grad_norm=None) -> np.ndarray | None:
+    """The compiled twin of ``io``'s Python trace lines: the bytes of one chunk's lines.
+
+    ``objective`` and ``grad_norm`` may be None (columns not traced).
+    Returns None when a float is not finite, which json.dumps spells as
+    ``NaN`` or ``Infinity``: the caller writes that chunk in Python.
+    The buffer holds n of the widest line the present columns can give;
+    the library refuses to write past it, which raises RuntimeError
+    here.  Dtypes, lengths and contiguity are fixed here, so every
+    pointer handed to the library is valid for the call.
+    """
+    floats = [None if c is None else np.ascontiguousarray(c, dtype=np.float64) for c in (objective, grad_norm, shift)]
+    ints = [np.ascontiguousarray(c, dtype=np.int64) for c in (moved, count)]
+    n = floats[2].shape[0]
+    if any(c is not None and c.shape != (n,) for c in floats + ints):
+        raise ValueError("trace columns must be 1-d and of one length")
+    widest = len('{"i": , "k": , "shift": }\n') + 2 * INT_WIDTH + FLOAT_WIDTH
+    widest += sum(len(f'"{key}": , ') + FLOAT_WIDTH for key, c in zip(("L", "grad_norm"), floats) if c is not None)
+    capacity = n * widest
+    buf = np.empty(capacity, dtype=np.uint8)
+    L, grad, shift = (None if c is None else c.ctypes.data for c in floats)
+    size = lib.trace_lines(n, L, grad, ints[0].ctypes.data, ints[1].ctypes.data, shift, buf.ctypes.data, capacity)
+    return None if size == -2 else buf[: _filled(size, capacity)]
+
+
+def csv_rows(lib, x, labels) -> np.ndarray | None:
+    """The compiled twin of ``io``'s Python CSV rows: the bytes of the rows of ``x`` (and ``labels``).
+
+    ``x`` is (n, d) and ``labels`` None or n integers, written as a last
+    column.  Returns None when a value is not finite, or when
+    ``labels`` is not n integers: the caller writes those rows in Python.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != x.shape[:1] or labels.dtype.kind != "i":
+            return None
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
+    n, d = x.shape
+    capacity = n * (d * (FLOAT_WIDTH + 1) + INT_WIDTH + 1)
+    buf = np.empty(capacity, dtype=np.uint8)
+    size = lib.csv_rows(n, d, x.ctypes.data, None if labels is None else labels.ctypes.data,
+                        buf.ctypes.data, capacity)
+    return None if size == -2 else buf[: _filled(size, capacity)]

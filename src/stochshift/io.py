@@ -3,6 +3,13 @@
 All outputs are deterministic byte-for-byte given the same inputs: CSV
 fields use ``repr``-exact float formatting and JSON is dumped with
 sorted keys.  JSON payloads carry a ``schema`` tag (``<name>/1``).
+
+``trace.jsonl`` and the float CSVs (datasets and score matrices) are
+formatted in chunks by the compiled formatter (``_native.load_format``),
+loaded on the first such write.  Where it is unavailable, or a chunk
+holds a value that is not finite, the chunk is formatted here in
+Python, which is also the formatter's reference: the bytes are the same
+either way.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .algorithms import RunTrace
 from .clustering import Partition
 from .core import check_state
@@ -33,24 +41,45 @@ class DataError(ValueError):
     """Malformed input data (bad CSV, shape mismatch, unreadable matrix)."""
 
 
+_TRACE_CHUNK = 1 << 14  # events (or CSV values) formatted per batch
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _csv_rows(pts: np.ndarray, labels) -> bytes:
+    """The Python writer of CSV rows, and the compiled formatter's reference."""
+    lines = []
+    for i in range(pts.shape[0]):
+        row = [_fmt(v) for v in pts[i]]
+        if labels is not None:
+            row.append(str(int(labels[i])))
+        lines.append(",".join(row) + "\n")
+    return "".join(lines).encode()
+
+
+def _write_csv(path, header: str | None, pts: np.ndarray, labels=None) -> None:
+    """``"\n".join([header] + rows) + "\n"`` for the float rows of ``pts``, each ended by its label if given."""
+    lib = _native.load_format()
+    n, d = pts.shape
+    step = max(1, _TRACE_CHUNK // max(d, 1))
+    with open(path, "wb") as fh:
+        if header is not None or n == 0:
+            fh.write((header or "").encode() + b"\n")
+        for lo in range(0, n, step):
+            rows, lab = pts[lo : lo + step], None if labels is None else labels[lo : lo + step]
+            text = None if lib is None else _native.csv_rows(lib, rows, lab)
+            fh.write(_csv_rows(rows, lab) if text is None else text)
 
 
 def write_dataset_csv(path, points, labels=None) -> None:
     """Coordinate columns x0..x{d-1}, then an integer ``label`` column."""
     pts = np.asarray(points, dtype=np.float64)
-    path = Path(path)
     header = [f"x{j}" for j in range(pts.shape[1])]
     if labels is not None:
         header.append("label")
-    lines = [",".join(header)]
-    for i in range(pts.shape[0]):
-        row = [_fmt(v) for v in pts[i]]
-        if labels is not None:
-            row.append(str(int(labels[i])))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, ",".join(header), pts, labels)
 
 
 def read_dataset_csv(path):
@@ -108,17 +137,34 @@ def write_partition_csv(path, partition: Partition) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_TRACE_CHUNK = 1 << 14  # events formatted per batch of lines
+def _trace_lines(chunk: dict) -> bytes:
+    """The Python writer of trace lines, and the compiled formatter's reference.
+
+    ``chunk`` maps the present keys, in sorted order, to their columns.
+    Each value is spelled as json.dumps spells it, from one call per
+    column.
+    """
+    line = "{" + ", ".join(f'"{key}": %s' for key in chunk) + "}\n"
+    tokens = []
+    for key, col in chunk.items():
+        values = col.tolist()
+        if key == "i":
+            values = [None if v < 0 else v for v in values]
+        tokens.append(json.dumps(values)[1:-1].split(", "))
+    return "".join(map(line.__mod__, zip(*tokens))).encode()
 
 
 def write_trace_jsonl(path, trace: RunTrace) -> None:
     """One JSON line per event: ``{"L"?, "grad_norm"?, "i", "k", "shift"}``.
 
-    The trace columns are formatted straight to lines, keys in sorted
-    order, so each line is byte-for-byte ``json.dumps(record,
-    sort_keys=True)`` of the event's record: floats by ``repr``, and a
-    batch event's ``i`` (moved index -1) as ``null``.  ``L`` and
-    ``grad_norm`` appear when traced.
+    Each line is byte-for-byte ``json.dumps(record, sort_keys=True)`` of
+    the event's record: floats as ``repr`` spells them, and a batch
+    event's ``i`` (moved index -1) as ``null``.  ``L`` and ``grad_norm``
+    appear when traced.  The columns are formatted straight to lines in
+    chunks of ``_TRACE_CHUNK`` events, by the compiled formatter
+    (shortest round-trip digits laid out by ``repr``'s rules) when it
+    loads, else, and for a chunk holding a value that is not finite
+    (``NaN``, ``Infinity``), by ``_trace_lines`` in Python.
     """
     columns = {
         "L": trace.objective,
@@ -128,17 +174,15 @@ def write_trace_jsonl(path, trace: RunTrace) -> None:
         "shift": trace.shift,
     }
     columns = {key: col for key, col in columns.items() if col is not None}
-    line = "{" + ", ".join(f'"{key}": %s' for key in columns) + "}\n"
-    with open(path, "w") as fh:
+    lib = _native.load_format()
+    with open(path, "wb") as fh:
         for lo in range(0, trace.n_events, _TRACE_CHUNK):
-            tokens = []
-            for key, col in columns.items():
-                values = col[lo : lo + _TRACE_CHUNK].tolist()
-                if key == "i":
-                    values = [None if v < 0 else v for v in values]
-                # each value as json.dumps writes it, from one call per column
-                tokens.append(json.dumps(values)[1:-1].split(", "))
-            fh.writelines(map(line.__mod__, zip(*tokens)))
+            chunk = {key: col[lo : lo + _TRACE_CHUNK] for key, col in columns.items()}
+            text = None
+            if lib is not None:
+                text = _native.trace_lines(lib, chunk["shift"], chunk["i"], chunk["k"],
+                                           chunk.get("L"), chunk.get("grad_norm"))
+            fh.write(_trace_lines(chunk) if text is None else text)
 
 
 def write_json(path, payload: dict, schema: str | None = None) -> None:
@@ -159,8 +203,7 @@ def write_score_matrix(path, scores) -> None:
         raise DataError(f"score matrix must be square, got shape {s.shape}")
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        lines = [",".join(_fmt(v) for v in row) for row in s]
-        path.write_text("\n".join(lines) + "\n")
+        _write_csv(path, None, s)
         return
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", s.shape[0]))

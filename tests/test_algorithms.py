@@ -1,6 +1,7 @@
 """Driver behaviour: steps, sweeps, runs, stopping, tracing, determinism."""
 
 import ctypes
+import hashlib
 import re
 import shutil
 import subprocess
@@ -24,6 +25,7 @@ from stochshift.algorithms import (
 )
 from stochshift.clustering import MergePolicy, extract_clusters
 from stochshift.core import mean_shift_operator, objective_value, partial_gradient
+from stochshift.io import write_trace_jsonl
 from stochshift.kernels import EPANECHNIKOV, Profile
 from stochshift.synthdata import generate, parse_preset, preset
 
@@ -447,26 +449,59 @@ class TestCompiledSms:
             pts[::2] += 1000.0
         assert assert_same_run(pts, AlgoConfig(seed=1), monkeypatch).stop_reason == "converged"
 
-    @pytest.mark.parametrize("missing", ["_COMPILER", "_SOURCE"])
+    @pytest.mark.parametrize("missing", ["_COMPILER", "_SOURCE", "_FORMAT_COMPILER", "_FORMAT_SOURCE"])
     def test_failed_build_falls_back(self, missing, monkeypatch, tmp_path, caplog):
+        # the kernel (gcc) and the formatter (g++) are built and fall back on their own
+        formatter = missing.startswith("_FORMAT")
+        loader = _native.load_format if formatter else _native.load
+        compiled_format = _native.load_format()
+        caplog.clear()
+        kernel_steps = []
+        kernel_run = _native.SmsBlockKernel.run
+
+        def counted(self, idx):
+            m, converged = kernel_run(self, idx)
+            kernel_steps.append(m)
+            return m, converged
+
+        monkeypatch.setattr(_native.SmsBlockKernel, "run", counted)
         monkeypatch.setattr(_native, missing, tmp_path / "missing")
         monkeypatch.setattr(_native, "_cache_dirs", lambda: [tmp_path / "cache"])
-        _native.load.cache_clear()
+        loader.cache_clear()
         try:
-            assert _native.load() is None
+            assert loader() is None
             data = generate(preset("set2", seed=3))
-            _, trace = sms_run(data.points, AlgoConfig(seed=5))
+            _, trace = sms_run(data.points, AlgoConfig(seed=5, trace_objective=True))
             for algorithm in ("ms", "bms"):
                 run(data.points, AlgoConfig(algorithm=algorithm))
+            write_trace_jsonl(tmp_path / "fallback.jsonl", trace)
         finally:
-            _native.load.cache_clear()
+            loader.cache_clear()
         assert trace.stop_reason == "converged"
         assert not any((tmp_path / "cache").glob("*"))  # no half-written library
         # the fallback is reported once, with its reason
         records = [r for r in caplog.records if r.name == "stochshift"]
         assert [r.levelname for r in records] == ["WARNING"]
-        assert "compiled kernel unavailable" in records[0].message
+        what = "compiled formatter" if formatter else "compiled kernel"
+        assert f"{what} unavailable" in records[0].message
         assert str(tmp_path / "missing") in records[0].message
+        # the other library still runs: SMS in the kernel when only the formatter is missing
+        assert sum(kernel_steps) == (trace.total_updates if formatter else 0)
+        if formatter and compiled_format is not None:
+            monkeypatch.setattr(_native, "load_format", lambda: compiled_format)
+            write_trace_jsonl(tmp_path / "compiled.jsonl", trace)
+            assert (tmp_path / "fallback.jsonl").read_bytes() == (tmp_path / "compiled.jsonl").read_bytes()
+
+    def test_library_names_keyed_by_source_and_flags(self, tmp_path):
+        # the kernel's name is the one it has always had, so a cached kernel is reused
+        key = hashlib.sha256(_native._SOURCE.read_bytes() + "\0".join(_native._FLAGS).encode()).hexdigest()[:16]
+        assert _native.library_path(tmp_path) == tmp_path / f"kernel-{key}.so"
+        formatter = _native.library_path(tmp_path, _native._FORMAT_SOURCE, _native._FORMAT_FLAGS)
+        assert formatter.name.startswith("format-") and formatter.suffix == ".so"
+        assert _native.library_path(tmp_path, _native._FORMAT_SOURCE, _native._FORMAT_FLAGS[1:]) != formatter
+        edited = tmp_path / "_format.cpp"
+        edited.write_bytes(_native._FORMAT_SOURCE.read_bytes() + b"\n")
+        assert _native.library_path(tmp_path, edited, _native._FORMAT_FLAGS) != formatter
 
     def test_cache_of_another_user_is_refused(self, monkeypatch, tmp_path, caplog):
         monkeypatch.setattr(_native, "_cache_dirs", lambda: [tmp_path])
