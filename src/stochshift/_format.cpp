@@ -1,16 +1,21 @@
-// Text for the package's writers: whole trace.jsonl lines and CSV rows,
-// floats spelled exactly as Python's repr spells them.  std::to_chars
-// gives the shortest round-trip digits (Ryu); put_double lays them out by
-// repr's rules.  Each function writes into the caller's buffer of `cap`
-// bytes and returns the bytes written, -1 (and nothing past `cap`) when
-// they do not fit, or -2 at the first value that is not finite, whose
-// spelling differs between the writers and is left to the caller.
+// Text for the package's writers: rows of typed columns between literal
+// texts, floats spelled exactly as Python's repr spells them.
+// std::to_chars gives the shortest round-trip digits (Ryu); put_double
+// lays them out by repr's rules.  put_rows writes into the caller's
+// buffer of `cap` bytes and returns the bytes written, or -1 (and
+// nothing past `cap`) when they do not fit.
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 
 namespace {
+
+// column kinds; _native names them in the same order
+enum Kind : int64_t { FLOAT, JSON_FLOAT, INT, INT_OR_NULL };
+
+// the widest value any kind spells: "-1.2345678901234567e-308"
+constexpr int64_t WIDEST = 24;
 
 // repr(v): positional for -4 <= exponent < 16, with ".0" on integral
 // values; otherwise d[.ddd]e+XX with a two-digit exponent at least
@@ -48,66 +53,58 @@ char *put_double(char *p, double v) {
     return p + nd - exp - 1;
 }
 
-char *put_int(char *p, int64_t v) { return std::to_chars(p, p + 20, v).ptr; }
-
 char *put(char *p, const char *text) {
     size_t len = std::strlen(text);
     std::memcpy(p, text, len);
     return p + len;
 }
 
-// appends [tok, p) to buf at *len unless it would pass cap
-bool emit(char *buf, int64_t cap, int64_t *len, const char *tok, const char *p) {
-    if (p - tok > cap - *len) return false;
-    std::memcpy(buf + *len, tok, p - tok);
-    *len += p - tok;
-    return true;
+// the value at `at` spelled by its kind: non-finite floats as repr
+// ("nan", "inf") or json.dumps ("NaN", "Infinity") spells them
+char *put_value(char *p, int64_t kind, const char *at) {
+    if (kind == INT || kind == INT_OR_NULL) {
+        int64_t v;
+        std::memcpy(&v, at, sizeof v);
+        return kind == INT_OR_NULL && v < 0 ? put(p, "null") : std::to_chars(p, p + 20, v).ptr;
+    }
+    double v;
+    std::memcpy(&v, at, sizeof v);
+    if (std::isfinite(v)) return put_double(p, v);
+    bool json = kind == JSON_FLOAT;
+    if (std::isnan(v)) return put(p, json ? "NaN" : "nan");
+    if (v < 0) *p++ = '-';
+    return put(p, json ? "Infinity" : "inf");
 }
 
 }  // namespace
 
-// n lines of json.dumps({"L"?, "grad_norm"?, "i", "k", "shift"}, sort_keys=True);
-// L and grad may be null (column absent), a negative moved index is "null"
-extern "C" int64_t trace_lines(int64_t n, const double *L, const double *grad, const int64_t *moved,
-                               const int64_t *count, const double *shift, char *buf, int64_t cap) {
+// rows first..first+n-1 of ncols columns, each laid out as text 0,
+// value 0, text 1, value 1, ..., text ncols.  Text j is the bytes
+// text[text_end[j - 1], text_end[j]) (from 0 for j = 0); value j of row r
+// is the float64 or int64 at cols[j] + r * strides[j] bytes, spelled by
+// kinds[j].
+extern "C" int64_t put_rows(int64_t first, int64_t n, int64_t ncols, const char *const *cols,
+                            const int64_t *strides, const int64_t *kinds, const char *text,
+                            const int64_t *text_end, char *buf, int64_t cap) {
     int64_t len = 0;
-    char line[192];
-    for (int64_t r = 0; r < n; ++r) {
-        if (!std::isfinite(shift[r]) || (L && !std::isfinite(L[r])) || (grad && !std::isfinite(grad[r])))
-            return -2;
-        char *p = put(line, "{");
-        if (L) p = put(put_double(put(p, "\"L\": "), L[r]), ", ");
-        if (grad) p = put(put_double(put(p, "\"grad_norm\": "), grad[r]), ", ");
-        p = put(p, "\"i\": ");
-        p = moved[r] < 0 ? put(p, "null") : put_int(p, moved[r]);
-        p = put_int(put(p, ", \"k\": "), count[r]);
-        p = put(put_double(put(p, ", \"shift\": "), shift[r]), "}\n");
-        if (!emit(buf, cap, &len, line, p)) return -1;
-    }
-    return len;
-}
-
-// n CSV rows of the (n, d) row-major x, each followed by labels[r] when
-// labels is not null: fields joined by ',', rows ended by '\n'
-extern "C" int64_t csv_rows(int64_t n, int64_t d, const double *x, const int64_t *labels, char *buf,
-                            int64_t cap) {
-    int64_t len = 0;
-    char tok[32];
-    for (int64_t r = 0; r < n; ++r) {
-        for (int64_t j = 0; j < d; ++j) {
-            double v = x[r * d + j];
-            if (!std::isfinite(v)) return -2;
-            char *p = tok;
-            if (j) *p++ = ',';
-            if (!emit(buf, cap, &len, tok, put_double(p, v))) return -1;
+    for (int64_t r = first; r < first + n; ++r) {
+        for (int64_t j = 0; j <= ncols; ++j) {
+            int64_t lo = j ? text_end[j - 1] : 0, size = text_end[j] - lo;
+            if (size > cap - len) return -1;
+            std::memcpy(buf + len, text + lo, size);
+            len += size;
+            if (j == ncols) break;
+            const char *at = cols[j] + r * strides[j];
+            if (cap - len >= WIDEST) {
+                len = put_value(buf + len, kinds[j], at) - buf;
+                continue;
+            }
+            char tok[WIDEST];
+            int64_t got = put_value(tok, kinds[j], at) - tok;
+            if (got > cap - len) return -1;
+            std::memcpy(buf + len, tok, got);
+            len += got;
         }
-        char *p = tok;
-        if (labels) {
-            if (d) *p++ = ',';
-            p = put_int(p, labels[r]);
-        }
-        *p++ = '\n';
-        if (!emit(buf, cap, &len, tok, p)) return -1;
     }
     return len;
 }

@@ -8,11 +8,12 @@ behind :func:`shift_rows`, which ``algorithms._shift_rows`` runs for MS,
 and ``bms_sweeps``, the blurring mean-shift sweeps behind
 :func:`bms_sweeps`, which ``algorithms._bms_sweeps`` runs for BMS.  The
 two block runners share one stop rule in C and its state and checks
-here (:class:`_BlockRunner`).  ``_format.cpp`` exports ``trace_lines``
-and ``csv_rows``, behind :func:`trace_lines` and :func:`csv_rows`, which
-``io`` writes ``trace.jsonl`` and its CSVs with: floats spelled as
-``repr`` spells them, from the shortest round-trip digits of C++17's
-``std::to_chars``.
+here (:class:`_BlockRunner`).  ``_format.cpp`` exports ``put_rows``,
+behind :func:`put_rows`, which renders rows of typed columns between
+literal texts; ``io`` states each of its text layouts (``trace.jsonl``,
+the dataset, partition and score-matrix CSVs) as such texts and column
+kinds.  Floats are spelled as ``repr`` spells them, from the shortest
+round-trip digits of C++17's ``std::to_chars``.
 
 ``load()`` (the kernel, with gcc) and ``load_format()`` (the formatter,
 with g++) each compile their source once into a shared library in the
@@ -29,8 +30,8 @@ Any failure (no compiler, no source, a failed compile, an unwritable
 cache or one another user owns, a library that does not load) makes the
 loader log the reason once at WARNING on the ``stochshift`` logger and
 return None.  Callers then run the numpy path instead of the kernel, or
-``io``'s Python writers instead of the formatter; each is also the
-reference its compiled twin is tested against.
+``io``'s Python row renderer instead of the formatter; each is also
+the reference its compiled twin is tested against.
 """
 
 from __future__ import annotations
@@ -182,13 +183,12 @@ def load():
 
 
 def _open_format(path: Path):
-    """The formatter library at ``path`` with its prototypes set; raises OSError if it does not load."""
+    """The formatter library at ``path`` with its prototype set; raises OSError if it does not load."""
     lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.trace_lines.restype = i64
-    lib.trace_lines.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]  # n, L, grad, i, k, shift, buf, cap
-    lib.csv_rows.restype = i64
-    lib.csv_rows.argtypes = [i64, i64, ptr, ptr, ptr, i64]  # n, d, x, labels, buf, cap
+    lib.put_rows.restype = i64
+    # first, n, ncols, cols, strides, kinds, text, text_end, buf, cap
+    lib.put_rows.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]
     return lib
 
 
@@ -333,57 +333,44 @@ def bms_sweeps(lib, pts: np.ndarray, h: float, alpha: int, tol: float, max_sweep
     return shifts[:done]
 
 
-# spelled lengths: "-1.2345678901234567e-308" and "-9223372036854775808"
-FLOAT_WIDTH, INT_WIDTH = 24, 20
+# column kinds of put_rows, in _format.cpp's order: a float64 spelled by
+# repr, a float64 spelled by json.dumps (they differ only off the finite
+# values: nan and inf against NaN and Infinity), an int64, and an int64
+# spelled null when negative
+FLOAT, JSON_FLOAT, INT, INT_OR_NULL = range(4)
+# the widest value of each kind: "-1.2345678901234567e-308", "-9223372036854775808"
+WIDTHS = (24, 24, 20, 20)
 
 
-def _filled(size: int, capacity: int) -> int:
-    if size == -1:
-        raise RuntimeError(f"formatted text would pass its {capacity}-byte buffer")
-    return size
+def put_rows(lib, texts, kinds, columns, n: int, chunk: int):
+    """The compiled twin of ``io._render_rows``: the bytes of n rows, ``chunk`` rows at a time.
 
-
-def trace_lines(lib, shift, moved, count, objective=None, grad_norm=None) -> np.ndarray | None:
-    """The compiled twin of ``io``'s Python trace lines: the bytes of one chunk's lines.
-
-    ``objective`` and ``grad_norm`` may be None (columns not traced).
-    Returns None when a float is not finite, which json.dumps spells as
-    ``NaN`` or ``Infinity``: the caller writes that chunk in Python.
-    The buffer holds n of the widest line the present columns can give;
-    the library refuses to write past it, which raises RuntimeError
-    here.  Dtypes, lengths and contiguity are fixed here, so every
-    pointer handed to the library is valid for the call.
+    Row r is ``texts[0]``, the value of ``columns[0]`` at r, ``texts[1]``,
+    ..., ``texts[-1]``; each column holds n values, spelled by its entry
+    of ``kinds``.  Yields one uint8 array per chunk.  The buffer holds
+    ``chunk`` rows of the texts and the widest value of each kind; the
+    library refuses to write past it, which raises RuntimeError here.
+    Dtypes and lengths are fixed here, and the columns are held until
+    the last chunk, so every pointer handed to the library is valid for
+    each call.
     """
-    floats = [None if c is None else np.ascontiguousarray(c, dtype=np.float64) for c in (objective, grad_norm, shift)]
-    ints = [np.ascontiguousarray(c, dtype=np.int64) for c in (moved, count)]
-    n = floats[2].shape[0]
-    if any(c is not None and c.shape != (n,) for c in floats + ints):
-        raise ValueError("trace columns must be 1-d and of one length")
-    widest = len('{"i": , "k": , "shift": }\n') + 2 * INT_WIDTH + FLOAT_WIDTH
-    widest += sum(len(f'"{key}": , ') + FLOAT_WIDTH for key, c in zip(("L", "grad_norm"), floats) if c is not None)
-    capacity = n * widest
-    buf = np.empty(capacity, dtype=np.uint8)
-    L, grad, shift = (None if c is None else c.ctypes.data for c in floats)
-    size = lib.trace_lines(n, L, grad, ints[0].ctypes.data, ints[1].ctypes.data, shift, buf.ctypes.data, capacity)
-    return None if size == -2 else buf[: _filled(size, capacity)]
-
-
-def csv_rows(lib, x, labels) -> np.ndarray | None:
-    """The compiled twin of ``io``'s Python CSV rows: the bytes of the rows of ``x`` (and ``labels``).
-
-    ``x`` is (n, d) and ``labels`` None or n integers, written as a last
-    column.  Returns None when a value is not finite, or when
-    ``labels`` is not n integers: the caller writes those rows in Python.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != x.shape[:1] or labels.dtype.kind != "i":
-            return None
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
-    n, d = x.shape
-    capacity = n * (d * (FLOAT_WIDTH + 1) + INT_WIDTH + 1)
-    buf = np.empty(capacity, dtype=np.uint8)
-    size = lib.csv_rows(n, d, x.ctypes.data, None if labels is None else labels.ctypes.data,
-                        buf.ctypes.data, capacity)
-    return None if size == -2 else buf[: _filled(size, capacity)]
+    if len(texts) != len(kinds) + 1 or len(columns) != len(kinds):
+        raise ValueError("a layout needs one text per column and one ending the row")
+    cols = [np.asarray(c, dtype=np.int64 if kind >= INT else np.float64) for c, kind in zip(columns, kinds)]
+    if any(c.shape != (n,) for c in cols):
+        raise ValueError(f"every column must hold n = {n} values")
+    pieces = [t.encode() for t in texts]
+    text, ends = b"".join(pieces), np.cumsum([len(t) for t in pieces], dtype=np.int64)
+    addresses = (ctypes.c_void_p * len(cols))(*[c.ctypes.data for c in cols])
+    strides = np.array([c.strides[0] for c in cols], dtype=np.int64)
+    kinds = np.array(kinds, dtype=np.int64)
+    width = len(text) + sum(WIDTHS[k] for k in kinds)
+    for lo in range(0, n, chunk):
+        rows = min(chunk, n - lo)
+        capacity = rows * width
+        buf = np.empty(capacity, dtype=np.uint8)
+        size = lib.put_rows(lo, rows, len(cols), addresses, strides.ctypes.data, kinds.ctypes.data, text,
+                            ends.ctypes.data, buf.ctypes.data, capacity)
+        if size < 0:
+            raise RuntimeError(f"formatted text would pass its {capacity}-byte buffer")
+        yield buf[:size]

@@ -134,30 +134,27 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
     not n x n for the n points.
 
     The steps run in the compiled kernel (``_native.KnnBlockKernel``)
-    when it loads and the points have d >= 2, and on the numpy runner
-    otherwise.  For d >= 2 numpy's mean over the (k, d) gather sums the
-    rows in order and divides by k, as the kernel does, so both take the
-    same steps to the same bits; only the shifts differ in the last
-    bits, as numpy's dot product sums in BLAS's order, so a stop
-    decision can differ only for a shift within rounding of the
-    tolerance.  For d = 1 and k >= 8 numpy sums a (k, 1) gather in its
-    own unrolled order, which the kernel would not match, so d = 1 stays
-    on numpy.
+    when it loads, and on the numpy runner otherwise.  Both sum a point's
+    k neighbour rows in order and divide by k, so both take the same
+    steps to the same bits; only the shifts differ in the last bits, as
+    numpy's dot product sums in BLAS's order, so a stop decision can
+    differ only for a shift within rounding of the tolerance.
     """
     if cfg.trace_objective or cfg.trace_gradient:
         raise ValueError("knn_sms_run has no objective to trace; "
                          "set trace_objective and trace_gradient to False")
     pts = check_state(points).copy()
-    n, d = pts.shape
+    n = pts.shape[0]
     if np.shape(scores) != (n, n):
         raise ValueError(f"score matrix must be ({n}, {n}) for {n} points, got {np.shape(scores)}")
     neighbor_sets = top_score_neighbors(scores, k)
-    lib = _native.load() if d > 1 else None
+    lib = _native.load()
     if lib is not None:
         steps = _native.KnnBlockKernel(lib, pts, neighbor_sets, cfg.move_tolerance, _BLOCK)
     else:
         def move(i):
-            new = pts[neighbor_sets[i]].mean(axis=0)
+            # in index order, as the kernel sums; numpy's mean would sum a (k, 1) gather pairwise
+            new = np.cumsum(pts[neighbor_sets[i]], axis=0)[-1] / k
             dx = new - pts[i]
             pts[i] = new
             return math.sqrt(dx @ dx), None, None

@@ -66,7 +66,6 @@ given seed; floating-point reductions use a fixed index-ascending order.
 from __future__ import annotations
 
 import math
-import time
 from array import array
 from dataclasses import dataclass, field
 
@@ -190,7 +189,6 @@ class RunTrace:
     initial_objective: float | None = None
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     total_updates: int = 0
-    duration: float = 0.0
     stop_reason: str = "converged"
     unconverged: np.ndarray | None = None
 
@@ -224,7 +222,6 @@ class _Recorder:
         self.objective = array("d") if objective else None
         self.objective_delta = array("d") if objective else None
         self.grad_norm = array("d") if gradient else None
-        self._t0 = time.perf_counter()
 
     def event(self, pts, shift: float, count: int) -> None:
         """Record a batch event (BMS sweep, MS iteration) of ``count`` updates that left ``pts``."""
@@ -264,7 +261,6 @@ class _Recorder:
 
     def finish(self, pts, stop_reason: str, **extra) -> RunTrace:
         """Append the final snapshot and build the trace; ``extra`` is MS's."""
-        duration = time.perf_counter() - self._t0
         if self.every is not None and self.snapshots[-1][0] != self.updates:
             self.snapshots.append((self.updates, pts.copy()))
 
@@ -285,7 +281,6 @@ class _Recorder:
             initial_objective=self.initial_objective,
             snapshots=self.snapshots,
             total_updates=self.updates,
-            duration=duration,
             stop_reason=stop_reason,
             **extra,
         )

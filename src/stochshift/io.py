@@ -4,12 +4,13 @@ All outputs are deterministic byte-for-byte given the same inputs: CSV
 fields use ``repr``-exact float formatting and JSON is dumped with
 sorted keys.  JSON payloads carry a ``schema`` tag (``<name>/1``).
 
-``trace.jsonl`` and the float CSVs (datasets and score matrices) are
-formatted in chunks by the compiled formatter (``_native.load_format``),
-loaded on the first such write.  Where it is unavailable, or a chunk
-holds a value that is not finite, the chunk is formatted here in
-Python, which is also the formatter's reference: the bytes are the same
-either way.
+Each text file of rows (``trace.jsonl``, the dataset, partition and
+score-matrix CSVs) is stated once here as a layout: the literal texts
+around its columns and each column's kind (``_native.FLOAT`` and the
+others).  The compiled formatter (``_native.put_rows``, loaded on the
+first such write) renders the rows in chunks.  Where it is unavailable,
+``_render_rows`` renders the same layout in Python; it is also the
+formatter's reference, and the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -41,43 +42,74 @@ class DataError(ValueError):
     """Malformed input data (bad CSV, shape mismatch, unreadable matrix)."""
 
 
-_TRACE_CHUNK = 1 << 14  # events (or CSV values) formatted per batch
+_TRACE_CHUNK = 1 << 14  # rows (or CSV floats) rendered per chunk
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# how the Python renderer spells a column's (non-empty) list of values, by kind
+_SPELL = {
+    _native.FLOAT: lambda values: list(map(repr, values)),
+    _native.JSON_FLOAT: lambda values: json.dumps(values)[1:-1].split(", "),
+    _native.INT: lambda values: list(map(str, values)),
+    _native.INT_OR_NULL: lambda values: ["null" if v < 0 else str(v) for v in values],
+}
 
 
-def _csv_rows(pts: np.ndarray, labels) -> bytes:
-    """The Python writer of CSV rows, and the compiled formatter's reference."""
-    lines = []
-    for i in range(pts.shape[0]):
-        row = [_fmt(v) for v in pts[i]]
-        if labels is not None:
-            row.append(str(int(labels[i])))
-        lines.append(",".join(row) + "\n")
-    return "".join(lines).encode()
+def _render_rows(texts, kinds, columns, n: int, chunk: int):
+    """The Python renderer of rows, and the compiled formatter's reference.
+
+    Yields the bytes of ``chunk`` rows at a time, laid out as
+    ``_native.put_rows`` lays them out.
+    """
+    line = "%s".join(t.replace("%", "%%") for t in texts)
+    for lo in range(0, n, chunk):
+        tokens = [_SPELL[kind](col[lo : lo + chunk].tolist()) for kind, col in zip(kinds, columns)]
+        rows = map(line.__mod__, zip(*tokens)) if tokens else [line] * min(chunk, n - lo)
+        yield "".join(rows).encode()
+
+
+def _write_rows(path, header: str | None, texts, kinds, columns, n: int, chunk: int = _TRACE_CHUNK) -> None:
+    """Write the ``header`` line, if given, then the n rows of ``columns`` in the layout ``texts``, ``kinds``."""
+    lib = _native.load_format()
+    with open(path, "wb") as fh:
+        if header is not None:
+            fh.write(header.encode() + b"\n")
+        if lib is None:
+            fh.writelines(_render_rows(texts, kinds, columns, n, chunk))
+        else:
+            fh.writelines(_native.put_rows(lib, texts, kinds, columns, n, chunk))
+
+
+def _csv_texts(ncols: int) -> list[str]:
+    """The texts of a CSV row of ``ncols`` fields: joined by ',', ended by a newline."""
+    return ["", *[","] * (ncols - 1), "\n"] if ncols else ["\n"]
 
 
 def _write_csv(path, header: str | None, pts: np.ndarray, labels=None) -> None:
     """``"\n".join([header] + rows) + "\n"`` for the float rows of ``pts``, each ended by its label if given."""
-    lib = _native.load_format()
     n, d = pts.shape
-    step = max(1, _TRACE_CHUNK // max(d, 1))
-    with open(path, "wb") as fh:
-        if header is not None or n == 0:
-            fh.write((header or "").encode() + b"\n")
-        for lo in range(0, n, step):
-            rows, lab = pts[lo : lo + step], None if labels is None else labels[lo : lo + step]
-            text = None if lib is None else _native.csv_rows(lib, rows, lab)
-            fh.write(_csv_rows(rows, lab) if text is None else text)
+    columns = [pts[:, j] for j in range(d)] + ([] if labels is None else [labels])
+    kinds = [_native.FLOAT] * d + ([] if labels is None else [_native.INT])
+    if header is None and n == 0:
+        header = ""
+    _write_rows(path, header, _csv_texts(len(kinds)), kinds, columns, n, max(1, _TRACE_CHUNK // max(d, 1)))
 
 
 def write_dataset_csv(path, points, labels=None) -> None:
-    """Coordinate columns x0..x{d-1}, then an integer ``label`` column."""
+    """Coordinate columns x0..x{d-1}, then an integer ``label`` column.
+
+    ``points`` must be (n, d) and ``labels`` None or n integers; either
+    mismatch raises ``DataError`` before the file is opened.
+    """
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise DataError(f"points must be an (n, d) array, got shape {pts.shape}")
     header = [f"x{j}" for j in range(pts.shape[1])]
     if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != pts.shape[:1] or not np.can_cast(labels.dtype, np.int64):
+            raise DataError(f"labels must be {pts.shape[0]} integers (int64), "
+                            f"got {labels.dtype} of shape {labels.shape}")
+        labels = labels.astype(np.int64, copy=False)
         header.append("label")
     _write_csv(path, ",".join(header), pts, labels)
 
@@ -122,6 +154,8 @@ def read_dataset_csv(path):
                 labels.append(int(parts[label_col]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if labels and not -(2**63) <= labels[-1] < 2**63:
+            raise DataError(f"{path}:{lineno}: label {labels[-1]} is outside the int64 range")
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
@@ -132,39 +166,30 @@ def read_dataset_csv(path):
 
 
 def write_partition_csv(path, partition: Partition) -> None:
-    lines = ["index,cluster_id"]
-    lines += [f"{i},{int(cid)}" for i, cid in enumerate(partition.assignment)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """``index,cluster_id``, then one row per input index."""
+    n = partition.n
+    _write_rows(path, "index,cluster_id", _csv_texts(2), [_native.INT, _native.INT],
+                [np.arange(n), partition.assignment], n)
 
 
-def _trace_lines(chunk: dict) -> bytes:
-    """The Python writer of trace lines, and the compiled formatter's reference.
+# the kind of each trace key's column
+_TRACE_KINDS = {"L": _native.JSON_FLOAT, "grad_norm": _native.JSON_FLOAT, "i": _native.INT_OR_NULL,
+                "k": _native.INT, "shift": _native.JSON_FLOAT}
 
-    ``chunk`` maps the present keys, in sorted order, to their columns.
-    Each value is spelled as json.dumps spells it, from one call per
-    column.
-    """
-    line = "{" + ", ".join(f'"{key}": %s' for key in chunk) + "}\n"
-    tokens = []
-    for key, col in chunk.items():
-        values = col.tolist()
-        if key == "i":
-            values = [None if v < 0 else v for v in values]
-        tokens.append(json.dumps(values)[1:-1].split(", "))
-    return "".join(map(line.__mod__, zip(*tokens))).encode()
+
+def _trace_texts(keys) -> list[str]:
+    """The texts of ``json.dumps(record, sort_keys=True)`` for records with the sorted ``keys``."""
+    return [("{" if j == 0 else ", ") + f'"{key}": ' for j, key in enumerate(keys)] + ["}\n"]
 
 
 def write_trace_jsonl(path, trace: RunTrace) -> None:
     """One JSON line per event: ``{"L"?, "grad_norm"?, "i", "k", "shift"}``.
 
     Each line is byte-for-byte ``json.dumps(record, sort_keys=True)`` of
-    the event's record: floats as ``repr`` spells them, and a batch
-    event's ``i`` (moved index -1) as ``null``.  ``L`` and ``grad_norm``
-    appear when traced.  The columns are formatted straight to lines in
-    chunks of ``_TRACE_CHUNK`` events, by the compiled formatter
-    (shortest round-trip digits laid out by ``repr``'s rules) when it
-    loads, else, and for a chunk holding a value that is not finite
-    (``NaN``, ``Infinity``), by ``_trace_lines`` in Python.
+    the event's record: floats as ``repr`` spells them (``NaN`` and
+    ``Infinity`` off the finite values), and a batch event's ``i``
+    (moved index -1) as ``null``.  ``L`` and ``grad_norm`` appear when
+    traced.
     """
     columns = {
         "L": trace.objective,
@@ -174,15 +199,8 @@ def write_trace_jsonl(path, trace: RunTrace) -> None:
         "shift": trace.shift,
     }
     columns = {key: col for key, col in columns.items() if col is not None}
-    lib = _native.load_format()
-    with open(path, "wb") as fh:
-        for lo in range(0, trace.n_events, _TRACE_CHUNK):
-            chunk = {key: col[lo : lo + _TRACE_CHUNK] for key, col in columns.items()}
-            text = None
-            if lib is not None:
-                text = _native.trace_lines(lib, chunk["shift"], chunk["i"], chunk["k"],
-                                           chunk.get("L"), chunk.get("grad_norm"))
-            fh.write(_trace_lines(chunk) if text is None else text)
+    _write_rows(path, None, _trace_texts(columns), [_TRACE_KINDS[key] for key in columns],
+                list(columns.values()), trace.n_events)
 
 
 def write_json(path, payload: dict, schema: str | None = None) -> None:

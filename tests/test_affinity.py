@@ -199,18 +199,6 @@ class TestKnnSmsRun:
         with pytest.raises(ValueError, match="for 30 points"):
             knn_sms_run(pts, scores, 3, AlgoConfig())
 
-    def test_one_column_runs_on_numpy(self, monkeypatch):
-        # numpy sums a (k, 1) gather in its own order for k >= 8, which the
-        # kernel's in-order sum would not match
-        def no_kernel(*args):
-            raise AssertionError("a d = 1 run reached the kernel")
-
-        monkeypatch.setattr(_native, "KnnBlockKernel", no_kernel)
-        pts = np.random.default_rng(9).normal(size=(40, 1))
-        diff = pts - pts.T
-        _, trace = knn_sms_run(pts, -diff * diff, 8, AlgoConfig(seed=2))
-        assert trace.stop_reason == "converged"
-
     @pytest.mark.parametrize("flag", ["trace_objective", "trace_gradient"])
     def test_traced_config_rejected(self, flag):
         # the neighbour-mean move has no objective, so a trace would be all None
@@ -279,6 +267,15 @@ class TestCompiledKnnSms:
         z, scores = embedding(name, target_dim, step)
         trace = assert_same_knn_run(z, scores, 10, AlgoConfig(seed=seed, max_updates=budget), monkeypatch)
         assert trace.stop_reason == reason
+
+    @pytest.mark.parametrize("k", [3, 8, 13])
+    def test_one_column_matches_numpy_runner(self, k, monkeypatch):
+        # numpy's mean would sum a (k, 1) gather of k >= 8 rows pairwise; the
+        # numpy runner sums in index order, as the kernel does
+        pts = np.random.default_rng(9).normal(size=(40, 1))
+        diff = pts - pts.T
+        trace = assert_same_knn_run(pts, -diff * diff, k, AlgoConfig(seed=2), monkeypatch)
+        assert trace.stop_reason == "converged"
 
     @pytest.mark.parametrize("table", ["too_high", "negative", "self", "short", "int32", "empty"])
     def test_bad_neighbour_table_rejected_before_the_kernel(self, table):

@@ -136,6 +136,12 @@ class TestCluster:
         data_path.write_text("x0,label,label\n0.5,1,1\n1.5,2,2\n")
         assert run_cli("cluster", "--input", data_path, "--out", tmp_path / "o") == EXIT_DATA
 
+    def test_label_beyond_int64_data_error(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("x0,label\n0.5,1\n1.5,9223372036854775808\n")
+        assert run_cli("cluster", "--input", data_path, "--out", tmp_path / "o") == EXIT_DATA
+        assert "d.csv:3: label 9223372036854775808 is outside the int64 range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo", ["sms", "bms"])
     def test_overflowing_coordinates_data_error(self, tmp_path, algo):
         # each coordinate is finite, but its square is not

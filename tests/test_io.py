@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -10,11 +11,16 @@ import numpy as np
 import pytest
 
 from stochshift import _native
+from stochshift import io as io_mod
 from stochshift.algorithms import AlgoConfig, RunTrace, run
 from stochshift.clustering import Partition
 from stochshift.io import (
     _TRACE_CHUNK,
+    _TRACE_KINDS,
     DataError,
+    _csv_texts,
+    _render_rows,
+    _trace_texts,
     read_dataset_csv,
     read_score_matrix,
     write_dataset_csv,
@@ -107,6 +113,26 @@ class TestDatasetCsv:
         with pytest.raises(DataError, match="cannot read"):
             read_dataset_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("points, labels", [
+        pytest.param(np.zeros((5, 2)), np.arange(6), id="more-labels-than-rows"),
+        pytest.param(np.zeros((5, 2)), np.arange(4), id="fewer-labels-than-rows"),
+        pytest.param(np.zeros(5), None, id="one-dimensional-points"),
+        pytest.param(np.zeros((5, 2)), np.full(5, 1.5), id="float-labels"),
+    ])
+    def test_bad_shapes_rejected_before_writing(self, tmp_path, points, labels):
+        path = tmp_path / "data.csv"
+        path.write_text("kept\n")
+        with pytest.raises(DataError, match="must be"):
+            write_dataset_csv(path, points, labels)
+        assert path.read_text() == "kept\n"  # the file was not opened
+
+    @pytest.mark.parametrize("label", ["9223372036854775808", "-9223372036854775809"])
+    def test_label_beyond_int64_reports_line(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x0,label\n0.5,-9223372036854775808\n\n1.5,{label}\n")
+        with pytest.raises(DataError, match=f"data.csv:4: label {label} is outside the int64 range"):
+            read_dataset_csv(path)
+
     def test_exact_float_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(20, 3))
@@ -116,57 +142,116 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(got, pts)
 
 
+def compiled(lib, texts, kinds, columns, n, chunk=None) -> bytes:
+    return b"".join(bytes(b) for b in _native.put_rows(lib, texts, kinds, columns, n, chunk or max(n, 1)))
+
+
+def rendered(texts, kinds, columns, n, chunk=None) -> bytes:
+    return b"".join(_render_rows(texts, kinds, columns, n, chunk or max(n, 1)))
+
+
+# the layouts io writes, as (texts, kinds): a trace line with every key,
+# one with the untraced keys, a labelled 2-D dataset row and a partition row
+TRACE_KEYS = ["L", "grad_norm", "i", "k", "shift"]
+LAYOUTS = {
+    "trace": (_trace_texts(TRACE_KEYS), [_TRACE_KINDS[key] for key in TRACE_KEYS]),
+    "trace-plain": (_trace_texts(TRACE_KEYS[2:]), [_TRACE_KINDS[key] for key in TRACE_KEYS[2:]]),
+    "dataset": (_csv_texts(3), [_native.FLOAT, _native.FLOAT, _native.INT]),
+    "partition": (_csv_texts(2), [_native.INT, _native.INT]),
+}
+
+
+def layout_columns(kinds, n: int, seed: int = 0) -> list[np.ndarray]:
+    """n values per kind: floats across the spellings, every ninth off the finite values or at
+    an extreme, and integers across the signs and widths."""
+    rng = np.random.default_rng(seed)
+    extremes = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
+    columns = []
+    for kind in kinds:
+        if kind in (_native.FLOAT, _native.JSON_FLOAT):
+            col = rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n)
+            col[::9] = np.resize(extremes, col[::9].size)
+            columns.append(col)
+        else:
+            columns.append(rng.integers(-(2**63), 2**63 - 1, size=n, endpoint=True) >> rng.integers(0, 63, size=n))
+    return columns
+
+
 class TestCompiledFormatter:
-    """The formatter library against ``repr`` and the Python writers, its reference."""
+    """The formatter library against ``repr`` and the Python renderer, its reference."""
 
     def test_floats_spelled_as_repr(self, fmt):
         bits = np.random.default_rng(0).integers(0, 2**64, size=1_000_000, dtype=np.uint64, endpoint=False)
         x = np.concatenate([bits.view(np.float64), edge_floats()])
         x = x[np.isfinite(x)]
         assert x.size > 1_000_000
-        got = bytes(_native.csv_rows(fmt, x[:, None], None)).decode()
+        got = compiled(fmt, ["", "\n"], [_native.FLOAT], [x], x.size).decode()
         expected = [repr(v) for v in x.tolist()]
         if got != "\n".join(expected) + "\n":
             bad = [(e, g) for e, g in zip(expected, got.split("\n")) if e != g]
             pytest.fail(f"spelled unlike repr (repr, got): {bad[:5]}")
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_left_to_python(self, fmt, value):
-        assert _native.csv_rows(fmt, np.array([[1.0, value]]), None) is None
-        assert _native.trace_lines(fmt, np.array([value]), np.array([0]), np.array([1])) is None
-        assert _native.trace_lines(fmt, np.array([0.5]), np.array([0]), np.array([1]), np.array([value])) is None
+    @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf], ids=["nan", "-nan", "inf", "-inf"])
+    def test_non_finite_spelled_like_python(self, fmt, value):
+        x = np.array([1.0, value, 0.5])
+        for kind, spell in [(_native.FLOAT, repr), (_native.JSON_FLOAT, json.dumps)]:
+            args = ["<", ">\n"], [kind], [x], 3
+            assert compiled(fmt, *args) == rendered(*args), kind
+            assert compiled(fmt, *args).decode().split("\n")[1] == f"<{spell(float(value))}>", kind
 
-    def test_too_small_buffer_is_refused(self, fmt):
-        x = np.array([1.5, -2.25e-7, 3.0])
-        moved, count = np.array([-1, 7, 2]), np.array([1, 2, 3])
-        calls = {
-            "csv_rows": lambda buf, cap: fmt.csv_rows(3, 1, x.ctypes.data, None, buf.ctypes.data, cap),
-            "trace_lines": lambda buf, cap: fmt.trace_lines(3, x.ctypes.data, None, moved.ctypes.data,
-                                                            count.ctypes.data, x.ctypes.data, buf.ctypes.data, cap),
-        }
-        for name, call in calls.items():
-            full = call(np.empty(4096, dtype=np.uint8), 4096)
-            assert full > 0, name
-            for cap in range(full):
-                buf = np.full(cap + 64, 0xA5, dtype=np.uint8)
-                assert call(buf, cap) == -1, (name, cap)
-                assert np.all(buf[cap:] == 0xA5), (name, cap)  # nothing written past the capacity
-            assert call(np.empty(full, dtype=np.uint8), full) == full, name
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_layouts_match_python(self, fmt, name):
+        texts, kinds = LAYOUTS[name]
+        columns = layout_columns(kinds, 2000)
+        assert compiled(fmt, texts, kinds, columns, 2000, 333) == rendered(texts, kinds, columns, 2000, 333)
+
+    def test_texts_with_format_characters(self, fmt):
+        texts = ['%s{"', '%%"}', "%d%", "{0}\n"]
+        kinds = [_native.JSON_FLOAT, _native.INT_OR_NULL, _native.FLOAT]
+        columns = [np.array([0.5, np.nan]), np.array([-1, 7]), np.array([np.inf, 1e16])]
+        got = compiled(fmt, texts, kinds, columns, 2)
+        assert got == rendered(texts, kinds, columns, 2)
+        assert got == b'%s{"0.5%%"}null%d%inf{0}\n%s{"NaN%%"}7%d%1e+16{0}\n'
+
+    def test_strided_columns(self, fmt):
+        # the dataset writer hands the columns of an (n, d) array as strided views
+        x = np.arange(12.0).reshape(4, 3)
+        texts, kinds, columns = _csv_texts(2), [_native.FLOAT, _native.FLOAT], [x[::-1, 2], x[:, 0]]
+        assert compiled(fmt, texts, kinds, columns, 4) == b"11.0,0.0\n8.0,3.0\n5.0,6.0\n2.0,9.0\n"
+
+    @pytest.mark.parametrize("name", ["trace", "dataset"])
+    def test_too_small_buffer_is_refused(self, fmt, name):
+        texts, kinds = LAYOUTS[name]
+        columns = [np.ascontiguousarray(c) for c in layout_columns(kinds, 3)]
+        text = "".join(texts).encode()
+        ends = np.cumsum([len(t.encode()) for t in texts], dtype=np.int64)
+        addresses = (ctypes.c_void_p * len(columns))(*[c.ctypes.data for c in columns])
+        strides, kinds = np.full(len(columns), 8, dtype=np.int64), np.array(kinds, dtype=np.int64)
+
+        def call(buf, cap):
+            return fmt.put_rows(0, 3, len(columns), addresses, strides.ctypes.data, kinds.ctypes.data, text,
+                                ends.ctypes.data, buf.ctypes.data, cap)
+
+        full = call(np.empty(4096, dtype=np.uint8), 4096)
+        assert full > 0
+        for cap in range(full):
+            buf = np.full(cap + 64, 0xA5, dtype=np.uint8)
+            assert call(buf, cap) == -1, cap
+            assert np.all(buf[cap:] == 0xA5), cap  # nothing written past the capacity
+        assert call(np.empty(full, dtype=np.uint8), full) == full
 
     def test_bound_too_small_raises(self, fmt, monkeypatch):
-        # the wrappers size the buffer from the widest spelling; a bound
-        # that is too small must fail loudly, not write a short file
-        monkeypatch.setattr(_native, "FLOAT_WIDTH", 2)
-        monkeypatch.setattr(_native, "INT_WIDTH", 0)
-        with pytest.raises(RuntimeError, match="buffer"):
-            _native.csv_rows(fmt, np.array([[-1.2345678901234567e-308] * 4]), None)
-        with pytest.raises(RuntimeError, match="buffer"):
-            _native.trace_lines(fmt, np.array([-1.2345678901234567e-308] * 4), np.zeros(4), np.ones(4))
+        # put_rows sizes the buffer from the texts and the widest value of
+        # each kind; a bound that is too small must fail loudly, not write a short file
+        monkeypatch.setattr(_native, "WIDTHS", (2, 2, 0, 0))
+        for texts, kinds in LAYOUTS.values():
+            with pytest.raises(RuntimeError, match="buffer"):
+                compiled(fmt, texts, kinds, layout_columns(kinds, 4), 4)
 
     def test_prototypes_match_cpp_definitions(self, fmt):
         source = _native._FORMAT_SOURCE.read_text()
         exported = re.findall(r'^extern "C" int64_t (\w+)\(([^)]*)\)', source, flags=re.M)
-        assert sorted(name for name, _ in exported) == ["csv_rows", "trace_lines"]
+        assert [name for name, _ in exported] == ["put_rows"]
         for name, params in exported:
             func = getattr(fmt, name)
             params = [p.split() for p in params.split(",")]
@@ -183,6 +268,125 @@ def test_formatter_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "f.so"), str(_native._FORMAT_SOURCE), "-lm"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=_native._COMPILE_TIMEOUT_S)
     assert done.returncode == 0, done.stderr
+
+
+SANITIZER_FLAGS = ["-std=c++17", "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+
+# renders each layout of LAYOUTS into heap buffers of exactly the needed
+# size and of every smaller size, then prints the extreme values of the
+# SPECIALS layout: every value in its row, once per float kind
+SANITIZER_DRIVER = r"""
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+
+extern "C" int64_t put_rows(int64_t first, int64_t n, int64_t ncols, const char *const *cols,
+                            const int64_t *strides, const int64_t *kinds, const char *text,
+                            const int64_t *text_end, char *buf, int64_t cap);
+
+struct Layout { int64_t ncols; const int64_t *kinds; const char *text; const int64_t *ends; };
+%(layouts)s
+
+const int64_t N = 3;
+const double FLOATS[N] = {-1.2345678901234567e-308, 0.1, -0.0};
+const int64_t INTS[N] = {std::numeric_limits<int64_t>::min(), -1, 7};
+
+int64_t render(const Layout &l, const char *const *cols, const int64_t *strides, int64_t n, char *buf,
+               int64_t cap) {
+    return put_rows(0, n, l.ncols, cols, strides, l.kinds, l.text, l.ends, buf, cap);
+}
+
+int check(const Layout &l) {
+    const char *cols[8];
+    int64_t strides[8];
+    for (int64_t j = 0; j < l.ncols; ++j) {
+        cols[j] = l.kinds[j] >= 2 ? (const char *)INTS : (const char *)FLOATS;
+        strides[j] = 8;
+    }
+    static char big[1 << 16];
+    int64_t full = render(l, cols, strides, N, big, sizeof big);
+    if (full <= 0) return 1;
+    for (int64_t cap = 0; cap < full; ++cap) {
+        char *buf = new char[cap];
+        int64_t got = render(l, cols, strides, N, buf, cap);
+        delete[] buf;
+        if (got != -1) return 2;
+    }
+    char *buf = new char[full];
+    int64_t got = render(l, cols, strides, N, buf, full);
+    int same = got == full && std::memcmp(buf, big, full) == 0;
+    delete[] buf;
+    return same ? 0 : 3;
+}
+
+int main() {
+    for (const Layout &l : LAYOUTS)
+        if (int bad = check(l)) {
+            std::printf("layout %%d failed: %%d\n", int(&l - LAYOUTS), bad);
+            return 1;
+        }
+    const double inf = std::numeric_limits<double>::infinity();
+    const double values[] = {0.0, -0.0, 5e-324, std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+    const int64_t count = sizeof values / sizeof *values;
+    const char *cols[count];
+    int64_t strides[count];
+    for (int64_t j = 0; j < count; ++j) {
+        cols[j] = (const char *)(values + j);
+        strides[j] = 0;
+    }
+    for (const Layout &l : SPECIALS) {
+        char *buf = new char[4096];
+        int64_t got = render(l, cols, strides, 1, buf, 4096);
+        if (got < 0) return 4;
+        std::fwrite(buf, 1, got, stdout);
+        delete[] buf;
+    }
+    return 0;
+}
+"""
+
+
+def c_layouts(name: str, layouts) -> str:
+    """C++ definitions of ``Layout name[]`` holding the (texts, kinds) of ``layouts``."""
+    defs, entries = [], []
+    for j, (texts, kinds) in enumerate(layouts):
+        pieces = [t.encode() for t in texts]
+        text = "".join(f"\\{b:03o}" for b in b"".join(pieces))
+        ends = ", ".join(str(e) for e in np.cumsum([len(p) for p in pieces]))
+        defs.append(f'const int64_t {name}_kinds{j}[] = {{{", ".join(map(str, kinds)) or "0"}}};\n'
+                    f'const int64_t {name}_ends{j}[] = {{{ends}}};\n'
+                    f'const char {name}_text{j}[] = "{text}";')
+        entries.append(f"{{{len(kinds)}, {name}_kinds{j}, {name}_text{j}, {name}_ends{j}}}")
+    return "\n".join(defs) + f"\nconst Layout {name}[] = {{{', '.join(entries)}}};"
+
+
+@pytest.mark.skipif(shutil.which(_native._FORMAT_COMPILER) is None, reason="no C++ compiler")
+def test_formatter_under_sanitizers(tmp_path):
+    # a build with AddressSanitizer catches any write past a buffer of exactly the capacity given
+    def compile_(*sources):
+        cmd = [_native._FORMAT_COMPILER, *SANITIZER_FLAGS, "-o", str(tmp_path / "driver"), *map(str, sources)]
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=_native._COMPILE_TIMEOUT_S)
+
+    (tmp_path / "empty.cpp").write_text("int main() { return 0; }\n")
+    if compile_(tmp_path / "empty.cpp").returncode != 0:
+        pytest.skip("no sanitizer runtime for the C++ compiler")
+    specials = [(["", *[" "] * 6, "\n"], [kind] * 7) for kind in (_native.FLOAT, _native.JSON_FLOAT)]
+    driver = tmp_path / "driver.cpp"
+    driver.write_text(SANITIZER_DRIVER % {"layouts": c_layouts("LAYOUTS", LAYOUTS.values()) + "\n"
+                                          + c_layouts("SPECIALS", specials)})
+    built = compile_(driver, _native._FORMAT_SOURCE)
+    assert built.returncode == 0, built.stderr
+    env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0:abort_on_error=0", UBSAN_OPTIONS="print_stacktrace=1")
+    done = subprocess.run([str(tmp_path / "driver")], capture_output=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
+    values = [0.0, -0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+    expected = b"".join(rendered(texts, kinds, [np.array([v]) for v in values], 1) for texts, kinds in specials)
+    assert done.stdout == expected
+    assert done.stdout.split(b"\n")[:2] == [b"0.0 -0.0 5e-324 1.7976931348623157e+308 nan inf -inf",
+                                             b"0.0 -0.0 5e-324 1.7976931348623157e+308 NaN Infinity -Infinity"]
 
 
 class TestCsvParity:
@@ -228,6 +432,16 @@ class TestPartitionCsv:
         path = tmp_path / "partition.csv"
         write_partition_csv(path, part)
         assert path.read_text() == "index,cluster_id\n0,1\n1,1\n2,2\n"
+
+    @pytest.mark.parametrize("n", [1, 4500, _TRACE_CHUNK + 1])
+    def test_compiled_matches_python(self, fmt, tmp_path, monkeypatch, n):
+        ids = np.random.default_rng(n).integers(1, 40, size=n)
+        part = Partition(np.unique(ids, return_inverse=True)[1] + 1, np.unique(ids).size)
+        path = tmp_path / "partition.csv"
+        write_partition_csv(path, part)
+        text = path.read_bytes()
+        assert text == python_bytes(write_partition_csv, tmp_path / "py.csv", part, monkeypatch=monkeypatch)
+        assert text.count(b"\n") == n + 1
 
 
 class TestTraceJsonl:
@@ -325,7 +539,7 @@ class TestTraceParity:
             assert b'"i": null' in text or n_events == 1
 
     def test_non_finite_chunk_spelled_by_json(self, fmt, tmp_path):
-        # the chunk holding NaN or an infinity is written in Python; the others in C
+        # the library spells NaN and the infinities as json.dumps does
         trace = synthetic_trace(_TRACE_CHUNK + 5, True, False)
         trace.shift[_TRACE_CHUNK + 1] = np.nan
         trace.objective[_TRACE_CHUNK + 2] = np.inf
@@ -340,6 +554,22 @@ class TestTraceParity:
             assert lines[j] == json.dumps(record, sort_keys=True)
         assert '"shift": NaN' in lines[_TRACE_CHUNK + 1]
         assert '"L": Infinity' in lines[_TRACE_CHUNK + 2] and '"L": -Infinity' in lines[_TRACE_CHUNK + 3]
+
+
+def test_library_renders_every_chunk(fmt, tmp_path, monkeypatch):
+    # while the library loads, no chunk goes to the Python renderer, not even one off the finite values
+    def no_python(*args):
+        raise AssertionError("a chunk was rendered in Python")
+
+    monkeypatch.setattr(io_mod, "_render_rows", no_python)
+    trace = synthetic_trace(_TRACE_CHUNK + 5, True, True)
+    trace.shift[3], trace.objective[_TRACE_CHUNK + 1], trace.grad_norm[0] = np.nan, np.inf, -np.inf
+    write_trace_jsonl(tmp_path / "trace.jsonl", trace)
+    write_dataset_csv(tmp_path / "data.csv", np.array([[np.nan, -np.inf], [np.inf, 0.5]]), np.array([1, 2]))
+    write_partition_csv(tmp_path / "partition.csv", Partition(np.array([1, 2, 1]), 2))
+    write_score_matrix(tmp_path / "scores.csv", np.full((3, 3), np.nan))
+    assert (tmp_path / "data.csv").read_text() == "x0,x1,label\nnan,-inf,1\ninf,0.5,2\n"
+    assert '"grad_norm": -Infinity' in (tmp_path / "trace.jsonl").read_text().splitlines()[0]
 
 
 class TestJson:
