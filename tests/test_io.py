@@ -162,8 +162,7 @@ LAYOUTS = {
 
 
 def layout_columns(kinds, n: int, seed: int = 0) -> list[np.ndarray]:
-    """n values per kind: floats across the spellings, every ninth off the finite values or at
-    an extreme, and integers across the signs and widths."""
+    """n values per kind: floats at every scale, every ninth not finite or extreme, and integers of every width."""
     rng = np.random.default_rng(seed)
     extremes = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
     columns = []
@@ -219,26 +218,26 @@ class TestCompiledFormatter:
         texts, kinds, columns = _csv_texts(2), [_native.FLOAT, _native.FLOAT], [x[::-1, 2], x[:, 0]]
         assert compiled(fmt, texts, kinds, columns, 4) == b"11.0,0.0\n8.0,3.0\n5.0,6.0\n2.0,9.0\n"
 
-    @pytest.mark.parametrize("name", ["trace", "dataset"])
-    def test_too_small_buffer_is_refused(self, fmt, name):
-        texts, kinds = LAYOUTS[name]
-        columns = [np.ascontiguousarray(c) for c in layout_columns(kinds, 3)]
-        text = "".join(texts).encode()
-        ends = np.cumsum([len(t.encode()) for t in texts], dtype=np.int64)
-        addresses = (ctypes.c_void_p * len(columns))(*[c.ctypes.data for c in columns])
-        strides, kinds = np.full(len(columns), 8, dtype=np.int64), np.array(kinds, dtype=np.int64)
+    def test_too_small_buffer_is_refused(self, fmt):
+        for name in ["trace", "dataset"]:
+            texts, kinds = LAYOUTS[name]
+            columns = [np.ascontiguousarray(c) for c in layout_columns(kinds, 3)]
+            text = "".join(texts).encode()
+            ends = np.cumsum([len(t.encode()) for t in texts], dtype=np.int64)
+            addresses = (ctypes.c_void_p * len(columns))(*[c.ctypes.data for c in columns])
+            strides, kinds = np.full(len(columns), 8, dtype=np.int64), np.array(kinds, dtype=np.int64)
 
-        def call(buf, cap):
-            return fmt.put_rows(0, 3, len(columns), addresses, strides.ctypes.data, kinds.ctypes.data, text,
-                                ends.ctypes.data, buf.ctypes.data, cap)
+            def call(buf, cap):
+                return fmt.put_rows(0, 3, len(columns), addresses, strides.ctypes.data, kinds.ctypes.data, text,
+                                    ends.ctypes.data, buf.ctypes.data, cap)
 
-        full = call(np.empty(4096, dtype=np.uint8), 4096)
-        assert full > 0
-        for cap in range(full):
-            buf = np.full(cap + 64, 0xA5, dtype=np.uint8)
-            assert call(buf, cap) == -1, cap
-            assert np.all(buf[cap:] == 0xA5), cap  # nothing written past the capacity
-        assert call(np.empty(full, dtype=np.uint8), full) == full
+            full = call(np.empty(4096, dtype=np.uint8), 4096)
+            assert full > 0, name
+            for cap in range(full):
+                buf = np.full(cap + 64, 0xA5, dtype=np.uint8)
+                assert call(buf, cap) == -1, (name, cap)
+                assert np.all(buf[cap:] == 0xA5), (name, cap)  # nothing written past the capacity
+            assert call(np.empty(full, dtype=np.uint8), full) == full, name
 
     def test_bound_too_small_raises(self, fmt, monkeypatch):
         # put_rows sizes the buffer from the texts and the widest value of
