@@ -15,13 +15,21 @@ the dataset, partition and score-matrix CSVs) as such texts and column
 kinds.  Floats are spelled as ``repr`` spells them, from the shortest
 round-trip digits of C++17's ``std::to_chars``.
 
+The kernel's exports declare each array as a typed pointer (double or
+int64_t).  Every array reaches them through ``_ptr``, which checks it
+once (dtype, C-contiguity and, where C writes through it, writeability)
+and binds it to that pointer; the block runners bind their buffers when
+built, so each block binds only its index block.  The formatter takes
+untyped pointers, as it reads columns of mixed kinds through strides.
+
 ``load()`` (the kernel, with gcc) and ``load_format()`` (the formatter,
 with g++) each compile their source once into a shared library in the
 user cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, else a
 per-user directory under the system temporary directory), under a file
 name keyed by the source's name and a hash of its text and the flags,
-and load it with ctypes.  The two are separate libraries, so a machine
-without g++ still runs the kernel.  Concurrent first uses (``sweep
+and load it with ctypes, its exports' prototypes set from one table,
+``_PROTOTYPES``.  The two are separate libraries, so a machine without
+g++ still runs the kernel.  Concurrent first uses (``sweep
 --workers``) each compile to a private temporary name and publish with
 an atomic ``os.replace``.  The flags are portable: no ``-ffast-math``,
 which would reorder the sums, and no ``-march=native``.
@@ -64,32 +72,24 @@ def _cache_dirs() -> list[Path]:
     return [Path(base) / "stochshift", Path(tempfile.gettempdir()) / f"stochshift-{uid}"]
 
 
-def library_path(cache_dir: Path, source: Path | None = None, flags: tuple[str, ...] | None = None) -> Path:
+def library_path(cache_dir: Path, source: Path, flags: tuple[str, ...]) -> Path:
     """The library's file name in ``cache_dir``: the source's name, then a hash of its text and the flags.
 
-    ``source`` and ``flags`` default to the kernel's.  The compiler is
-    not hashed: each source has one, by its language, and a library
-    already built is used without one.
+    The compiler is not hashed: each source has one, by its language,
+    and a library already built is used without one.
     """
-    source = _SOURCE if source is None else Path(source)
-    flags = _FLAGS if flags is None else flags
     key = hashlib.sha256(source.read_bytes() + "\0".join(flags).encode()).hexdigest()[:16]
     return Path(cache_dir) / f"{source.stem.lstrip('_')}-{key}.so"
 
 
-def build(cache_dir: Path, source: Path | None = None, compiler: str | None = None,
-          flags: tuple[str, ...] | None = None) -> Path:
-    """Return the compiled library in ``cache_dir``, compiling it if absent.
+def build(cache_dir: Path, source: Path, compiler: str, flags: tuple[str, ...]) -> Path:
+    """Return the library compiled from ``source`` in ``cache_dir``, compiling it if absent.
 
-    ``source``, ``compiler`` and ``flags`` default to the kernel's.
     Raises OSError when the source or the compiler is missing or the
     directory cannot be made or is not the user's own, and
     ``subprocess.SubprocessError`` when the compile fails; no
     half-written library is left behind.
     """
-    source = _SOURCE if source is None else Path(source)
-    compiler = _COMPILER if compiler is None else compiler
-    flags = _FLAGS if flags is None else flags
     target = library_path(cache_dir, source, flags)
     cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
     if hasattr(os, "getuid") and cache_dir.stat().st_uid != os.getuid():
@@ -109,67 +109,47 @@ def build(cache_dir: Path, source: Path | None = None, compiler: str | None = No
     return target
 
 
-def _open(path: Path):
-    """The library at ``path`` with its prototypes set; raises OSError if it does not load."""
+# the kernel's array types by dtype; C's double and int64_t; an untyped pointer
+_F64, _I64 = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+_POINTERS = {np.dtype(np.float64): _F64, np.dtype(np.int64): _I64}
+_f, _i, _p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+
+# each library's exports: restype and argtypes, in the order of the C
+# definition.  The kernel's arrays are typed pointers, bound by _ptr; the
+# formatter reads mixed columns through char * and strides, so it takes
+# untyped ones.
+_PROTOTYPES = {
+    "kernel": {
+        # pts, sqn, n, d, idx, m, h2, alpha, tol, stamp, state, shifts, deltas, grads,
+        # trace_objective, trace_gradient, scratch
+        "sms_block": (_i, [_F64, _F64, _i, _i, _I64, _i, _f, _i, _f, _I64, _I64, _F64, _F64, _F64, _i, _i, _F64]),
+        # pts, n, d, nb, k, idx, m, tol, stamp, state, shifts, scratch
+        "knn_block": (_i, [_F64, _i, _i, _I64, _i, _I64, _i, _f, _I64, _I64, _F64, _F64]),
+        # q, sqq, m, s, sqs, n, d, h2, alpha, out
+        "shift_rows": (None, [_F64, _F64, _i, _F64, _F64, _i, _i, _f, _i, _F64]),
+        # pts, n, d, h2, alpha, tol, max_sweeps, shifts, sqn, next
+        "bms_sweeps": (_i, [_F64, _i, _i, _f, _i, _f, _i, _F64, _F64, _F64]),
+    },
+    # first, n, ncols, cols, strides, kinds, text, text_end, buf, cap
+    "format": {"put_rows": (_i, [_i, _i, _i, _p, _p, _p, _p, _p, _p, _i])},
+}
+
+
+def _open(path: Path, prototypes: dict):
+    """The library at ``path`` with ``prototypes`` set; raises OSError if it does not load."""
     lib = ctypes.CDLL(str(path))
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    i64 = ctypes.c_int64
-    lib.sms_block.restype = i64
-    lib.sms_block.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # pts
-        f64,  # sqn
-        i64, i64,  # n, d
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),  # idx
-        i64,  # m
-        ctypes.c_double, i64,  # h2, alpha
-        ctypes.c_double,  # tol
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # stamp
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # state
-        f64, f64, f64,  # shifts, deltas, grads
-        i64, i64,  # trace_objective, trace_gradient
-        f64,  # scratch
-    ]
-    lib.knn_block.restype = i64
-    lib.knn_block.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # pts
-        i64, i64,  # n, d
-        np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),  # nb
-        i64,  # k
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),  # idx
-        i64,  # m
-        ctypes.c_double,  # tol
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # stamp
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # state
-        f64, f64,  # shifts, scratch
-    ]
-    lib.shift_rows.restype = None
-    lib.shift_rows.argtypes = [
-        rows, vec, i64,  # q, sqq, m
-        rows, vec, i64,  # s, sqs, n
-        i64,  # d
-        ctypes.c_double, i64,  # h2, alpha
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # out
-    ]
-    lib.bms_sweeps.restype = i64
-    lib.bms_sweeps.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # pts
-        i64, i64,  # n, d
-        ctypes.c_double, i64,  # h2, alpha
-        ctypes.c_double, i64,  # tol, max_sweeps
-        f64, f64,  # shifts, sqn
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # next
-    ]
+    for name, (restype, argtypes) in prototypes.items():
+        func = getattr(lib, name)
+        func.restype, func.argtypes = restype, argtypes
     return lib
 
 
-def _load(what: str, fallback: str, opener, source: Path, compiler: str, flags: tuple[str, ...]):
-    """``opener`` of the library built from ``source``, or None with one warning naming every reason."""
+def _load(what: str, fallback: str, prototypes: dict, source: Path, compiler: str, flags: tuple[str, ...]):
+    """The library built from ``source``, opened, or None with one warning naming every reason."""
     reasons = []
     for cache_dir in _cache_dirs():
         try:
-            return opener(build(cache_dir, source, compiler, flags))
+            return _open(build(cache_dir, source, compiler, flags), prototypes)
         except (OSError, subprocess.SubprocessError) as exc:
             reasons.append(f"{cache_dir}: {exc}")
     _log.warning("%s unavailable, %s (%s)", what, fallback, "; ".join(reasons))
@@ -179,17 +159,7 @@ def _load(what: str, fallback: str, opener, source: Path, compiler: str, flags: 
 @functools.cache
 def load():
     """The loaded kernel library, or None (with one warning) when it cannot be built or loaded."""
-    return _load("compiled kernel", "running on numpy", _open, _SOURCE, _COMPILER, _FLAGS)
-
-
-def _open_format(path: Path):
-    """The formatter library at ``path`` with its prototype set; raises OSError if it does not load."""
-    lib = ctypes.CDLL(str(path))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.put_rows.restype = i64
-    # first, n, ncols, cols, strides, kinds, text, text_end, buf, cap
-    lib.put_rows.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]
-    return lib
+    return _load("compiled kernel", "running on numpy", _PROTOTYPES["kernel"], _SOURCE, _COMPILER, _FLAGS)
 
 
 @functools.cache
@@ -199,8 +169,20 @@ def load_format():
     Called by ``io`` on its first text write, so runs that write no
     trace or CSV never build or load it.
     """
-    return _load("compiled formatter", "writing text in Python", _open_format, _FORMAT_SOURCE,
+    return _load("compiled formatter", "writing text in Python", _PROTOTYPES["format"], _FORMAT_SOURCE,
                  _FORMAT_COMPILER, _FORMAT_FLAGS)
+
+
+def _ptr(a: np.ndarray, dtype, writes: bool = True):
+    """``a`` as the kernel's typed pointer, once checked: ``dtype``, C-contiguous and, if ``writes``, writeable.
+
+    The one place an array is checked on its way to the kernel; the
+    pointer holds a reference to ``a``, so it stays valid while kept.
+    """
+    if a.dtype != dtype or not a.flags.c_contiguous or (writes and not a.flags.writeable):
+        need = "a writeable C-contiguous" if writes else "a C-contiguous"
+        raise ValueError(f"the kernel needs {need} {np.dtype(dtype)} array, got {a.dtype} {a.shape}")
+    return a.ctypes.data_as(_POINTERS[a.dtype])
 
 
 class _BlockRunner:
@@ -210,20 +192,25 @@ class _BlockRunner:
     ``algorithms._sms_loop``.  Each holds the state it moves in place,
     the last block's ``shifts`` and the stop-rule state (the points'
     epoch stamps, the epoch and its coverage count, which carry over
-    between blocks); sizes, dtypes and contiguity are fixed here, so
-    every pointer handed to the library is valid for the call.  A
-    subclass's ``_block(idx)`` runs one checked index block in C.
+    between blocks).  Every buffer is checked by ``_ptr`` and bound once,
+    here and in the subclass, to the pointer type its export declares in
+    ``_PROTOTYPES``.  A subclass sets ``_export``, its library function,
+    and the arguments before (``_before``) and after (``_after``) the
+    index block and its length, so a block checks and binds only its
+    indices.
     """
 
-    def __init__(self, lib, pts: np.ndarray, block: int):
-        if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous:
-            raise ValueError("the kernel needs a C-contiguous float64 (n, d) state")
+    def __init__(self, pts: np.ndarray, block: int):
+        if pts.ndim != 2:
+            raise ValueError(f"the kernel needs an (n, d) state, got shape {pts.shape}")
         self.pts = pts
         self.shifts = np.empty(block)
-        self._lib = lib
         self._n, self._d = pts.shape
-        self._stamp = np.full(self._n, -1, dtype=np.int64)
         self._state = np.zeros(3, dtype=np.int64)  # epoch, covered, converged
+        self._pts = _ptr(pts, np.float64)
+        # the points' epoch stamps, the state and the shifts, in the order both exports take them
+        self._stop = (_ptr(np.full(self._n, -1, dtype=np.int64), np.int64), _ptr(self._state, np.int64),
+                      _ptr(self.shifts, np.float64))
 
     def run(self, idx: np.ndarray) -> tuple[int, bool]:
         """Apply the steps of ``idx`` until the stop rule fires; returns (steps, converged)."""
@@ -231,7 +218,8 @@ class _BlockRunner:
             raise ValueError("index block must be a 1-d int64 array no longer than the shift buffer")
         if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self._n):
             raise ValueError("index out of range")
-        steps = self._block(np.ascontiguousarray(idx))
+        steps = self._export(*self._before, _ptr(np.ascontiguousarray(idx), np.int64, writes=False),
+                             idx.shape[0], *self._after)
         return int(steps), bool(self._state[2])
 
 
@@ -247,20 +235,17 @@ class SmsBlockKernel(_BlockRunner):
 
     def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, block: int,
                  trace_objective: bool, trace_gradient: bool):
-        super().__init__(lib, pts, block)
+        super().__init__(pts, block)
         # the last block's increments and gradient norms
-        self._deltas, self._grads = np.empty((2, block))
-        self.deltas = self._deltas if trace_objective else None
-        self.grads = self._grads if trace_gradient else None
-        self._trace = int(bool(trace_objective)), int(bool(trace_gradient))
-        self._h2, self._alpha, self._tol = h * h, int(alpha), float(tol)
-        self._sqn = np.einsum("ij,ij->i", pts, pts)
-        self._scratch = np.empty(2 * self._d + self._n)
-
-    def _block(self, idx: np.ndarray) -> int:
-        return self._lib.sms_block(self.pts, self._sqn, self._n, self._d, idx, idx.shape[0], self._h2,
-                                   self._alpha, self._tol, self._stamp, self._state, self.shifts,
-                                   self._deltas, self._grads, *self._trace, self._scratch)
+        deltas, grads = np.empty((2, block))
+        self.deltas = deltas if trace_objective else None
+        self.grads = grads if trace_gradient else None
+        sqn = np.einsum("ij,ij->i", pts, pts)
+        self._before = (self._pts, _ptr(sqn, np.float64), self._n, self._d)
+        self._after = (h * h, int(alpha), float(tol), *self._stop, _ptr(deltas, np.float64),
+                       _ptr(grads, np.float64), int(bool(trace_objective)), int(bool(trace_gradient)),
+                       _ptr(np.empty(2 * self._d + self._n), np.float64))
+        self._export = lib.sms_block
 
 
 class KnnBlockKernel(_BlockRunner):
@@ -276,7 +261,7 @@ class KnnBlockKernel(_BlockRunner):
     deltas = grads = None
 
     def __init__(self, lib, pts: np.ndarray, neighbors: np.ndarray, tol: float, block: int):
-        super().__init__(lib, pts, block)
+        super().__init__(pts, block)
         nb = np.asarray(neighbors)
         if nb.dtype != np.int64 or nb.ndim != 2 or nb.shape[0] != self._n or nb.shape[1] < 1:
             raise ValueError(f"neighbour table must be a ({self._n}, k) int64 array with k >= 1, "
@@ -285,22 +270,19 @@ class KnnBlockKernel(_BlockRunner):
             raise ValueError(f"neighbour index out of range [0, {self._n})")
         if np.any(nb == np.arange(self._n)[:, None]):
             raise ValueError("a point is listed among its own neighbours")
-        self._nb = np.ascontiguousarray(nb)
-        self._k = nb.shape[1]
-        self._tol = float(tol)
-        self._scratch = np.empty(self._d)
-
-    def _block(self, idx: np.ndarray) -> int:
-        return self._lib.knn_block(self.pts, self._n, self._d, self._nb, self._k, idx, idx.shape[0],
-                                   self._tol, self._stamp, self._state, self.shifts, self._scratch)
+        self._before = (self._pts, self._n, self._d, _ptr(np.ascontiguousarray(nb), np.int64, writes=False),
+                        nb.shape[1])
+        self._after = (float(tol), *self._stop, _ptr(np.empty(self._d), np.float64))
+        self._export = lib.knn_block
 
 
 def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: int) -> np.ndarray:
     """The compiled twin of the numpy body of ``algorithms._shift_rows``: the moved rows.
 
     The squared norms of the distance identity are numpy's, as in
-    ``core.pairwise_sq_blocks``; sizes, dtypes and contiguity are fixed
-    here, so every pointer handed to the library is valid for the call.
+    ``core.pairwise_sq_blocks``; shapes are checked here and every array
+    passes ``_ptr``, so every pointer handed to the library is valid for
+    the call.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     sample = np.ascontiguousarray(sample, dtype=np.float64)
@@ -309,8 +291,9 @@ def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: in
     sqq = np.einsum("ij,ij->i", queries, queries)
     sqs = np.einsum("ij,ij->i", sample, sample)
     (m, d), n = queries.shape, sample.shape[0]
+    q, sqq, s, sqs = (_ptr(a, np.float64, writes=False) for a in (queries, sqq, sample, sqs))
     out = np.empty((m, d))
-    lib.shift_rows(queries, sqq, m, sample, sqs, n, d, h * h, int(alpha), out)
+    lib.shift_rows(q, sqq, m, s, sqs, n, d, h * h, int(alpha), _ptr(out, np.float64))
     return out
 
 
@@ -319,17 +302,19 @@ def bms_sweeps(lib, pts: np.ndarray, h: float, alpha: int, tol: float, max_sweep
 
     The compiled twin of the numpy sweeps of ``algorithms._bms_sweeps``:
     the sweeps end after the first whose largest shift is below ``tol``.
-    The state's dtype, shape and contiguity are checked and the scratch
-    sized here, so every pointer handed to the library is valid for the
-    call.
+    The state's shape is checked and the scratch sized here, and every
+    array passes ``_ptr``, so every pointer handed to the library is
+    valid for the call.
     """
-    if pts.dtype != np.float64 or pts.ndim != 2 or not pts.flags.c_contiguous or not pts.flags.writeable:
-        raise ValueError("the kernel needs a writeable C-contiguous float64 (n, d) state")
+    if pts.ndim != 2:
+        raise ValueError(f"the kernel needs an (n, d) state, got shape {pts.shape}")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
+    state = _ptr(pts, np.float64)  # checked before the library is touched
     n, d = pts.shape
     shifts = np.empty(max_sweeps)
-    done = lib.bms_sweeps(pts, n, d, h * h, int(alpha), tol, max_sweeps, shifts, np.empty(n), np.empty((n, d)))
+    done = lib.bms_sweeps(state, n, d, h * h, int(alpha), tol, max_sweeps, _ptr(shifts, np.float64),
+                          _ptr(np.empty(n), np.float64), _ptr(np.empty((n, d)), np.float64))
     return shifts[:done]
 
 

@@ -237,7 +237,8 @@ def read_score_matrix(path) -> np.ndarray:
                 for line in path.read_text().splitlines()
                 if line.strip()
             ]
-            s = np.asarray(rows, dtype=np.float64)
+            # no data lines (the writer's n = 0 file is one newline) is the empty matrix
+            s = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, 0))
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot parse score CSV {path}: {exc}") from exc
     else:

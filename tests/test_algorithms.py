@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import os
 import re
 import shutil
 import subprocess
@@ -495,7 +496,7 @@ class TestCompiledSms:
     def test_library_names_keyed_by_source_and_flags(self, tmp_path):
         # the kernel's name is the one it has always had, so a cached kernel is reused
         key = hashlib.sha256(_native._SOURCE.read_bytes() + "\0".join(_native._FLAGS).encode()).hexdigest()[:16]
-        assert _native.library_path(tmp_path) == tmp_path / f"kernel-{key}.so"
+        assert _native.library_path(tmp_path, _native._SOURCE, _native._FLAGS) == tmp_path / f"kernel-{key}.so"
         formatter = _native.library_path(tmp_path, _native._FORMAT_SOURCE, _native._FORMAT_FLAGS)
         assert formatter.name.startswith("format-") and formatter.suffix == ".so"
         assert _native.library_path(tmp_path, _native._FORMAT_SOURCE, _native._FORMAT_FLAGS[1:]) != formatter
@@ -514,13 +515,12 @@ class TestCompiledSms:
         assert list(tmp_path.iterdir()) == []
         assert "is owned by another user" in caplog.text
 
-    def test_second_build_compiles_nothing(self, monkeypatch, tmp_path):
-        path = _native.build(tmp_path)
-        assert path == _native.library_path(tmp_path)
-        monkeypatch.setattr(_native, "_COMPILER", str(tmp_path / "no-such-gcc"))
-        assert _native.build(tmp_path) == path
+    def test_second_build_compiles_nothing(self, tmp_path):
+        path = _native.build(tmp_path, _native._SOURCE, _native._COMPILER, _native._FLAGS)
+        assert path == _native.library_path(tmp_path, _native._SOURCE, _native._FLAGS)
+        assert _native.build(tmp_path, _native._SOURCE, str(tmp_path / "no-such-gcc"), _native._FLAGS) == path
         assert list(tmp_path.iterdir()) == [path]
-        assert _native._open(path) is not None
+        assert _native._open(path, _native._PROTOTYPES["kernel"]) is not None
 
 
 @pytest.mark.usefixtures("needs_kernel")
@@ -793,7 +793,159 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-NPY_ARRAY_WRITEABLE = 0x0400  # the flag bit of an ndpointer built with flags="WRITEABLE"
+KERNEL_SANITIZER_FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+
+# calls every export of the kernel on heap buffers of exactly the sizes
+# the _native wrappers allocate: a block of indices as long as its shift,
+# increment and gradient buffers, sms_block's scratch of 2d + n doubles,
+# knn_block's of d, bms_sweeps' n and n x d, and shift_rows' m x d out
+KERNEL_SANITIZER_DRIVER = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d, const int64_t *idx, int64_t m, double h2,
+                  int64_t alpha, double tol, int64_t *stamp, int64_t *state, double *shifts, double *deltas,
+                  double *grads, int64_t trace_objective, int64_t trace_gradient, double *scratch);
+int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k, const int64_t *idx,
+                  int64_t m, double tol, int64_t *stamp, int64_t *state, double *shifts, double *scratch);
+void shift_rows(const double *q, const double *sqq, int64_t m, const double *s, const double *sqs, int64_t n,
+                int64_t d, double h2, int64_t alpha, double *out);
+int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
+                   int64_t max_sweeps, double *shifts, double *sqn, double *next);
+
+enum { BLOCK = 700 };
+static uint64_t rng = 12345;
+
+static double uniform(void)
+{
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (double)(rng >> 11) / 9007199254740992.0;
+}
+
+static double *doubles(int64_t count) { return malloc((size_t)count * sizeof(double)); }
+static int64_t *ints(int64_t count) { return malloc((size_t)count * sizeof(int64_t)); }
+
+/* n points in d dimensions, in three groups a few bandwidths apart */
+static double *points(int64_t n, int64_t d)
+{
+    double *p = doubles(n * d);
+    for (int64_t i = 0; i < n * d; i++)
+        p[i] = (double)(i / d % 3) * 4.0 + uniform();
+    return p;
+}
+
+static double *norms(const double *p, int64_t n, int64_t d)
+{
+    double *sq = doubles(n);
+    for (int64_t i = 0; i < n; i++) {
+        sq[i] = 0.0;
+        for (int64_t c = 0; c < d; c++)
+            sq[i] += p[i * d + c] * p[i * d + c];
+    }
+    return sq;
+}
+
+static int64_t *draws(int64_t m, int64_t n)
+{
+    int64_t *idx = ints(m);
+    for (int64_t s = 0; s < m; s++)
+        idx[s] = (int64_t)(uniform() * (double)n);
+    return idx;
+}
+
+/* two blocks of SMS steps on one state, so the stop-rule state carries over */
+static int sms(int64_t n, int64_t d, int64_t alpha, int64_t trace_objective, int64_t trace_gradient)
+{
+    double *pts = points(n, d), *sqn = norms(pts, n, d);
+    int64_t *stamp = ints(n), *state = ints(3);
+    double *shifts = doubles(BLOCK), *deltas = doubles(BLOCK), *grads = doubles(BLOCK);
+    double *scratch = doubles(2 * d + n);
+    for (int64_t i = 0; i < n; i++)
+        stamp[i] = -1;
+    state[0] = state[1] = state[2] = 0;
+    int bad = 0;
+    for (int b = 0; b < 2 && !bad; b++) {
+        int64_t *idx = draws(BLOCK, n);
+        const int64_t steps = sms_block(pts, sqn, n, d, idx, BLOCK, 1.0, alpha, 1e-6, stamp, state, shifts,
+                                        deltas, grads, trace_objective, trace_gradient, scratch);
+        bad = steps < 1 || steps > BLOCK;
+        free(idx);
+    }
+    free(pts), free(sqn), free(stamp), free(state), free(shifts), free(deltas), free(grads), free(scratch);
+    return bad;
+}
+
+static int knn(int64_t n, int64_t d, int64_t k)
+{
+    double *pts = points(n, d);
+    int64_t *nb = ints(n * k), *idx = draws(BLOCK, n), *stamp = ints(n), *state = ints(3);
+    double *shifts = doubles(BLOCK), *scratch = doubles(d);
+    for (int64_t i = 0; i < n; i++) {
+        stamp[i] = -1;
+        for (int64_t r = 0; r < k; r++)
+            nb[i * k + r] = (i + 1 + r) % n;
+    }
+    state[0] = state[1] = state[2] = 0;
+    const int64_t steps = knn_block(pts, n, d, nb, k, idx, BLOCK, 1e-6, stamp, state, shifts, scratch);
+    free(pts), free(nb), free(idx), free(stamp), free(state), free(shifts), free(scratch);
+    return steps < 1 || steps > BLOCK;
+}
+
+static int map(int64_t m, int64_t n, int64_t d, int64_t alpha)
+{
+    double *q = points(m, d), *s = points(n, d), *out = doubles(m * d);
+    double *sqq = norms(q, m, d), *sqs = norms(s, n, d);
+    shift_rows(q, sqq, m, s, sqs, n, d, 1.0, alpha, out);
+    free(q), free(s), free(out), free(sqq), free(sqs);
+    return 0;
+}
+
+static int sweeps(int64_t n, int64_t d, int64_t alpha, int64_t max_sweeps)
+{
+    double *pts = points(n, d), *shifts = doubles(max_sweeps), *sqn = doubles(n), *next = doubles(n * d);
+    const int64_t done = bms_sweeps(pts, n, d, 1.0, alpha, 1e-6, max_sweeps, shifts, sqn, next);
+    free(pts), free(shifts), free(sqn), free(next);
+    return done < 1 || done > max_sweeps;
+}
+
+int main(void)
+{
+    int bad = sms(300, 2, 1, 0, 0); /* the grid: d = 2, alpha = 1, n >= 128, untraced */
+    for (int64_t alpha = 1; alpha <= 3; alpha++)
+        for (int64_t d = 1; d <= 5; d += d == 1 ? 1 : 3) /* d = 1, 2, 5 */
+            for (int64_t traced = 0; traced < 4; traced++) /* plain, objective, gradient, both */
+                bad |= sms(100, d, alpha, traced & 1, traced >> 1) << 1;
+    bad |= knn(50, 3, 5) << 2;
+    bad |= knn(40, 1, 39) << 2;
+    bad |= map(60, 300, 2, 1) << 3; /* the grid */
+    bad |= map(60, 100, 2, 1) << 3; /* the plain loop */
+    bad |= map(60, 150, 5, 2) << 3;
+    bad |= sweeps(100, 2, 1, 5) << 4;
+    bad |= sweeps(60, 5, 2, 3) << 4;
+    printf("%d\n", bad);
+    return bad;
+}
+"""
+
+
+@pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
+def test_kernel_under_sanitizers(tmp_path):
+    # a build with AddressSanitizer catches any access past a buffer the wrappers size
+    def compile_(*sources):
+        cmd = [_native._COMPILER, *KERNEL_SANITIZER_FLAGS, "-o", str(tmp_path / "driver"), *map(str, sources), "-lm"]
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=_native._COMPILE_TIMEOUT_S)
+
+    (tmp_path / "empty.c").write_text("int main(void) { return 0; }\n")
+    if compile_(tmp_path / "empty.c").returncode != 0:
+        pytest.skip("no sanitizer runtime for the C compiler")
+    driver = tmp_path / "driver.c"
+    driver.write_text(KERNEL_SANITIZER_DRIVER)
+    built = compile_(driver, _native._SOURCE)
+    assert built.returncode == 0, built.stderr
+    env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0:abort_on_error=0", UBSAN_OPTIONS="print_stacktrace=1")
+    done = subprocess.run([str(tmp_path / "driver")], capture_output=True, timeout=120, env=env)
+    assert (done.returncode, done.stdout) == (0, b"0\n"), done.stdout.decode() + done.stderr.decode()
 
 
 def test_kernel_prototype_matches_c_definition():
@@ -804,23 +956,63 @@ def test_kernel_prototype_matches_c_definition():
         pytest.skip("the kernel could not be built here (no gcc?)")
     source = _native._SOURCE.read_text()
     exported = re.findall(r"^(int64_t|void)\s+(\w+)\s*\(([^)]*)\)", source, flags=re.M)
-    assert sorted(name for _, name, _ in exported) == ["bms_sweeps", "knn_block", "shift_rows", "sms_block"]
-    pointees = {"double": np.float64, "int64_t": np.int64}
+    prototypes = _native._PROTOTYPES["kernel"]
+    assert sorted(name for _, name, _ in exported) == sorted(prototypes)
     scalars = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
     restypes = {"int64_t": ctypes.c_int64, "void": None}
     for restype, name, params in exported:
         func = getattr(lib, name)
+        assert (func.restype, list(func.argtypes)) == prototypes[name], name
         params = params.split(",")
         assert len(params) == len(func.argtypes), name
         for param, argtype in zip(params, func.argtypes):
             ctype = param.replace("const", "").split()[0]
             if "*" in param:
-                assert np.dtype(argtype._dtype_) == pointees[ctype], (name, param)
-                # the library writes through every pointer not declared const
-                assert "const" in param or argtype._flags_ & NPY_ARRAY_WRITEABLE, (name, param)
+                assert argtype._type_ is scalars[ctype], (name, param)
             else:
                 assert argtype is scalars[ctype], (name, param)
         assert func.restype is restypes[restype], name
+
+
+class NoCalls:
+    """A library stand-in that fails on any use: the checks must all come before the kernel."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"kernel function {name} reached")
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# states the kernel writes through but cannot take
+BAD_STATES = {
+    "read_only": lambda pts: read_only(pts.copy()),
+    "float32": lambda pts: pts.astype(np.float32),
+    "fortran": lambda pts: np.asfortranarray(pts),
+    "strided": lambda pts: np.repeat(pts, 2, axis=0)[::2],
+}
+
+
+@pytest.mark.parametrize("wrapper, state", [(w, state) for w in ("sms", "knn", "bms") for state in BAD_STATES]
+                         + [("knn", "int32_table")])
+def test_wrappers_reject_arrays_before_the_kernel(wrapper, state):
+    # every array reaches the library through one check, so an array of the
+    # wrong dtype, order or writeability is refused before any call
+    pts = np.random.default_rng(1).normal(size=(12, 3))
+    nb = (np.arange(12)[:, None] + np.arange(1, 4)) % 12
+    if state == "int32_table":
+        nb = nb.astype(np.int32)
+    else:
+        pts = BAD_STATES[state](pts)
+    with pytest.raises(ValueError):
+        if wrapper == "sms":
+            _native.SmsBlockKernel(NoCalls(), pts, 1.0, 1, 1e-6, 4096, False, False)
+        elif wrapper == "knn":
+            _native.KnnBlockKernel(NoCalls(), pts, nb, 1e-6, 4096)
+        else:
+            _native.bms_sweeps(NoCalls(), pts, 1.0, 1, 1e-6, 1)
 
 
 def assert_stop_rule(trace, n, tol):

@@ -583,9 +583,10 @@ class TestJson:
 
 
 class TestScoreMatrix:
-    def test_binary_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_binary_roundtrip(self, tmp_path, n):
         rng = np.random.default_rng(1)
-        s = rng.normal(size=(7, 7))
+        s = rng.normal(size=(n, n))
         path = tmp_path / "scores.bin"
         write_score_matrix(path, s)
         got = read_score_matrix(path)
@@ -600,9 +601,10 @@ class TestScoreMatrix:
         assert int.from_bytes(raw[:8], "little") == 2
         np.testing.assert_array_equal(np.frombuffer(raw[8:], dtype="<f8"), [1.0, 2.0, 3.0, 4.0])
 
-    def test_csv_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_csv_roundtrip(self, tmp_path, n):
         rng = np.random.default_rng(2)
-        s = rng.normal(size=(5, 5))
+        s = rng.normal(size=(n, n))
         path = tmp_path / "scores.csv"
         write_score_matrix(path, s)
         got = read_score_matrix(path)
