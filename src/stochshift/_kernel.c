@@ -7,7 +7,8 @@
  * shift_rows is the mean-shift batch map of algorithms._shift_rows:
  * every query row moves onto the weighted mean of a sample, as MS's
  * probes do against the input.  bms_sweeps runs blurring mean-shift
- * sweeps, each the same map of the state against itself.
+ * sweeps, each the same map of the state against itself, with each
+ * unordered pair evaluated once: n (n + 1) / 2 pairs a sweep, no grid.
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the
@@ -543,19 +544,52 @@ void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
         grid_free(&g);
 }
 
+/* Row r's pairs (r, j), j >= r, in j order, one dot product each: w x_j
+ * goes to row r (acc) and v x_r to row j, w and v grouped as weighted_sum
+ * groups its queries r and j, so each keeps its bits.  A zero weight adds
+ * +-0.0 untested: a sum from +0.0 is never -0.0 under round-to-nearest.
+ * Inlined, so a constant d = 2 keeps acc in registers. */
+static inline __attribute__((always_inline)) void
+pair_sums(const double *pts, const double *sqn, int64_t n, int64_t d, int64_t r, double h2,
+          double inv_h2, int64_t alpha, double *acc, double *next, double *wsum)
+{
+    const double *x = pts + r * d;
+    double tot = wsum[r];
+    for (int64_t j = r; j < n; j++) {
+        const double *p = pts + j * d;
+        double dot = 0.0;
+        for (int64_t k = 0; k < d; k++)
+            dot += p[k] * x[k];
+        const double m = dot * -2.0, sqr = (m + sqn[j]) + sqn[r], sqj = (m + sqn[r]) + sqn[j];
+        const double w = alpha == 1 ? (double)(sqr < h2) : poly_weight(sqr, inv_h2, alpha);
+        for (int64_t k = 0; k < d; k++)
+            acc[k] += w * p[k];
+        tot += w;
+        if (j == r)
+            continue;
+        const double v = alpha == 1 ? (double)(sqj < h2) : poly_weight(sqj, inv_h2, alpha);
+        for (int64_t k = 0; k < d; k++)
+            next[j * d + k] += v * x[k];
+        wsum[j] += v;
+    }
+    wsum[r] = tot;
+}
+
 /* Up to max_sweeps blurring mean-shift sweeps on pts (n x d, row-major),
  * in place.  A sweep moves every row onto the G-weighted mean of the
- * state with weighted_sum's plain loop, the squared norms summed in
- * index order, keeps a row with no weight at its position, and writes
- * its largest row shift to shifts[t]; the sweeps end after the first
- * whose largest shift is below tol.  Returns the number of sweeps run.
- * sqn (n doubles) and next (n x d) are scratch.  There is no grid here,
- * so a sweep costs n^2 pair evaluations at every n, as in Cheng's BMS
- * (see algorithms.bms_run). */
+ * state (a row with no weight stays) and writes its largest row shift to
+ * shifts[t]; the sweeps end after the first below tol.  Returns the
+ * number of sweeps run.  scratch holds n * d + 2 * n doubles: the next
+ * state, the weight totals and the squared norms.  A sweep evaluates each
+ * unordered pair once, n (n + 1) / 2 pairs, and row j gets the terms of
+ * rows r < j in ascending r before its own, so every row sums
+ * weighted_sum's terms in index order, to its bits.  There is no grid, so
+ * a sweep's work grows as n^2, as in Cheng's BMS (see algorithms.bms_run). */
 int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
-                   int64_t max_sweeps, double *shifts, double *sqn, double *next)
+                   int64_t max_sweeps, double *shifts, double *scratch)
 {
     const double inv_h2 = 1.0 / h2;
+    double *next = scratch, *wsum = scratch + n * d, *sqn = wsum + n;
     for (int64_t t = 0; t < max_sweeps; t++) {
         for (int64_t j = 0; j < n; j++) {
             const double *p = pts + j * d;
@@ -564,14 +598,20 @@ int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, 
                 sq += p[k] * p[k];
             sqn[j] = sq;
         }
+        memset(next, 0, (size_t)(n * d + n) * sizeof(double)); /* next and wsum */
         double top = 0.0;
         for (int64_t r = 0; r < n; r++) {
             const double *x = pts + r * d;
             double *row = next + r * d;
-            const double total = weighted_sum(pts, sqn, n, d, x, sqn[r], h2, inv_h2, alpha, row, NULL);
+            if (d == 2 && alpha == 1) {
+                double acc[2] = {row[0], row[1]};
+                pair_sums(pts, sqn, n, 2, r, h2, inv_h2, 1, acc, next, wsum);
+                row[0] = acc[0], row[1] = acc[1];
+            } else
+                pair_sums(pts, sqn, n, d, r, h2, inv_h2, alpha, row, next, wsum);
             double shift2 = 0.0;
             for (int64_t k = 0; k < d; k++) {
-                row[k] = total > 0.0 ? row[k] / total : x[k];
+                row[k] = wsum[r] > 0.0 ? row[k] / wsum[r] : x[k];
                 const double dx = row[k] - x[k];
                 shift2 += dx * dx;
             }

@@ -127,8 +127,8 @@ _PROTOTYPES = {
         "knn_block": (_i, [_F64, _i, _i, _I64, _i, _I64, _i, _f, _I64, _I64, _F64, _F64]),
         # q, sqq, m, s, sqs, n, d, h2, alpha, out
         "shift_rows": (None, [_F64, _F64, _i, _F64, _F64, _i, _i, _f, _i, _F64]),
-        # pts, n, d, h2, alpha, tol, max_sweeps, shifts, sqn, next
-        "bms_sweeps": (_i, [_F64, _i, _i, _f, _i, _f, _i, _F64, _F64, _F64]),
+        # pts, n, d, h2, alpha, tol, max_sweeps, shifts, scratch
+        "bms_sweeps": (_i, [_F64, _i, _i, _f, _i, _f, _i, _F64, _F64]),
     },
     # first, n, ncols, cols, strides, kinds, text, text_end, buf, cap
     "format": {"put_rows": (_i, [_i, _i, _i, _p, _p, _p, _p, _p, _p, _i])},
@@ -314,7 +314,7 @@ def bms_sweeps(lib, pts: np.ndarray, h: float, alpha: int, tol: float, max_sweep
     n, d = pts.shape
     shifts = np.empty(max_sweeps)
     done = lib.bms_sweeps(state, n, d, h * h, int(alpha), tol, max_sweeps, _ptr(shifts, np.float64),
-                          _ptr(np.empty(n), np.float64), _ptr(np.empty((n, d)), np.float64))
+                          _ptr(np.empty(n * d + 2 * n), np.float64))
     return shifts[:done]
 
 

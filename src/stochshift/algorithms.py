@@ -53,7 +53,7 @@ and is the test reference of both compiled paths.  Whenever the kernel
 loads, MS's map runs ``_native.shift_rows`` (a cell grid on the sample
 for the uniform weight in 2-D, a plain loop otherwise), and BMS runs
 ``_native.bms_sweeps`` through ``_bms_sweeps``: many sweeps per call,
-each a plain loop over all pairs (``bms_run`` says why not the grid).
+each unordered pair evaluated once a sweep (``bms_run`` says why no grid).
 ``_shift_rows``' docstring states how far the two paths agree.
 
 Budgets are counted in point-updates so the three are unit-consistent:
@@ -537,13 +537,13 @@ def bms_sweep(points, cfg: AlgoConfig):
 def bms_run(points, cfg: AlgoConfig):
     """Repeat synchronous sweeps until the maximal shift converges.
 
-    In the kernel each sweep is a plain loop over all n^2 pairs, as in
-    Cheng's BMS, and not the cell grid MS and SMS query: acceptance
-    criterion 7 requires BMS wall time to grow as about n^2 (a log-log
-    slope in [1.6, 2.4] over n = 30 to 3000), and gridded sweeps read a
-    slope of about 1.0.  Untraced runs without snapshots hand the kernel
-    up to ``_SWEEPS`` sweeps per call, so a small run pays the Python
-    overhead of one call, not of every sweep.
+    In the kernel a sweep evaluates each unordered pair once, n (n + 1) / 2
+    pairs, quadratic as in Cheng's BMS, and not on the cell grid MS and SMS
+    query: acceptance criterion 7 requires BMS wall time to grow as about
+    n^2 (a log-log slope in [1.6, 2.4] over n = 30 to 3000), and gridded
+    sweeps read a slope of about 1.0.  Untraced runs without snapshots
+    hand the kernel up to ``_SWEEPS`` sweeps per call, so a small run pays
+    the Python overhead of one call, not of every sweep.
     """
     pts = check_state(points).copy()  # once: a sweep keeps each row a convex combination of rows
     n = pts.shape[0]

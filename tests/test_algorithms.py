@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import math
 import os
 import re
 import shutil
@@ -784,6 +785,85 @@ class TestCompiledBatchMap:
         assert rows == trace.total_updates > 0
 
 
+def index_order_sweep(pts, h, alpha):
+    """One BMS sweep as a plain loop in Python floats; returns ``(new, largest shift)``.
+
+    Row r sums, for j = 0..n-1 in order, the weight of the squared
+    distance ((x_j . x_r) * -2 + |x_j|^2) + |x_r|^2 (each dot product and
+    norm summed from 0.0 in coordinate order) and the weighted point,
+    skipping zero weights; it moves to the sum over the total, or stays
+    when the total is 0.  Every operation is one IEEE double operation,
+    so this pins the bits of the kernel's sweep without BLAS.
+    """
+    x = pts.tolist()
+    n, d, h2 = len(x), len(x[0]), h * h
+    inv_h2 = 1.0 / h2
+
+    def dot(a, b):
+        s = 0.0
+        for k in range(d):
+            s += a[k] * b[k]
+        return s
+
+    def weight(sq):
+        if alpha == 1:
+            return 1.0 if sq < h2 else 0.0
+        b = 1.0 - (sq if sq > 0.0 else 0.0) * inv_h2
+        b = b if b > 0.0 else 0.0
+        p = b
+        for _ in range(2, alpha):
+            p *= b
+        return float(alpha) * p
+
+    sqn = [dot(p, p) for p in x]
+    new, top = [], 0.0
+    for r in range(n):
+        acc, total = [0.0] * d, 0.0
+        for j in range(n):
+            w = weight((dot(x[j], x[r]) * -2.0 + sqn[j]) + sqn[r])
+            if w != 0.0:
+                acc = [a + w * p for a, p in zip(acc, x[j])]
+                total += w
+        row = [a / total for a in acc] if total > 0.0 else list(x[r])
+        shift2 = 0.0
+        for v, old in zip(row, x[r]):
+            shift2 += (v - old) * (v - old)
+        top = max(top, math.sqrt(shift2))
+        new.append(row)
+    return np.array(new), top
+
+
+def index_order_state(layout, d):
+    """About 40 points in d dimensions: a set2 (d <= 2) or dim:5 subsample, altered by ``layout``.
+
+    ``negative_zero`` sets a quarter of the coordinates to -0.0 and
+    ``isolated`` moves one point far from the rest, so its pairs all
+    weigh 0.
+    """
+    source = generate(preset("set2", seed=0) if d <= 2 else parse_preset("dim:5", seed=0)).points
+    pts = np.ascontiguousarray(source[::3][:41, :d])
+    if layout == "negative_zero":
+        pts[::4, 0] = -0.0
+        pts[1::4, -1] = -0.0
+    elif layout == "isolated":
+        pts[7] += 100.0
+    return pts
+
+
+@pytest.mark.usefixtures("needs_kernel")
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("layout", ["subsample", "negative_zero", "isolated"])
+def test_bms_kernel_sweep_is_the_index_order_sweep_to_the_bit(layout, d, alpha):
+    # the kernel evaluates each unordered pair once, yet every row must
+    # sum the plain loop's terms in index order: the same bits, signed zeros included
+    pts = index_order_state(layout, d)
+    ref, ref_top = index_order_sweep(pts, 1.5, alpha)
+    shifts = _native.bms_sweeps(_native.load(), pts, 1.5, alpha, 0.0, 1)
+    np.testing.assert_array_equal(pts.view(np.int64), ref.view(np.int64))
+    assert np.array([ref_top]).view(np.int64) == shifts.view(np.int64)
+
+
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
 def test_kernel_compiles_without_warnings(tmp_path):
     # an unused helper or variable left in the kernel fails here
@@ -798,7 +878,7 @@ KERNEL_SANITIZER_FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fsanitize=address,
 # calls every export of the kernel on heap buffers of exactly the sizes
 # the _native wrappers allocate: a block of indices as long as its shift,
 # increment and gradient buffers, sms_block's scratch of 2d + n doubles,
-# knn_block's of d, bms_sweeps' n and n x d, and shift_rows' m x d out
+# knn_block's of d, bms_sweeps' n x d + 2n, and shift_rows' m x d out
 KERNEL_SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
@@ -812,7 +892,7 @@ int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t 
 void shift_rows(const double *q, const double *sqq, int64_t m, const double *s, const double *sqs, int64_t n,
                 int64_t d, double h2, int64_t alpha, double *out);
 int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
-                   int64_t max_sweeps, double *shifts, double *sqn, double *next);
+                   int64_t max_sweeps, double *shifts, double *scratch);
 
 enum { BLOCK = 700 };
 static uint64_t rng = 12345;
@@ -903,9 +983,9 @@ static int map(int64_t m, int64_t n, int64_t d, int64_t alpha)
 
 static int sweeps(int64_t n, int64_t d, int64_t alpha, int64_t max_sweeps)
 {
-    double *pts = points(n, d), *shifts = doubles(max_sweeps), *sqn = doubles(n), *next = doubles(n * d);
-    const int64_t done = bms_sweeps(pts, n, d, 1.0, alpha, 1e-6, max_sweeps, shifts, sqn, next);
-    free(pts), free(shifts), free(sqn), free(next);
+    double *pts = points(n, d), *shifts = doubles(max_sweeps), *scratch = doubles(n * d + 2 * n);
+    const int64_t done = bms_sweeps(pts, n, d, 1.0, alpha, 1e-6, max_sweeps, shifts, scratch);
+    free(pts), free(shifts), free(scratch);
     return done < 1 || done > max_sweeps;
 }
 
@@ -922,7 +1002,12 @@ int main(void)
     bad |= map(60, 100, 2, 1) << 3; /* the plain loop */
     bad |= map(60, 150, 5, 2) << 3;
     bad |= sweeps(100, 2, 1, 5) << 4;
+    bad |= sweeps(101, 2, 1, 5) << 4; /* the d = 2, alpha = 1 path at odd n */
     bad |= sweeps(60, 5, 2, 3) << 4;
+    bad |= sweeps(1, 2, 1, 3) << 4; /* a row with no partner */
+    bad |= sweeps(40, 1, 1, 3) << 4;
+    bad |= sweeps(45, 5, 3, 3) << 4;
+    bad |= sweeps(50, 2, 2, 1) << 4;
     printf("%d\n", bad);
     return bad;
 }
