@@ -114,6 +114,11 @@ def check_partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig) -> CheckResul
     steps with gradient norm >= eps is at most
     (D / eps)^2 [n (n + 1) / 2 - initial objective].
     """
+    return _partial_gradient_bound(trace, cfg, _gradient_scale(trace.initial_points, cfg))
+
+
+def _partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig, grad_scale: float) -> CheckResult:
+    """check_partial_gradient_bound with the trace's ``_gradient_scale`` given."""
     if trace.algorithm != "sms":
         raise ValueError("gradient-bound check applies to SMS traces")
     if trace.objective_delta is None or trace.grad_norm is None:
@@ -124,7 +129,6 @@ def check_partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig) -> CheckResul
     slack = d_const * np.sqrt(deltas) + 1e-9 - trace.grad_norm
     worst = float(slack.min()) if slack.size else float("inf")
 
-    grad_scale = _gradient_scale(trace.initial_points, cfg)
     budget = n * (n + 1) / 2.0 - trace.initial_objective
     count_ok = True
     count_detail = {}
@@ -150,7 +154,11 @@ def check_gradient_vanishes(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
     eps = 1e-3 * max(1, initial gradient sup norm), which makes the test
     unit-free.
     """
-    scale = _gradient_scale(trace.initial_points, cfg)
+    return _gradient_vanishes(trace, cfg, _gradient_scale(trace.initial_points, cfg))
+
+
+def _gradient_vanishes(trace: RunTrace, cfg: AlgoConfig, scale: float) -> CheckResult:
+    """check_gradient_vanishes with the trace's ``_gradient_scale`` given."""
     epsilon = 1e-3 * scale
     final_norm = gradient_max_norm(full_gradient(trace.final_points, cfg.h, cfg.profile))
     slack = epsilon - final_norm
@@ -416,7 +424,9 @@ def verify_preset(
             data = generate(parse_preset(preset_text, seed=seed + i))
             cfg = AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i),
                              trace_objective=True, trace_gradient=profile.smooth, snapshot_every=data.n)
-            yield sms_run(data.points, cfg)[1], cfg
+            trace = sms_run(data.points, cfg)[1]
+            # the unit of both gradient checks, from one full gradient of the initial state
+            yield trace, cfg, _gradient_scale(trace.initial_points, cfg) if profile.smooth else None
 
     balls = ((_random_ball_state(20, 2, 0.4 * h, seed + i),
               AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i))) for i in range(n_seeds))
@@ -425,10 +435,10 @@ def verify_preset(
     # fraction).  Built per call, so a check patched onto the module is the one run.
     table = [
         (runs(), [
-            ("monotone_ascent", check_monotone_ascent, False, 1.0),
-            ("partial_gradient_bound", check_partial_gradient_bound, True, 1.0),
-            ("gradient_vanishes", check_gradient_vanishes, True, 1.0),
-            ("cluster_stability", lambda trace, _: check_cluster_stability(trace, h, h / 3.0), False, 0.95),
+            ("monotone_ascent", lambda trace, cfg, _: check_monotone_ascent(trace, cfg), False, 1.0),
+            ("partial_gradient_bound", _partial_gradient_bound, True, 1.0),
+            ("gradient_vanishes", _gradient_vanishes, True, 1.0),
+            ("cluster_stability", lambda trace, *_: check_cluster_stability(trace, h, h / 3.0), False, 0.95),
         ]),
         (balls, [("single_cluster_convergence", check_single_cluster_convergence, False, 1.0)]),
         (_critical_trials(h, profile, seed), [

@@ -555,8 +555,11 @@ class TestCompiledTracedSms:
 
     @pytest.mark.parametrize("name, alpha", [("set1", 2), ("dim:5", 1)])
     def test_same_bits_as_untraced_plain_loop(self, name, alpha):
-        # tracing only adds passes after each move, so where the untraced
-        # kernel runs the plain loop as well the runs are bit-identical
+        # traced against untraced runs: tracing only adds passes after each
+        # move, so where the untraced kernel does not use the grid's cell sums
+        # the runs are bit-identical.  set1 at alpha 2 runs the pruned step
+        # both ways, dim:5 the plain loop; test_pruned_runs_are_the_plain_loop_runs
+        # compares the two paths
         data = generate(parse_preset(name, seed=0))
         cfg = AlgoConfig(profile=Profile(alpha), seed=1000004, snapshot_every=997)
         final, trace = sms_run(data.points, cfg)
@@ -785,6 +788,26 @@ class TestCompiledBatchMap:
         assert rows == trace.total_updates > 0
 
 
+def plain_dot(a, b):
+    """The dot product of two coordinate lists, summed from 0.0 in coordinate order."""
+    s = 0.0
+    for u, v in zip(a, b):
+        s += u * v
+    return s
+
+
+def plain_weight(sq, h2, inv_h2, alpha):
+    """The kernel's weight of a squared distance: 1[sq < h^2], or alpha (1 - sq / h^2)_+^(alpha - 1)."""
+    if alpha == 1:
+        return 1.0 if sq < h2 else 0.0
+    b = 1.0 - (sq if sq > 0.0 else 0.0) * inv_h2
+    b = b if b > 0.0 else 0.0
+    p = b
+    for _ in range(2, alpha):
+        p *= b
+    return float(alpha) * p
+
+
 def index_order_sweep(pts, h, alpha):
     """One BMS sweep as a plain loop in Python floats; returns ``(new, largest shift)``.
 
@@ -799,28 +822,12 @@ def index_order_sweep(pts, h, alpha):
     n, d, h2 = len(x), len(x[0]), h * h
     inv_h2 = 1.0 / h2
 
-    def dot(a, b):
-        s = 0.0
-        for k in range(d):
-            s += a[k] * b[k]
-        return s
-
-    def weight(sq):
-        if alpha == 1:
-            return 1.0 if sq < h2 else 0.0
-        b = 1.0 - (sq if sq > 0.0 else 0.0) * inv_h2
-        b = b if b > 0.0 else 0.0
-        p = b
-        for _ in range(2, alpha):
-            p *= b
-        return float(alpha) * p
-
-    sqn = [dot(p, p) for p in x]
+    sqn = [plain_dot(p, p) for p in x]
     new, top = [], 0.0
     for r in range(n):
         acc, total = [0.0] * d, 0.0
         for j in range(n):
-            w = weight((dot(x[j], x[r]) * -2.0 + sqn[j]) + sqn[r])
+            w = plain_weight((plain_dot(x[j], x[r]) * -2.0 + sqn[j]) + sqn[r], h2, inv_h2, alpha)
             if w != 0.0:
                 acc = [a + w * p for a, p in zip(acc, x[j])]
                 total += w
@@ -862,6 +869,154 @@ def test_bms_kernel_sweep_is_the_index_order_sweep_to_the_bit(layout, d, alpha):
     shifts = _native.bms_sweeps(_native.load(), pts, 1.5, alpha, 0.0, 1)
     np.testing.assert_array_equal(pts.view(np.int64), ref.view(np.int64))
     assert np.array([ref_top]).view(np.int64) == shifts.view(np.int64)
+
+
+def index_order_traced_step(x, sqn, i, h, alpha):
+    """One traced SMS step of point i as the kernel's plain loop, in Python floats; returns (shift, delta, grad).
+
+    Moves x[i] (x a list of d-lists, sqn their squared norms, both
+    updated in place) onto the weighted mean over j = 0..n-1 in order,
+    with the weights of ``plain_weight``, and sets sqn[i] to the new
+    position's squared norm.  The gradient norm is (2 / h^2) W |dx| and
+    the increment sums, for j != i in order, the kernel's
+    cancellation-free term (b_new - b_old) sum_p b_new^p b_old^(alpha-1-p),
+    with the base difference ((x_j . dx) * 2 - dx . (x_old + new)) / h^2
+    where both bases are positive.  Every operation is one IEEE double
+    operation, so this pins the bits of every traced kernel step.
+    """
+    n, d, h2 = len(x), len(x[0]), h * h
+    inv_h2 = 1.0 / h2
+
+    old, sqx = list(x[i]), sqn[i]
+    sq = [(plain_dot(x[j], old) * -2.0 + sqn[j]) + sqx for j in range(n)]
+    acc, total = [0.0] * d, 0.0
+    for j in range(n):
+        w = plain_weight(sq[j], h2, inv_h2, alpha)
+        if w != 0.0:
+            acc = [a + w * p for a, p in zip(acc, x[j])]
+            total += w
+    new = [a / total for a in acc]
+    dx = [v - o for v, o in zip(new, old)]
+    shift = math.sqrt(plain_dot(dx, dx))
+    x[i], sqn[i] = new, plain_dot(new, new)
+    cross = 0.0
+    for k in range(d):
+        cross += dx[k] * (old[k] + new[k])
+    delta = 0.0
+    for j in range(n):
+        if j == i:
+            continue
+        b_old = 1.0 - sq[j] * inv_h2
+        b_new = 1.0 - ((plain_dot(x[j], new) * -2.0 + sqn[j]) + sqn[i]) * inv_h2
+        b_old = b_old if b_old > 0.0 else 0.0
+        b_new = b_new if b_new > 0.0 else 0.0
+        dbase = (plain_dot(x[j], dx) * 2.0 - cross) * inv_h2 if b_old > 0.0 and b_new > 0.0 else b_new - b_old
+        poly, b_old_p = 1.0, 1.0
+        for _ in range(1, alpha):
+            b_old_p *= b_old
+            poly = poly * b_new + b_old_p
+        delta += dbase * poly
+    return shift, delta, (2.0 * inv_h2 * total) * shift
+
+
+def assert_kernel_block_is_index_order(pts, idx, h, alpha, traced=True):
+    """One kernel block of the steps idx on pts against ``index_order_traced_step``, bit for bit.
+
+    Returns the cells (side h / 4, from the block's lower-left corner)
+    of each moved point before and after its step.
+    """
+    x = pts.tolist()
+    sqn = np.einsum("ij,ij->i", pts, pts).tolist()  # the kernel's starting norms
+    s = math.sqrt(h * h) / 4.0
+    corner = pts.min(axis=0).tolist()
+
+    def cell(p):
+        return tuple(math.floor((v - c) * (1.0 / s)) for v, c in zip(p, corner))
+
+    want, moves = [], []
+    for i in idx:
+        before = cell(x[i])
+        want.append(index_order_traced_step(x, sqn, i, h, alpha))
+        moves.append((before, cell(x[i])))
+    kernel = _native.SmsBlockKernel(_native.load(), pts, h, alpha, 0.0, len(idx), traced, traced)
+    assert kernel.run(np.array(idx, dtype=np.int64)) == (len(idx), False)
+    shift, delta, grad = (np.array(column) for column in zip(*want))
+    np.testing.assert_array_equal(pts.view(np.int64), np.array(x).view(np.int64))
+    np.testing.assert_array_equal(kernel.shifts.view(np.int64), shift.view(np.int64))
+    if traced:
+        np.testing.assert_array_equal(kernel.deltas.view(np.int64), delta.view(np.int64))
+        np.testing.assert_array_equal(kernel.grads.view(np.int64), grad.view(np.int64))
+    return moves
+
+
+@pytest.mark.usefixtures("needs_kernel")
+@pytest.mark.parametrize("h", [1.0, 0.7])
+@pytest.mark.parametrize("alpha, traced", [(1, True), (2, True), (3, True), (2, False)])
+def test_pruned_steps_are_the_index_order_steps_to_the_bit(alpha, traced, h):
+    # in 2-D with n >= 128 a traced step (and an untraced one at alpha >= 2)
+    # visits only the grid's candidates, yet must add the plain loop's
+    # terms in index order.  At h = 0.7 the tests sq < h^2 and
+    # 1 - sq / h^2 > 0 part just below the boundary
+    below = math.nextafter(0.7 * 0.7, 0.0)
+    assert below < 0.7 * 0.7 and not 1.0 - below * (1.0 / (0.7 * 0.7)) > 0.0
+    data = generate(preset("set2", seed=0))
+    pts, _ = sms_run(data.points, AlgoConfig(profile=Profile(alpha), h=h, seed=3, max_updates=300))
+    assert pts.shape[0] >= 128
+    idx = RandomIndexStream(11).draw_block(pts.shape[0], 40).tolist()
+    # points on the h-sphere around the first step's point, so the
+    # identity's rounding decides whether they weigh
+    first = idx[0]
+    others = [j for j in range(pts.shape[0]) if j not in idx][:4]
+    for j, (u, v) in zip(others, [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]):
+        pts[j] = pts[first] + h * np.array([u, v])
+    moves = assert_kernel_block_is_index_order(pts, idx, h, alpha, traced)
+    assert any(before != after for before, after in moves), "no step changed cell"
+
+
+@pytest.mark.usefixtures("needs_kernel")
+@pytest.mark.parametrize("state, alpha, traced", [("set1", 2, True), ("set1", 2, False), ("crowded", 1, True),
+                                                  ("crowded", 3, True), ("crowded", 2, False)])
+def test_pruned_runs_are_the_plain_loop_runs(state, alpha, traced):
+    # whole runs to convergence: the pruned step against the all-points
+    # loop, bit for bit.  One point 1e4 bandwidths off makes the grid refuse
+    # the state (it would need about 1.6e9 cells), so the kernel runs the
+    # plain loop there; that point is never drawn and its terms are +0.0
+    if state == "set1":
+        pts = generate(preset("set1", seed=0)).points
+    else:
+        # 3/4 of the points in one blob, so its steps find more than 2/3 of
+        # the state near and run the plain loop inside the grid's block
+        g = np.random.default_rng(5)
+        pts = np.concatenate([g.normal(0.0, 0.4, size=(150, 2)), g.uniform(-6.0, 6.0, size=(50, 2))])
+    cfg = AlgoConfig(profile=Profile(alpha), seed=1, trace_objective=traced, trace_gradient=traced)
+    final, trace = sms_run(pts, cfg)
+    assert trace.stop_reason == "converged"
+    far = np.concatenate([pts, [[1e4, 1e4]]])
+    m = trace.total_updates
+    kernel = _native.SmsBlockKernel(_native.load(), far, 1.0, alpha, 0.0, m, traced, traced)
+    assert kernel.run(trace.moved_index.astype(np.int64)) == (m, False)
+    np.testing.assert_array_equal(far[:-1].view(np.int64), final.view(np.int64))
+    np.testing.assert_array_equal(kernel.shifts.view(np.int64), trace.shift.view(np.int64))
+    if traced:
+        np.testing.assert_array_equal(kernel.deltas.view(np.int64), trace.objective_delta.view(np.int64))
+        np.testing.assert_array_equal(kernel.grads.view(np.int64), trace.grad_norm.view(np.int64))
+
+
+@pytest.mark.usefixtures("needs_kernel")
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("layout", ["offset", "below_grid_min_n"])
+def test_traced_steps_the_grid_refuses_are_the_plain_loop(layout, alpha):
+    # far from the origin the grid's margins pass a query's reach, and
+    # below GRID_MIN_N points it is not built: the plain loop runs, to its bits
+    grid_min_n = int(re.search(r"#define GRID_MIN_N (\d+)", _native._SOURCE.read_text()).group(1))
+    pts = np.ascontiguousarray(generate(preset("set1", seed=0)).points)
+    if layout == "offset":
+        pts += 1e7
+    else:
+        pts = pts[::5][:grid_min_n - 1].copy()
+        assert pts.shape[0] == grid_min_n - 1
+    idx = RandomIndexStream(5).draw_block(pts.shape[0], 12).tolist()
+    assert_kernel_block_is_index_order(pts, idx, 1.0, alpha)
 
 
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
@@ -906,14 +1061,17 @@ static double uniform(void)
 static double *doubles(int64_t count) { return malloc((size_t)count * sizeof(double)); }
 static int64_t *ints(int64_t count) { return malloc((size_t)count * sizeof(int64_t)); }
 
-/* n points in d dimensions, in three groups a few bandwidths apart */
-static double *points(int64_t n, int64_t d)
+/* n points in d dimensions, in three groups of the given width gap apart */
+static double *spread(int64_t n, int64_t d, double gap, double width)
 {
     double *p = doubles(n * d);
     for (int64_t i = 0; i < n * d; i++)
-        p[i] = (double)(i / d % 3) * 4.0 + uniform();
+        p[i] = (double)(i / d % 3) * gap + width * uniform();
     return p;
 }
+
+/* three groups a few bandwidths apart */
+static double *points(int64_t n, int64_t d) { return spread(n, d, 4.0, 1.0); }
 
 static double *norms(const double *p, int64_t n, int64_t d)
 {
@@ -934,10 +1092,11 @@ static int64_t *draws(int64_t m, int64_t n)
     return idx;
 }
 
-/* two blocks of SMS steps on one state, so the stop-rule state carries over */
-static int sms(int64_t n, int64_t d, int64_t alpha, int64_t trace_objective, int64_t trace_gradient)
+/* two blocks of SMS steps on pts, so the stop-rule state carries over */
+static int sms_on(double *pts, int64_t n, int64_t d, int64_t alpha, int64_t trace_objective,
+                  int64_t trace_gradient)
 {
-    double *pts = points(n, d), *sqn = norms(pts, n, d);
+    double *sqn = norms(pts, n, d);
     int64_t *stamp = ints(n), *state = ints(3);
     double *shifts = doubles(BLOCK), *deltas = doubles(BLOCK), *grads = doubles(BLOCK);
     double *scratch = doubles(2 * d + n);
@@ -954,6 +1113,11 @@ static int sms(int64_t n, int64_t d, int64_t alpha, int64_t trace_objective, int
     }
     free(pts), free(sqn), free(stamp), free(state), free(shifts), free(deltas), free(grads), free(scratch);
     return bad;
+}
+
+static int sms(int64_t n, int64_t d, int64_t alpha, int64_t trace_objective, int64_t trace_gradient)
+{
+    return sms_on(points(n, d), n, d, alpha, trace_objective, trace_gradient);
 }
 
 static int knn(int64_t n, int64_t d, int64_t k)
@@ -992,6 +1156,22 @@ static int sweeps(int64_t n, int64_t d, int64_t alpha, int64_t max_sweeps)
 int main(void)
 {
     int bad = sms(300, 2, 1, 0, 0); /* the grid: d = 2, alpha = 1, n >= 128, untraced */
+    /* the pruned step: d = 2 and n >= 128, traced or alpha >= 2; n = 130
+     * ends the bitmaps in a partial word.  A width of 0.2 puts each group
+     * in one cell, a third of the points that the pruned step visits,
+     * and with no gap every point in one cell, where it runs the plain
+     * loop inside the grid's block */
+    for (int64_t alpha = 1; alpha <= 3; alpha++)
+        for (int64_t n = 128; n <= 130; n += 2) {
+            bad |= sms(n, 2, alpha, 1, 1) << 5;
+            bad |= sms_on(spread(n, 2, 4.0, 0.2), n, 2, alpha, 1, 1) << 5;
+            bad |= sms_on(spread(n, 2, 0.0, 0.2), n, 2, alpha, 1, 1) << 5;
+        }
+    bad |= sms(130, 2, 2, 0, 0) << 5;
+    bad |= sms(128, 2, 3, 1, 0) << 5;
+    bad |= sms(130, 2, 1, 0, 1) << 5;
+    bad |= sms_on(spread(130, 2, 4.0, 0.2), 130, 2, 2, 0, 0) << 5;
+    bad |= sms_on(spread(130, 2, 0.0, 0.2), 130, 2, 2, 0, 0) << 5;
     for (int64_t alpha = 1; alpha <= 3; alpha++)
         for (int64_t d = 1; d <= 5; d += d == 1 ? 1 : 3) /* d = 1, 2, 5 */
             for (int64_t traced = 0; traced < 4; traced++) /* plain, objective, gradient, both */
