@@ -3,10 +3,9 @@
  * (affinity.knn_sms_run), both under one stop rule, stop_rule below:
  * stop once every point has been drawn, with a shift below tolerance,
  * since the last shift at or above it.  A traced distance block also
- * gives each step's objective increment and partial-gradient norm, from
- * a pass over the points for the move and one for the increment: over
- * all n points (move_traced), or in 2-D over the grid's candidates near
- * the old and new positions, in index order (move_pruned).
+ * gives each step's objective increment and partial-gradient norm: from
+ * a second pass over all n points (move_traced), or in 2-D from the grid's
+ * cells near the old and new positions (move_cells).
  * shift_rows is the mean-shift batch map of algorithms._shift_rows:
  * every query row moves onto the weighted mean of a sample, as MS's
  * probes do against the input.  bms_sweeps runs blurring mean-shift
@@ -20,10 +19,11 @@
  * G(t) = 1[t < 1] as a 0/1 value with an integer-valued total for
  * alpha = 1 and alpha * (1 - t)_+^(alpha - 1) for alpha >= 2, and in SMS
  * the drawn point averaged together with its own weight.  The plain loop
- * sums in index order, and move_pruned adds the same nonzero terms in the
- * same order, to the same bits; BLAS sums in its own order and the grid's
- * query (below) by cells, so positions agree with the numpy path to
- * rounding.  The
+ * sums in index order; BLAS sums in its own order, and the grid by cells,
+ * some of them whole from their moments, so positions, increments and
+ * gradient norms agree with the numpy path to rounding.  Tracing only
+ * adds work after a move, so a traced run moves its points to the bits of
+ * the untraced one on every path.  The
  * neighbour mean of knn_block sums its k rows in order and divides by k,
  * as numpy's mean over a (k, d) gather does for d >= 2, so its positions
  * match numpy's bit for bit; its shifts are index-order sums, where
@@ -36,11 +36,20 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Weight of one squared distance, alpha >= 2. */
-static inline double poly_weight(double sq, double inv_h2, int64_t alpha)
+/* Each export starts a cache line, so that where its short loops fall
+ * within a line does not move with the code above it: one placement of
+ * knn_block 32 bytes off put a loop across a line boundary and slowed its
+ * steps by about 10%. */
+#define EXPORT __attribute__((aligned(64)))
+
+/* The weight G of one squared distance: 1[sq < h^2] as a 0/1 value for
+ * alpha = 1, alpha * (1 - sq / h^2)_+^(alpha - 1) for alpha >= 2. */
+static inline __attribute__((always_inline)) double
+weight(double sq, double h2, double inv_h2, int64_t alpha)
 {
-    double t = (sq > 0.0 ? sq : 0.0) * inv_h2;
-    double b = 1.0 - t;
+    if (alpha == 1)
+        return (double)(sq < h2);
+    double b = 1.0 - (sq > 0.0 ? sq : 0.0) * inv_h2;
     b = b > 0.0 ? b : 0.0;
     double p = b;
     for (int64_t k = 2; k < alpha; k++)
@@ -59,19 +68,6 @@ sq_identity(const double *p, int64_t d, const double *x, double sqn_j, double sq
     return (dot * -2.0 + sqn_j) + sqx;
 }
 
-/* Add point p's weighted term, at squared distance sq, to acc and return
- * its weight, which the caller adds to its total when nonzero; a zero
- * weight adds nothing. */
-static inline __attribute__((always_inline)) double
-add_term(const double *p, int64_t d, double sq, double h2, double inv_h2, int64_t alpha, double *acc)
-{
-    const double w = alpha == 1 ? (double)(sq < h2) : poly_weight(sq, inv_h2, alpha);
-    if (w != 0.0)
-        for (int64_t k = 0; k < d; k++)
-            acc[k] += w * p[k];
-    return w;
-}
-
 /* The weighted sum of the n points of pts (n x d, squared norms sqn)
  * around x, whose squared norm is sqx: acc (d-length) receives
  * sum_j w_j p_j, and the weight total is returned.  When sq is not NULL,
@@ -88,9 +84,12 @@ weighted_sum(const double *pts, const double *sqn, int64_t n, int64_t d, const d
         const double sqj = sq_identity(pts + j * d, d, x, sqn[j], sqx);
         if (sq)
             sq[j] = sqj;
-        const double w = add_term(pts + j * d, d, sqj, h2, inv_h2, alpha, acc);
-        if (w != 0.0)
+        const double w = weight(sqj, h2, inv_h2, alpha);
+        if (w != 0.0) { /* a zero weight adds nothing */
+            for (int64_t k = 0; k < d; k++)
+                acc[k] += w * pts[j * d + k];
             wsum += w;
+        }
     }
     return wsum;
 }
@@ -111,18 +110,6 @@ place_mean(double *pts, double *sqn, int64_t d, int64_t i, const double *x, cons
     }
     sqn[i] = norm2;
     return sqrt(shift2);
-}
-
-/* Move point i onto the weighted mean of the state; returns its shift and
- * the weight total in *total.  x and acc are d-length scratch; on return
- * x holds the old position.  sq is weighted_sum's. */
-static inline __attribute__((always_inline)) double
-move_generic(double *pts, double *sqn, int64_t n, int64_t d, int64_t i, double h2, double inv_h2,
-             int64_t alpha, double *x, double *acc, double *sq, double *total)
-{
-    memcpy(x, pts + i * d, (size_t)d * sizeof(double));
-    *total = weighted_sum(pts, sqn, n, d, x, sqn[i], h2, inv_h2, alpha, acc, sq);
-    return place_mean(pts, sqn, d, i, x, acc, *total);
 }
 
 /* dx = new - x_old, and returns the cross term dx . (x_old + new) of the
@@ -169,19 +156,23 @@ increment_term(const double *p, int64_t d, double sqn_j, double sq_old, const do
     return dbase * poly;
 }
 
-/* A traced step: move_generic's move, then the moved point's
- * partial-gradient norm (2 / h^2) W |dx| into *grad when grad is not
- * NULL, and when delta is not NULL the objective increment
- * sum_{j != i} k(t_new) - k(t_old) into *delta, in index order, in
- * algorithms._sms_move's cancellation-free form (increment_term).  This
- * is the reference of move_pruned.  scratch holds 2 * d + n doubles. */
+/* A step of the plain loop: move point i onto the weighted mean of all n
+ * points, then give its partial-gradient norm (2 / h^2) W |dx| into *grad
+ * when grad is not NULL, and when delta is not NULL the objective
+ * increment sum_{j != i} k(t_new) - k(t_old) into *delta, in index order,
+ * in algorithms._sms_move's cancellation-free form (increment_term).
+ * Returns the shift.  scratch holds 2 * d + n doubles; the last n keep
+ * the squared distances to the old position for the increment.  Always
+ * inlined, so a call with constant NULL delta and grad keeps neither the
+ * store of the distances nor the passes after the move. */
 static inline __attribute__((always_inline)) double
 move_traced(double *pts, double *sqn, int64_t n, int64_t d, int64_t i, double h2, double inv_h2,
             int64_t alpha, double *scratch, double *delta, double *grad)
 {
-    double *x = scratch, *dx = scratch + d, *sq = scratch + 2 * d;
-    double total;
-    const double shift = move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, x, dx, sq, &total);
+    double *x = scratch, *dx = scratch + d, *sq = delta ? scratch + 2 * d : NULL;
+    memcpy(x, pts + i * d, (size_t)d * sizeof(double));
+    const double total = weighted_sum(pts, sqn, n, d, x, sqn[i], h2, inv_h2, alpha, dx, sq);
+    const double shift = place_mean(pts, sqn, d, i, x, dx, total);
     if (grad)
         *grad = (2.0 * inv_h2 * total) * shift;
     if (!delta)
@@ -197,8 +188,9 @@ move_traced(double *pts, double *sqn, int64_t n, int64_t d, int64_t i, double h2
 }
 
 /* Exact sums for the cell aggregates: a double-double accumulator
- * (Knuth's two-sum), so adding and removing positions over a whole run
- * leaves no rounding residue that a plain double sum would keep. */
+ * (Knuth's two-sum), so adding and removing positions and moments over a
+ * whole run leaves no rounding residue that a plain double sum would
+ * keep. */
 typedef struct {
     double hi, lo;
 } dd;
@@ -214,8 +206,8 @@ static inline void dd_add(dd *a, double b)
 
 /* A uniform grid of cells of side h / GRID_DIV over the bounding box of
  * a set of points, for d = 2.  Each cell keeps the count and the exact
- * sum of the positions of its points, which only the uniform weight
- * (alpha = 1) of an untraced query uses.
+ * sums of the positions of its points, and for alpha = 2 the exact sums
+ * of their second and third moments about the cell's centre.
  * SMS builds it on the state and moves a point onto a convex combination
  * of the state, so every position stays inside the box for the whole
  * block (cell_coord clamps what rounding puts outside it); shift_rows
@@ -224,14 +216,16 @@ static inline void dd_add(dd *a, double b)
  * A query around x visits the cells that meet the square of side
  * 2 * reach (just over 2h) around it.
  * A cell lying inside the h-ball with a margin well above the rounding
- * of the cached-norm identity contributes its sum and count at once; a
- * cell outside it with that margin contributes nothing; the points of
- * the remaining cells are tested one by one with the identity, exactly
- * as the plain loop tests them.  So the same points are averaged,
- * and only the rounding of their sum differs.  Once clusters have
- * shrunk to a few cells, a query costs O(cells) instead of O(n).  The
- * pruned SMS step (move_pruned) takes from the same cells every point
- * that the outside test does not rule out, and sums their terms itself.
+ * of the cached-norm identity contributes its share at once: its sum and
+ * count for alpha = 1, and for alpha = 2 its points' polynomial weights
+ * expanded in its moments, exact up to rounding (the profiles are
+ * polynomials, so nothing is truncated).  A cell outside it with that
+ * margin contributes nothing; the points of the remaining cells, and for
+ * alpha >= 3 of every cell that is not outside, are weighed one by one
+ * with the identity, exactly as the plain loop weighs them.  So the same
+ * points are averaged, and only the rounding of the sums differs.  Once
+ * clusters have shrunk to a few cells, a step costs O(cells) instead of
+ * O(n) for alpha <= 2, and so does its increment (grid_increment).
  *
  * The points of a cell form a doubly linked list, built in index order;
  * in SMS a point that changes cell is unlinked and pushed onto the front
@@ -248,6 +242,10 @@ typedef struct {
     int64_t *cell;  /* n: the cell of point j */
     int64_t *next, *prev; /* n: list links, -1 at either end */
     dd *sx, *sy;    /* nc: exact coordinate sums */
+    /* 5 nc for alpha = 2, else NULL: per cell, the exact sums over its
+     * points of y0^2, y0 y1, y1^2, |y|^2 y0 and |y|^2 y1, with y the
+     * point's offset from the cell's centre */
+    dd *mom;
 } grid_t;
 
 /* fmax without its NaN rules, which keep gcc from inlining it */
@@ -269,6 +267,30 @@ static int64_t cell_of(const grid_t *g, double x, double y)
     return cell_coord(y, g->y0, g->inv_s, g->ny) * g->nx + cell_coord(x, g->x0, g->inv_s, g->nx);
 }
 
+/* The centre of the cell in column cx and row cy. */
+static inline void cell_centre(const grid_t *g, int64_t cx, int64_t cy, double *ctr)
+{
+    ctr[0] = g->x0 + ((double)cx + 0.5) * g->s;
+    ctr[1] = g->y0 + ((double)cy + 0.5) * g->s;
+}
+
+/* Add sign (+1 or -1) times the moments of the point (p0, p1) to those of
+ * cell c, when the grid keeps moments. */
+static void moments_add(grid_t *g, int64_t c, double p0, double p1, double sign)
+{
+    if (!g->mom)
+        return;
+    double ctr[2];
+    cell_centre(g, c % g->nx, c / g->nx, ctr);
+    const double y0 = p0 - ctr[0], y1 = p1 - ctr[1], r = y0 * y0 + y1 * y1;
+    dd *m = g->mom + 5 * c;
+    dd_add(&m[0], sign * (y0 * y0));
+    dd_add(&m[1], sign * (y0 * y1));
+    dd_add(&m[2], sign * (y1 * y1));
+    dd_add(&m[3], sign * (r * y0));
+    dd_add(&m[4], sign * (r * y1));
+}
+
 /* Put point j at the front of cell c's list. */
 static void cell_push(grid_t *g, int64_t j, int64_t c)
 {
@@ -279,7 +301,6 @@ static void cell_push(grid_t *g, int64_t j, int64_t c)
         g->prev[first] = j;
     g->head[c] = j;
     g->cell[j] = c;
-    g->count[c]++;
 }
 
 /* Take point j out of its cell's list. */
@@ -292,7 +313,6 @@ static void cell_unlink(grid_t *g, int64_t j)
         g->head[c] = g->next[j];
     if (g->next[j] >= 0)
         g->prev[g->next[j]] = g->prev[j];
-    g->count[c]--;
 }
 
 static void grid_free(grid_t *g)
@@ -301,11 +321,11 @@ static void grid_free(grid_t *g)
     free(g->sx);
 }
 
-/* Build the grid over the n points of pts; returns 0 when it would need
- * too many cells (a spread far beyond h) or memory runs out.  Queries
- * may come from points up to qscale from the origin in each coordinate,
- * beyond the box's own. */
-static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double qscale)
+/* Build the grid over the n points of pts, with moments when asked;
+ * returns 0 when it would need too many cells (a spread far beyond h) or
+ * memory runs out.  Queries may come from points up to qscale from the
+ * origin in each coordinate, beyond the box's own. */
+static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double qscale, int moments)
 {
     double xmin = pts[0], xmax = pts[0], ymin = pts[1], ymax = pts[1];
     for (int64_t j = 1; j < n; j++) {
@@ -337,9 +357,9 @@ static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double
     g->reach = sqrt(h2 + 2.0 * g->errb) + g->pad;
     if (!(2.0 * g->reach * g->inv_s + 3.0 <= GRID_SPAN))
         return 0;
-    const int64_t nc = g->nx * g->ny;
+    const int64_t nc = g->nx * g->ny, sums = moments ? 7 : 2;
     g->head = malloc((size_t)(2 * nc + 3 * n) * sizeof(int64_t));
-    g->sx = malloc((size_t)(2 * nc) * sizeof(dd));
+    g->sx = malloc((size_t)(sums * nc) * sizeof(dd));
     if (!g->head || !g->sx) {
         grid_free(g);
         return 0;
@@ -349,17 +369,20 @@ static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double
     g->next = g->cell + n;
     g->prev = g->next + n;
     g->sy = g->sx + nc;
+    g->mom = moments ? g->sy + nc : NULL;
     for (int64_t c = 0; c < nc; c++) {
         g->head[c] = -1;
         g->count[c] = 0;
-        g->sx[c] = (dd){0.0, 0.0};
-        g->sy[c] = (dd){0.0, 0.0};
     }
+    for (int64_t k = 0; k < sums * nc; k++)
+        g->sx[k] = (dd){0.0, 0.0};
     for (int64_t j = 0; j < n; j++) {
         const int64_t c = cell_of(g, pts[2 * j], pts[2 * j + 1]);
         g->cell[j] = c;
+        g->count[c]++;
         dd_add(&g->sx[c], pts[2 * j]);
         dd_add(&g->sy[c], pts[2 * j + 1]);
+        moments_add(g, c, pts[2 * j], pts[2 * j + 1], 1.0);
     }
     for (int64_t j = n - 1; j >= 0; j--) /* front pushes, so index order */
         cell_push(g, j, g->cell[j]);
@@ -411,187 +434,242 @@ grid_row(const grid_t *g, double x1, int64_t cy, double *far_y, double *near_y)
     *near_y = ny_ * ny_ - g->errb;
 }
 
-/* The count of the grid's points (pts, squared norms sqn) that the
- * identity test sq < h^2 puts inside the ball around (x0, x1), whose
- * squared norm is sqx; their coordinate sums go to sum[0] and sum[1]. */
-static int64_t grid_query(const grid_t *g, const double *pts, const double *sqn, double x0,
-                          double x1, double sqx, double h2, double *sum)
+/* Cell c's first moment about its centre ctr, sum_j (x_j - ctr), from its
+ * exact coordinate sums. */
+static inline void cell_offsets(const grid_t *g, int64_t c, const double *ctr, double *s1)
 {
-    window_t w;
-    grid_window(g, x0, x1, &w);
-    double ax = 0.0, ay = 0.0;
-    int64_t total = 0;
-    for (int64_t cy = w.cy0; cy <= w.cy1; cy++) {
+    const double count = (double)g->count[c];
+    s1[0] = (g->sx[c].hi - count * ctr[0]) + g->sx[c].lo;
+    s1[1] = (g->sy[c].hi - count * ctr[1]) + g->sy[c].lo;
+}
+
+/* Cell c's share of the alpha = 2 move around x, when it lies inside the
+ * ball: with y a point's offset from the cell's centre ctr and
+ * u = ctr - x, its weights 2 (1 - |y + u|^2 / h^2) summed from its count
+ * and moments.  Returns their total and adds sum_j w_j x_j to *ax, *ay. */
+static inline double cell_weigh(const grid_t *g, int64_t c, const double *ctr, const double *x, double inv_h2,
+                                double *ax, double *ay)
+{
+    double s1[2];
+    cell_offsets(g, c, ctr, s1);
+    const dd *m = g->mom + 5 * c;
+    const double count = (double)g->count[c], u0 = ctr[0] - x[0], u1 = ctr[1] - x[1];
+    const double uu = u0 * u0 + u1 * u1, su = s1[0] * u0 + s1[1] * u1;
+    const double total = 2.0 * (count - ((m[0].hi + m[2].hi) + 2.0 * su + count * uu) * inv_h2);
+    /* sum_j w_j y_j = 2 (s1 - (sum_j |y_j|^2 y_j + 2 M u + |u|^2 s1) / h^2), M = sum_j y_j y_j^T */
+    const double mu0 = m[0].hi * u0 + m[1].hi * u1, mu1 = m[1].hi * u0 + m[2].hi * u1;
+    *ax += total * ctr[0] + 2.0 * (s1[0] - (m[3].hi + 2.0 * mu0 + uu * s1[0]) * inv_h2);
+    *ay += total * ctr[1] + 2.0 * (s1[1] - (m[4].hi + 2.0 * mu1 + uu * s1[1]) * inv_h2);
+    return total;
+}
+
+/* The G-weighted sum of the grid's points (pts, squared norms sqn) in the
+ * window w around x = w->at, whose squared norm is sqx: sum receives
+ * sum_j w_j x_j, and the weight total is returned.  A cell inside the
+ * ball adds its count and coordinate sums for alpha = 1 and its share
+ * from its moments (cell_weigh) for alpha = 2; the points of the other
+ * cells that the near test keeps are weighed one by one, and for
+ * alpha >= 3 those of the inside cells too.  For alpha = 1 the total
+ * counts the points that the identity test sq < h^2 puts in the ball.
+ * Always inlined, so a constant alpha keeps one branch of each test. */
+static inline __attribute__((always_inline)) double
+grid_query(const grid_t *g, const double *pts, const double *sqn, const window_t *w, double sqx, double h2,
+           double inv_h2, int64_t alpha, double *sum)
+{
+    const double x0 = w->at[0], x1 = w->at[1];
+    double ax = 0.0, ay = 0.0, total = 0.0;
+    int64_t inside = 0; /* alpha = 1: counted as an integer, faster than a double total */
+    for (int64_t cy = w->cy0; cy <= w->cy1; cy++) {
         double far_y, near_y;
         grid_row(g, x1, cy, &far_y, &near_y);
-        for (int64_t cx = w.cx0; cx <= w.cx1; cx++) {
+        for (int64_t cx = w->cx0; cx <= w->cx1; cx++) {
             const int64_t c = cy * g->nx + cx;
             if (g->count[c] == 0)
                 continue;
-            if (w.far_x[cx - w.cx0] + far_y < h2) {
+            if (alpha == 1 && w->far_x[cx - w->cx0] + far_y < h2) {
                 ax += g->sx[c].hi;
                 ay += g->sy[c].hi;
-                total += g->count[c];
-            } else if (w.near_x[cx - w.cx0] + near_y < h2) {
+                inside += g->count[c];
+            } else if (alpha == 2 && w->far_x[cx - w->cx0] + far_y < h2) {
+                double ctr[2];
+                cell_centre(g, cx, cy, ctr);
+                total += cell_weigh(g, c, ctr, w->at, inv_h2, &ax, &ay);
+            } else if (w->near_x[cx - w->cx0] + near_y < h2) {
                 for (int64_t j = g->head[c]; j >= 0; j = g->next[j]) {
                     const double p0 = pts[2 * j], p1 = pts[2 * j + 1];
                     const double sq = ((p0 * x0 + p1 * x1) * -2.0 + sqn[j]) + sqx;
                     /* no branch: whether a point of a boundary cell is
                      * inside the ball is unpredictable */
-                    const int64_t in = sq < h2;
-                    ax += (double)in * p0;
-                    ay += (double)in * p1;
-                    total += in;
+                    if (alpha == 1) {
+                        const int64_t in = sq < h2;
+                        ax += (double)in * p0;
+                        ay += (double)in * p1;
+                        inside += in;
+                    } else {
+                        const double wt = weight(sq, h2, inv_h2, alpha);
+                        ax += wt * p0;
+                        ay += wt * p1;
+                        total += wt;
+                    }
                 }
             }
         }
     }
     sum[0] = ax;
     sum[1] = ay;
-    return total;
+    return alpha == 1 ? (double)inside : total;
 }
 
 /* The cells of the window w that grid_query's near test does not rule
- * out go to cells, *ncells of them; returns the count of their points.
- * When done is not NULL, a cell that passes done's near test as well is
- * left out: its points were taken from done. */
-static int64_t grid_near(const grid_t *g, const window_t *w, const window_t *done, double h2, int64_t *cells,
-                         int64_t *ncells)
+ * out and that done's near test does rule out go to cells, *ncells of
+ * them: the cells near w's position that were not visited from done. */
+static void grid_near(const grid_t *g, const window_t *w, const window_t *done, double h2, int64_t *cells,
+                      int64_t *ncells)
 {
-    int64_t points = 0;
     *ncells = 0;
     for (int64_t cy = w->cy0; cy <= w->cy1; cy++) {
         double far_y, near_y, done_y = INFINITY; /* no cell of done outside its rows */
         grid_row(g, w->at[1], cy, &far_y, &near_y);
-        if (done && cy >= done->cy0 && cy <= done->cy1)
+        if (cy >= done->cy0 && cy <= done->cy1)
             grid_row(g, done->at[1], cy, &far_y, &done_y);
-        for (int64_t cx = w->cx0; cx <= w->cx1; cx++) {
-            if (!(w->near_x[cx - w->cx0] + near_y < h2) ||
-                (done && cx >= done->cx0 && cx <= done->cx1 && done->near_x[cx - done->cx0] + done_y < h2))
-                continue;
-            const int64_t c = cy * g->nx + cx;
-            cells[(*ncells)++] = c;
-            points += g->count[c];
-        }
+        for (int64_t cx = w->cx0; cx <= w->cx1; cx++)
+            if (w->near_x[cx - w->cx0] + near_y < h2 &&
+                !(cx >= done->cx0 && cx <= done->cx1 && done->near_x[cx - done->cx0] + done_y < h2))
+                cells[(*ncells)++] = cy * g->nx + cx;
     }
-    return points;
 }
 
-/* Set in the bitmap mark the bits of the points of the ncells cells, and
- * widen the word range [*lo, *hi] to cover them. */
-static void grid_mark(const grid_t *g, const int64_t *cells, int64_t ncells, uint64_t *mark, int64_t *lo,
-                      int64_t *hi)
+/* Take point i, at (x0, x1), out of its cell's count and sums; it stays
+ * in the cell's list until grid_put. */
+static void grid_take(grid_t *g, int64_t i, double x0, double x1)
 {
-    for (int64_t k = 0; k < ncells; k++)
-        for (int64_t j = g->head[cells[k]]; j >= 0; j = g->next[j]) {
-            const int64_t word = j >> 6;
-            mark[word] |= (uint64_t)1 << (j & 63);
-            *lo = word < *lo ? word : *lo;
-            *hi = word > *hi ? word : *hi;
-        }
+    const int64_t c = g->cell[i];
+    dd_add(&g->sx[c], -x0);
+    dd_add(&g->sy[c], -x1);
+    moments_add(g, c, x0, x1, -1.0);
+    g->count[c]--;
 }
 
-/* Carry point i from (x0, x1) to (n0, n1) in its cells' sums and lists. */
-static void grid_relocate(grid_t *g, int64_t i, double x0, double x1, double n0, double n1)
+/* Put point i, taken out by grid_take, back at (n0, n1): into its new
+ * cell's count and sums, and into its list if the cell changed. */
+static void grid_put(grid_t *g, int64_t i, double n0, double n1)
 {
-    const int64_t from = g->cell[i], to = cell_of(g, n0, n1);
-    dd_add(&g->sx[from], -x0);
-    dd_add(&g->sy[from], -x1);
+    const int64_t to = cell_of(g, n0, n1);
     dd_add(&g->sx[to], n0);
     dd_add(&g->sy[to], n1);
-    if (from != to) {
+    moments_add(g, to, n0, n1, 1.0);
+    g->count[to]++;
+    if (to != g->cell[i]) {
         cell_unlink(g, i);
         cell_push(g, i, to);
     }
 }
 
-/* SMS's gridded step: query the ball around point i, then move i onto
- * the mean and carry its position over in its cells' sums and lists. */
-static double move_grid(grid_t *g, double *pts, double *sqn, int64_t i, double h2)
+/* The increment terms (increment_term) of the points of cell c other than
+ * i, for a step from x (squared norm sqx) to new. */
+static double cell_terms(const grid_t *g, const double *pts, const double *sqn, int64_t c, int64_t i,
+                         const double *x, double sqx, const double *new, const double *dx, double cross,
+                         double inv_h2, int64_t alpha)
 {
-    const double x0 = pts[2 * i], x1 = pts[2 * i + 1];
-    double sum[2];
-    const int64_t total = grid_query(g, pts, sqn, x0, x1, sqn[i], h2, sum);
-    const double n0 = sum[0] / (double)total, n1 = sum[1] / (double)total;
-    const double d0 = n0 - x0, d1 = n1 - x1;
-    pts[2 * i] = n0;
-    pts[2 * i + 1] = n1;
-    sqn[i] = n0 * n0 + n1 * n1;
-    grid_relocate(g, i, x0, x1, n0, n1);
-    return sqrt(d0 * d0 + d1 * d1);
+    double sum = 0.0;
+    for (int64_t j = g->head[c]; j >= 0; j = g->next[j])
+        if (j != i) {
+            const double *p = pts + 2 * j;
+            sum += increment_term(p, 2, sqn[j], sq_identity(p, 2, x, sqn[j], sqx), new, sqn[i], dx, cross,
+                                  inv_h2, alpha);
+        }
+    return sum;
 }
 
-/* move_traced's step in 2-D, or move_generic's when delta and grad are
- * NULL, visiting only the grid's candidates: the points of the cells
- * around the old position that grid_mark sets in the bitmap old, and for
- * the increment those of the other cells around the new position, in the
- * bitmap near_new.  Scanning the bitmaps word by word visits the candidates in
- * index order, so each sum adds move_traced's terms in its order with the
- * same arithmetic.  A point left out has sq >= h^2 and 1 - sq / h^2 <= 0
- * at both positions, so its weight and its increment term are +0.0, and a
- * sum from +0.0 is never -0.0 under round-to-nearest: every sum keeps its
- * bits.  An old candidate's squared distance to the old position is the
- * one stored in sq; a new-only candidate's is computed as the plain loop
- * computes it.  Both bitmaps are all zero on entry and on return.
- *
- * A candidate costs more than a point of the plain loop: in a state all
- * in one window the pruned step took about 1.4x the time of the plain
- * one.  So when the cells around the old position hold more than half of
- * the n points, the step runs move_traced instead, to the same bits, with
- * d = 2 inlined as a constant.  scratch is move_traced's; sq is its first
- * n doubles. */
-static double move_pruned(grid_t *g, double *pts, double *sqn, int64_t n, int64_t i, double h2,
-                          double inv_h2, int64_t alpha, double *scratch, uint64_t *old, uint64_t *near_new,
-                          double *delta, double *grad)
+/* Cell c's share of the increment, alpha = 1 or 2, when it lies inside
+ * both balls, from its count and moments about its centre ctr.  With y a
+ * point's offset from ctr, u = ctr - x and v = ctr - new, a point's base
+ * difference b_new - b_old is (2 y . dx + e) / h^2 with e = dx . (u + v),
+ * free of cancellation as in increment_term; at alpha = 2 it is
+ * multiplied by b_new + b_old = k - (2 |y|^2 + 2 y . a) / h^2, with
+ * a = u + v and k = 2 - (|u|^2 + |v|^2) / h^2. */
+static inline __attribute__((always_inline)) double
+cell_increment(const grid_t *g, int64_t c, const double *ctr, const double *x, const double *new,
+               const double *dx, double inv_h2, int64_t alpha)
+{
+    double s1[2];
+    cell_offsets(g, c, ctr, s1);
+    const double u0 = ctr[0] - x[0], u1 = ctr[1] - x[1], v0 = ctr[0] - new[0], v1 = ctr[1] - new[1];
+    const double a0 = u0 + v0, a1 = u1 + v1, e = dx[0] * a0 + dx[1] * a1;
+    const double lin = 2.0 * (s1[0] * dx[0] + s1[1] * dx[1]) + (double)g->count[c] * e;
+    if (alpha == 1)
+        return lin * inv_h2;
+    const dd *m = g->mom + 5 * c;
+    const double k = 2.0 - ((u0 * u0 + u1 * u1) + (v0 * v0 + v1 * v1)) * inv_h2;
+    const double ma0 = m[0].hi * a0 + m[1].hi * a1, ma1 = m[1].hi * a0 + m[2].hi * a1;
+    const double quad = 4.0 * (dx[0] * (m[3].hi + ma0) + dx[1] * (m[4].hi + ma1)) +
+                        2.0 * e * ((m[0].hi + m[2].hi) + (s1[0] * a0 + s1[1] * a1));
+    return (k * lin - quad * inv_h2) * inv_h2;
+}
+
+/* The objective increment sum_{j != i} k(t_new) - k(t_old) of point i's
+ * step from x (squared norm sqx; old is the window around it) to its new
+ * position, with i taken out of the grid's counts and sums.  The cells
+ * near the old position come first: a cell inside both balls adds its
+ * share from its moments for alpha <= 2, and every other cell adds its
+ * points' terms one by one; then the other cells near the new position
+ * add theirs.  A cell that no near test keeps adds +0.0 terms only. */
+static double grid_increment(const grid_t *g, const double *pts, const double *sqn, int64_t i,
+                             const double *x, double sqx, const window_t *old, double h2, double inv_h2,
+                             int64_t alpha)
+{
+    const double *new = pts + 2 * i;
+    double dx[2];
+    const double cross = step_cross(2, x, new, dx);
+    window_t around;
+    grid_window(g, new[0], new[1], &around);
+    double sum = 0.0;
+    for (int64_t cy = old->cy0; cy <= old->cy1; cy++) {
+        double far_y, near_y, new_far_y = INFINITY, new_near_y; /* no cell of around outside its rows */
+        grid_row(g, x[1], cy, &far_y, &near_y);
+        if (cy >= around.cy0 && cy <= around.cy1)
+            grid_row(g, new[1], cy, &new_far_y, &new_near_y);
+        for (int64_t cx = old->cx0; cx <= old->cx1; cx++) {
+            const int64_t c = cy * g->nx + cx;
+            if (g->count[c] == 0 || !(old->near_x[cx - old->cx0] + near_y < h2))
+                continue;
+            if (alpha <= 2 && old->far_x[cx - old->cx0] + far_y < h2 && cx >= around.cx0 && cx <= around.cx1 &&
+                around.far_x[cx - around.cx0] + new_far_y < h2) {
+                double ctr[2];
+                cell_centre(g, cx, cy, ctr);
+                sum += cell_increment(g, c, ctr, x, new, dx, inv_h2, alpha);
+            } else
+                sum += cell_terms(g, pts, sqn, c, i, x, sqx, new, dx, cross, inv_h2, alpha);
+        }
+    }
+    int64_t cells[GRID_SPAN * GRID_SPAN], ncells;
+    grid_near(g, &around, old, h2, cells, &ncells);
+    for (int64_t k = 0; k < ncells; k++)
+        sum += cell_terms(g, pts, sqn, cells[k], i, x, sqx, new, dx, cross, inv_h2, alpha);
+    return sum;
+}
+
+/* SMS's gridded step: move point i onto grid_query's mean around it, and
+ * give move_traced's gradient norm and, from grid_increment, its
+ * increment when asked; then carry the point over in its cells' sums and
+ * lists.  The move never reads the traced outputs, so tracing leaves the
+ * run's bits alone. */
+static inline __attribute__((always_inline)) double
+move_cells(grid_t *g, double *pts, double *sqn, int64_t i, double h2, double inv_h2, int64_t alpha,
+           double *delta, double *grad)
 {
     const double x[2] = {pts[2 * i], pts[2 * i + 1]}, sqx = sqn[i];
-    window_t around_old, around_new;
-    int64_t cells[GRID_SPAN * GRID_SPAN], ncells;
-    grid_window(g, x[0], x[1], &around_old);
-    if (2 * grid_near(g, &around_old, NULL, h2, cells, &ncells) > n) {
-        const double shift = move_traced(pts, sqn, n, 2, i, h2, inv_h2, alpha, scratch, delta, grad);
-        grid_relocate(g, i, x[0], x[1], pts[2 * i], pts[2 * i + 1]);
-        return shift;
-    }
-    double *sq = scratch;
-    int64_t lo = INT64_MAX, hi = -1;
-    grid_mark(g, cells, ncells, old, &lo, &hi);
-    double acc[2] = {0.0, 0.0}, total = 0.0;
-    for (int64_t w = lo; w <= hi; w++)
-        for (uint64_t bits = old[w]; bits; bits &= bits - 1) {
-            const int64_t j = w * 64 + __builtin_ctzll(bits);
-            sq[j] = sq_identity(pts + 2 * j, 2, x, sqn[j], sqx);
-            const double weight = add_term(pts + 2 * j, 2, sq[j], h2, inv_h2, alpha, acc);
-            if (weight != 0.0)
-                total += weight;
-        }
+    window_t around;
+    double acc[2];
+    grid_window(g, x[0], x[1], &around);
+    const double total = grid_query(g, pts, sqn, &around, sqx, h2, inv_h2, alpha, acc);
     const double shift = place_mean(pts, sqn, 2, i, x, acc, total);
-    const double *new = pts + 2 * i;
     if (grad)
         *grad = (2.0 * inv_h2 * total) * shift;
-    if (delta) {
-        double dx[2];
-        const double cross = step_cross(2, x, new, dx);
-        grid_window(g, new[0], new[1], &around_new);
-        grid_near(g, &around_new, &around_old, h2, cells, &ncells);
-        grid_mark(g, cells, ncells, near_new, &lo, &hi);
-        double sum = 0.0;
-        for (int64_t w = lo; w <= hi; w++) {
-            const uint64_t was = old[w];
-            for (uint64_t bits = was | near_new[w]; bits; bits &= bits - 1) {
-                const int64_t j = w * 64 + __builtin_ctzll(bits);
-                if (j == i)
-                    continue; /* the self term is zero */
-                const double *p = pts + 2 * j;
-                const double sq_old = was >> (j & 63) & 1 ? sq[j] : sq_identity(p, 2, x, sqn[j], sqx);
-                sum += increment_term(p, 2, sqn[j], sq_old, new, sqn[i], dx, cross, inv_h2, alpha);
-            }
-            near_new[w] = 0;
-        }
-        *delta = sum;
-    }
-    memset(old + lo, 0, (size_t)(hi - lo + 1) * sizeof(uint64_t));
-    grid_relocate(g, i, x[0], x[1], new[0], new[1]);
+    grid_take(g, i, x[0], x[1]);
+    if (delta)
+        *delta = grid_increment(g, pts, sqn, i, x, sqx, &around, h2, inv_h2, alpha);
+    grid_put(g, i, pts[2 * i], pts[2 * i + 1]);
     return shift;
 }
 
@@ -625,10 +703,10 @@ stop_rule(double shift, double tol, int64_t i, int64_t n, int64_t *stamp, int64_
  * rule fired on the last of them.  When trace_objective (trace_gradient)
  * is nonzero, step s also writes its objective increment to deltas[s] (its
  * partial-gradient norm to grads[s]).  In 2-D with n >= GRID_MIN_N and a
- * state the grid accepts, an untraced block with alpha = 1 runs move_grid
- * and every other block move_pruned; otherwise a traced block runs
- * move_traced and an untraced one the plain loop move_generic.  scratch
- * holds 2 * d + n doubles. */
+ * state the grid accepts, every block runs move_cells, with alpha = 1
+ * compiled in for the uniform weight; otherwise every block runs the
+ * plain loop move_traced.  scratch holds 2 * d + n doubles. */
+EXPORT
 int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
                   const int64_t *idx, int64_t m, double h2, int64_t alpha,
                   double tol, int64_t *stamp, int64_t *state, double *shifts,
@@ -640,28 +718,20 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
     int64_t s = 0;
     grid_t g;
     const int traced = trace_objective || trace_gradient;
-    int gridded = d == 2 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2, 0.0);
-    const int summed = gridded && !traced && alpha == 1;
-    const int64_t words = (n + 63) / 64;
-    uint64_t *marks = gridded && !summed ? calloc((size_t)(2 * words), sizeof(uint64_t)) : NULL;
-    if (gridded && !summed && !marks) {
-        grid_free(&g);
-        gridded = 0;
-    }
+    const int gridded = d == 2 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2, 0.0, alpha == 2);
     state[2] = 0;
     while (s < m) {
         const int64_t i = idx[s];
         double *delta = trace_objective ? deltas + s : NULL, *grad = trace_gradient ? grads + s : NULL;
-        double shift, total; /* the plain loop's total is not used untraced */
-        if (summed)
-            shift = move_grid(&g, pts, sqn, i, h2);
+        double shift;
+        if (gridded && alpha == 1)
+            shift = move_cells(&g, pts, sqn, i, h2, inv_h2, 1, delta, grad);
         else if (gridded)
-            shift = move_pruned(&g, pts, sqn, n, i, h2, inv_h2, alpha, scratch, marks, marks + words, delta,
-                                grad);
+            shift = move_cells(&g, pts, sqn, i, h2, inv_h2, alpha, delta, grad);
         else if (traced)
             shift = move_traced(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, delta, grad);
         else
-            shift = move_generic(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, scratch + d, NULL, &total);
+            shift = move_traced(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, NULL, NULL);
         shifts[s++] = shift;
         if (stop_rule(shift, tol, i, n, stamp, &epoch, &covered)) {
             state[2] = 1;
@@ -670,7 +740,6 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
     }
     if (gridded)
         grid_free(&g);
-    free(marks);
     state[0] = epoch;
     state[1] = covered;
     return s;
@@ -682,6 +751,7 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
  * divided by k, and writes its shift to shifts.  The caller guarantees
  * that every entry of nb lies in [0, n) and that row i of nb holds no i.
  * scratch holds d doubles. */
+EXPORT
 int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k,
                   const int64_t *idx, int64_t m, double tol, int64_t *stamp, int64_t *state,
                   double *shifts, double *scratch)
@@ -725,6 +795,7 @@ int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t 
  * n >= GRID_MIN_N the rows query a grid built on the sample; otherwise,
  * or when the grid is refused, each row is weighted_sum's plain loop
  * over the sample. */
+EXPORT
 void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
                 const double *sqs, int64_t n, int64_t d, double h2, int64_t alpha, double *out)
 {
@@ -734,16 +805,18 @@ void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
         double qscale = 0.0;
         for (int64_t k = 0; k < 2 * m; k++)
             qscale = dmax(qscale, fabs(q[k]));
-        gridded = grid_build(&g, s, n, h2, qscale);
+        gridded = grid_build(&g, s, n, h2, qscale, 0);
     }
     const double inv_h2 = 1.0 / h2;
     for (int64_t r = 0; r < m; r++) {
         const double *x = q + r * d;
         double *row = out + r * d;
         double total;
-        if (gridded)
-            total = (double)grid_query(&g, s, sqs, x[0], x[1], sqq[r], h2, row);
-        else
+        if (gridded) {
+            window_t w;
+            grid_window(&g, x[0], x[1], &w);
+            total = grid_query(&g, s, sqs, &w, sqq[r], h2, inv_h2, 1, row);
+        } else
             total = weighted_sum(s, sqs, n, d, x, sqq[r], h2, inv_h2, alpha, row, NULL);
         for (int64_t k = 0; k < d; k++)
             row[k] = total > 0.0 ? row[k] / total : x[k];
@@ -769,13 +842,13 @@ pair_sums(const double *pts, const double *sqn, int64_t n, int64_t d, int64_t r,
         for (int64_t k = 0; k < d; k++)
             dot += p[k] * x[k];
         const double m = dot * -2.0, sqr = (m + sqn[j]) + sqn[r], sqj = (m + sqn[r]) + sqn[j];
-        const double w = alpha == 1 ? (double)(sqr < h2) : poly_weight(sqr, inv_h2, alpha);
+        const double w = weight(sqr, h2, inv_h2, alpha);
         for (int64_t k = 0; k < d; k++)
             acc[k] += w * p[k];
         tot += w;
         if (j == r)
             continue;
-        const double v = alpha == 1 ? (double)(sqj < h2) : poly_weight(sqj, inv_h2, alpha);
+        const double v = weight(sqj, h2, inv_h2, alpha);
         for (int64_t k = 0; k < d; k++)
             next[j * d + k] += v * x[k];
         wsum[j] += v;
@@ -793,6 +866,7 @@ pair_sums(const double *pts, const double *sqn, int64_t n, int64_t d, int64_t r,
  * rows r < j in ascending r before its own, so every row sums
  * weighted_sum's terms in index order, to its bits.  There is no grid, so
  * a sweep's work grows as n^2, as in Cheng's BMS (see algorithms.bms_run). */
+EXPORT
 int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
                    int64_t max_sweeps, double *shifts, double *scratch)
 {

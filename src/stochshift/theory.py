@@ -106,23 +106,22 @@ def check_monotone_ascent(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
     )
 
 
-def check_partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
+def check_partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig, grad_scale: float | None = None) -> CheckResult:
     """Moved-coordinate gradient bound D sqrt(delta objective) + 1e-9.
 
     D = n sqrt(2 |k'(0)|) / h.  Also verifies the count bound: for
     eps in {0.1, 0.01} * max(1, initial gradient norm), the number of
     steps with gradient norm >= eps is at most
-    (D / eps)^2 [n (n + 1) / 2 - initial objective].
+    (D / eps)^2 [n (n + 1) / 2 - initial objective].  ``grad_scale`` is
+    that max(1, initial gradient norm) when the caller has already
+    computed it for this trace; by default it is computed here.
     """
-    return _partial_gradient_bound(trace, cfg, _gradient_scale(trace.initial_points, cfg))
-
-
-def _partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig, grad_scale: float) -> CheckResult:
-    """check_partial_gradient_bound with the trace's ``_gradient_scale`` given."""
     if trace.algorithm != "sms":
         raise ValueError("gradient-bound check applies to SMS traces")
     if trace.objective_delta is None or trace.grad_norm is None:
         raise ValueError("trace was recorded without objective/gradient values")
+    if grad_scale is None:
+        grad_scale = _gradient_scale(trace.initial_points, cfg)
     n = trace.initial_points.shape[0]
     d_const = n * np.sqrt(2.0 * cfg.profile.weight_at_zero) / cfg.h
     deltas = np.clip(trace.objective_delta, 0.0, None)
@@ -148,18 +147,17 @@ def _partial_gradient_bound(trace: RunTrace, cfg: AlgoConfig, grad_scale: float)
     )
 
 
-def check_gradient_vanishes(trace: RunTrace, cfg: AlgoConfig) -> CheckResult:
+def check_gradient_vanishes(trace: RunTrace, cfg: AlgoConfig, grad_scale: float | None = None) -> CheckResult:
     """Finite-horizon surrogate for gradient -> 0: final sup norm < eps.
 
     eps = 1e-3 * max(1, initial gradient sup norm), which makes the test
-    unit-free.
+    unit-free.  ``grad_scale`` is that max(1, initial gradient sup norm)
+    when the caller has already computed it for this trace; by default
+    it is computed here.
     """
-    return _gradient_vanishes(trace, cfg, _gradient_scale(trace.initial_points, cfg))
-
-
-def _gradient_vanishes(trace: RunTrace, cfg: AlgoConfig, scale: float) -> CheckResult:
-    """check_gradient_vanishes with the trace's ``_gradient_scale`` given."""
-    epsilon = 1e-3 * scale
+    if grad_scale is None:
+        grad_scale = _gradient_scale(trace.initial_points, cfg)
+    epsilon = 1e-3 * grad_scale
     final_norm = gradient_max_norm(full_gradient(trace.final_points, cfg.h, cfg.profile))
     slack = epsilon - final_norm
     return CheckResult(
@@ -169,7 +167,7 @@ def _gradient_vanishes(trace: RunTrace, cfg: AlgoConfig, scale: float) -> CheckR
         {
             "final_gradient_norm": final_norm,
             "epsilon": float(epsilon),
-            "scale": scale,
+            "scale": grad_scale,
             "kind": "finite-horizon surrogate",
         },
     )
@@ -436,8 +434,8 @@ def verify_preset(
     table = [
         (runs(), [
             ("monotone_ascent", lambda trace, cfg, _: check_monotone_ascent(trace, cfg), False, 1.0),
-            ("partial_gradient_bound", _partial_gradient_bound, True, 1.0),
-            ("gradient_vanishes", _gradient_vanishes, True, 1.0),
+            ("partial_gradient_bound", check_partial_gradient_bound, True, 1.0),
+            ("gradient_vanishes", check_gradient_vanishes, True, 1.0),
             ("cluster_stability", lambda trace, *_: check_cluster_stability(trace, h, h / 3.0), False, 0.95),
         ]),
         (balls, [("single_cluster_convergence", check_single_cluster_convergence, False, 1.0)]),

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from stochshift.algorithms import (
 )
 from stochshift.clustering import MergePolicy, extract_clusters
 from stochshift.core import mean_shift_operator, objective_value, partial_gradient
+from stochshift.experiments import index_seed
 from stochshift.io import write_trace_jsonl
 from stochshift.kernels import EPANECHNIKOV, Profile
 from stochshift.synthdata import generate, parse_preset, preset
+from stochshift.theory import check_gradient_vanishes, check_monotone_ascent, check_partial_gradient_bound
 
 P2 = Profile(2)
 
@@ -351,6 +354,26 @@ def assert_within(actual, desired, tol):
     assert excess[worst] <= 0, f"entry {worst}: {actual[worst]!r} vs {desired[worst]!r}, tolerance {tol[worst]!r}"
 
 
+def assert_within_floors(run, ref, initial_objective, cfg):
+    """The floors of ``assert_same_run`` on (final state, shifts, increments, gradient norms) of the same steps.
+
+    ``ref`` holds the reference's values; an increment or gradient column
+    that ``ref`` does not trace is not compared.
+    """
+    final, shift, delta, grad = run
+    ref_final, ref_shift, ref_delta, ref_grad = ref
+    # positions and shifts within 1e-12 of the state's scale
+    atol = 1e-12 * np.abs(ref_final).max()
+    np.testing.assert_allclose(final, ref_final, rtol=0, atol=atol)
+    np.testing.assert_allclose(shift, ref_shift, rtol=0, atol=atol)
+    if ref_delta is not None:
+        l0 = max(1.0, abs(initial_objective))
+        assert_within(delta, ref_delta, 1e-12 * (l0 + np.abs(ref_delta)))
+    if ref_grad is not None:
+        floor = 2.0 / (cfg.h * cfg.h) * cfg.profile.alpha * ref_final.shape[0] * atol
+        assert_within(grad, ref_grad, 1e-12 * ref_grad + floor)
+
+
 def assert_same_run(points, cfg, monkeypatch):
     """The compiled SMS path takes the numpy path's steps, to rounding.
 
@@ -374,22 +397,16 @@ def assert_same_run(points, cfg, monkeypatch):
     np.testing.assert_array_equal(trace.update_count, ref.update_count)
     assert (trace.total_updates, trace.stop_reason) == (ref.total_updates, ref.stop_reason)
     assert [k for k, _ in trace.snapshots] == [k for k, _ in ref.snapshots]
-    # positions and shifts within 1e-12 of the state's scale
-    atol = 1e-12 * np.abs(ref_final).max()
-    np.testing.assert_allclose(final, ref_final, rtol=0, atol=atol)
-    np.testing.assert_allclose(trace.shift, ref.shift, rtol=0, atol=atol)
-    for (_, snap), (_, ref_snap) in zip(trace.snapshots, ref.snapshots):
-        np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=atol)
     assert trace.initial_objective == ref.initial_objective
     for column in ("objective", "objective_delta", "grad_norm"):
         assert (getattr(trace, column) is None) == (getattr(ref, column) is None), column
+    assert_within_floors((final, trace.shift, trace.objective_delta, trace.grad_norm),
+                         (ref_final, ref.shift, ref.objective_delta, ref.grad_norm), ref.initial_objective, cfg)
+    atol = 1e-12 * np.abs(ref_final).max()
+    for (_, snap), (_, ref_snap) in zip(trace.snapshots, ref.snapshots):
+        np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=atol)
     if ref.objective is not None:
-        l0 = max(1.0, abs(ref.initial_objective))
-        assert_within(trace.objective_delta, ref.objective_delta, 1e-12 * (l0 + np.abs(ref.objective_delta)))
-        assert_within(trace.objective, ref.objective, 1e-11 * l0)
-    if ref.grad_norm is not None:
-        floor = 2.0 / (cfg.h * cfg.h) * cfg.profile.alpha * points.shape[0] * atol
-        assert_within(trace.grad_norm, ref.grad_norm, 1e-12 * ref.grad_norm + floor)
+        assert_within(trace.objective, ref.objective, 1e-11 * max(1.0, abs(ref.initial_objective)))
     policy = MergePolicy(1.0 / 3.0)
     np.testing.assert_array_equal(
         extract_clusters(final, cfg.h, policy).assignment,
@@ -553,13 +570,11 @@ class TestCompiledTracedSms:
         trace = assert_same_run(data.points, cfg, monkeypatch)
         assert (trace.stop_reason, trace.total_updates) == ("max_updates", 5000)
 
-    @pytest.mark.parametrize("name, alpha", [("set1", 2), ("dim:5", 1)])
+    @pytest.mark.parametrize("name, alpha", [(name, alpha) for name in ("set1", "dim:5") for alpha in (1, 2, 3)])
     def test_same_bits_as_untraced_plain_loop(self, name, alpha):
-        # traced against untraced runs: tracing only adds passes after each
-        # move, so where the untraced kernel does not use the grid's cell sums
-        # the runs are bit-identical.  set1 at alpha 2 runs the pruned step
-        # both ways, dim:5 the plain loop; test_pruned_runs_are_the_plain_loop_runs
-        # compares the two paths
+        # tracing never changes a run: a traced step only adds work after
+        # its move, on the grid (set1) as in the plain loop (dim:5), so
+        # traced and untraced runs are bit-identical at every alpha
         data = generate(parse_preset(name, seed=0))
         cfg = AlgoConfig(profile=Profile(alpha), seed=1000004, snapshot_every=997)
         final, trace = sms_run(data.points, cfg)
@@ -882,7 +897,7 @@ def index_order_traced_step(x, sqn, i, h, alpha):
     cancellation-free term (b_new - b_old) sum_p b_new^p b_old^(alpha-1-p),
     with the base difference ((x_j . dx) * 2 - dx . (x_old + new)) / h^2
     where both bases are positive.  Every operation is one IEEE double
-    operation, so this pins the bits of every traced kernel step.
+    operation, so this pins the bits of every traced plain-loop step.
     """
     n, d, h2 = len(x), len(x[0]), h * h
     inv_h2 = 1.0 / h2
@@ -919,44 +934,110 @@ def index_order_traced_step(x, sqn, i, h, alpha):
     return shift, delta, (2.0 * inv_h2 * total) * shift
 
 
-def assert_kernel_block_is_index_order(pts, idx, h, alpha, traced=True):
-    """One kernel block of the steps idx on pts against ``index_order_traced_step``, bit for bit.
-
-    Returns the cells (side h / 4, from the block's lower-left corner)
-    of each moved point before and after its step.
-    """
+def assert_kernel_block_is_index_order(pts, idx, h, alpha):
+    """One traced kernel block of the steps idx on pts against ``index_order_traced_step``, bit for bit."""
     x = pts.tolist()
     sqn = np.einsum("ij,ij->i", pts, pts).tolist()  # the kernel's starting norms
-    s = math.sqrt(h * h) / 4.0
-    corner = pts.min(axis=0).tolist()
-
-    def cell(p):
-        return tuple(math.floor((v - c) * (1.0 / s)) for v, c in zip(p, corner))
-
-    want, moves = [], []
-    for i in idx:
-        before = cell(x[i])
-        want.append(index_order_traced_step(x, sqn, i, h, alpha))
-        moves.append((before, cell(x[i])))
-    kernel = _native.SmsBlockKernel(_native.load(), pts, h, alpha, 0.0, len(idx), traced, traced)
+    want = [index_order_traced_step(x, sqn, i, h, alpha) for i in idx]
+    kernel = _native.SmsBlockKernel(_native.load(), pts, h, alpha, 0.0, len(idx), True, True)
     assert kernel.run(np.array(idx, dtype=np.int64)) == (len(idx), False)
     shift, delta, grad = (np.array(column) for column in zip(*want))
     np.testing.assert_array_equal(pts.view(np.int64), np.array(x).view(np.int64))
     np.testing.assert_array_equal(kernel.shifts.view(np.int64), shift.view(np.int64))
-    if traced:
-        np.testing.assert_array_equal(kernel.deltas.view(np.int64), delta.view(np.int64))
-        np.testing.assert_array_equal(kernel.grads.view(np.int64), grad.view(np.int64))
+    np.testing.assert_array_equal(kernel.deltas.view(np.int64), delta.view(np.int64))
+    np.testing.assert_array_equal(kernel.grads.view(np.int64), grad.view(np.int64))
+
+
+def exact_step(x, sqn, i, h, alpha):
+    """One traced SMS step of point i in exact rationals; returns (new position, shift, increment, gradient norm).
+
+    x (a list of d-lists) and sqn (their squared norms as the kernel
+    caches them) are left unchanged.  Which points count is decided in
+    Python floats as ``index_order_traced_step`` decides it: a point
+    weighs when ``plain_weight`` of its identity distance is nonzero, and
+    a base b = (1 - t)_+ of the increment counts when the identity's
+    1 - sq / h^2 is positive.  A counted base is then exact,
+    1 - |x_j - at|^2 / h^2 clamped at 0, so the weights, the mean, the
+    total W, the increment sum_{j != i} b_new^alpha - b_old^alpha and the
+    gradient norm (2 / h^2) W |dx| are rounded only once, to floats.
+    """
+    h2 = h * h
+    inv_h2, exact_h2 = 1.0 / h2, Fraction(h2)
+
+    def identity(j, at, sq_at):
+        return (plain_dot(x[j], at) * -2.0 + sqn[j]) + sq_at
+
+    def base(j, at):
+        return max(1 - sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x[j], at)) / exact_h2, Fraction(0))
+
+    old = x[i]
+    acc, total = [Fraction(0)] * len(old), Fraction(0)
+    for j in range(len(x)):
+        if plain_weight(identity(j, old, sqn[i]), h2, inv_h2, alpha) != 0.0:
+            w = 1 if alpha == 1 else alpha * base(j, old) ** (alpha - 1)
+            acc = [a + w * Fraction(p) for a, p in zip(acc, x[j])]
+            total += w
+    new = [float(a / total) for a in acc]
+    shift = math.sqrt(float(sum((Fraction(v) - Fraction(o)) ** 2 for v, o in zip(new, old))))
+    sq_new = plain_dot(new, new)
+    delta = Fraction(0)
+    for j in range(len(x)):
+        if j != i:
+            b_old = base(j, old) if 1.0 - identity(j, old, sqn[i]) * inv_h2 > 0.0 else 0
+            b_new = base(j, new) if 1.0 - identity(j, new, sq_new) * inv_h2 > 0.0 else 0
+            delta += b_new**alpha - b_old**alpha
+    return new, shift, float(delta), 2.0 * inv_h2 * float(total) * shift
+
+
+def assert_steps_are_exact(pts, idx, h, alpha, traced=True):
+    """Each step of one kernel block of idx on pts against ``exact_step`` from the kernel's own state.
+
+    The state before step s is the one a block of idx[:s] leaves, from
+    the same start (so the same grid, its sums carried through those
+    steps), and step s is the last of a block of idx[:s + 1].  With s the
+    largest absolute coordinate: positions and shifts within 1e-14 s;
+    increments within 1e-13 (1 + |increment|), inside assert_same_run's
+    1e-12 (L0 + |increment|) with L0 >= 1; gradient norms within
+    1e-12 grad + (2 / h^2) alpha n 1e-14 s, the shift bound carried through
+    grad = (2 / h^2) W shift.  The largest errors over the cases here were
+    6.2e-16 s, 1.3e-14 and 8e-17 of the gradient bound.  Returns the cells
+    (side h / 4, from the block's lower-left corner) of each moved point
+    before and after its step.
+    """
+    def block(steps):
+        state = pts.copy()
+        kernel = _native.SmsBlockKernel(_native.load(), state, h, alpha, 0.0, len(idx), traced, traced)
+        assert kernel.run(np.array(steps, dtype=np.int64)) == (len(steps), False)
+        return state, kernel
+
+    side, corner = math.sqrt(h * h) / 4.0, pts.min(axis=0)
+    scale = np.abs(pts).max()
+    moves = []
+    for s, i in enumerate(idx):
+        before, _ = block(idx[:s])
+        after, kernel = block(idx[:s + 1])
+        x = before.tolist()
+        sqn = np.einsum("ij,ij->i", pts, pts).tolist()  # the kernel's starting norms
+        for j in set(idx[:s]):
+            sqn[j] = plain_dot(x[j], x[j])  # and those of the points it moved
+        new, shift, delta, grad = exact_step(x, sqn, i, h, alpha)
+        assert_within(after[i], np.array(new), 1e-14 * scale)
+        assert_within(kernel.shifts[s:s + 1], np.array([shift]), 1e-14 * scale)
+        if traced:
+            assert_within(kernel.deltas[s:s + 1], np.array([delta]), 1e-13 * (1.0 + abs(delta)))
+            floor = 2.0 / (h * h) * alpha * pts.shape[0] * 1e-14 * scale
+            assert_within(kernel.grads[s:s + 1], np.array([grad]), 1e-12 * grad + floor)
+        moves.append(tuple(np.floor((np.array([x[i], new]) - corner) / side).astype(int).tolist()))
     return moves
 
 
 @pytest.mark.usefixtures("needs_kernel")
 @pytest.mark.parametrize("h", [1.0, 0.7])
 @pytest.mark.parametrize("alpha, traced", [(1, True), (2, True), (3, True), (2, False)])
-def test_pruned_steps_are_the_index_order_steps_to_the_bit(alpha, traced, h):
-    # in 2-D with n >= 128 a traced step (and an untraced one at alpha >= 2)
-    # visits only the grid's candidates, yet must add the plain loop's
-    # terms in index order.  At h = 0.7 the tests sq < h^2 and
-    # 1 - sq / h^2 > 0 part just below the boundary
+def test_gridded_steps_are_the_exact_steps(alpha, traced, h):
+    # in 2-D with n >= 128 every step runs on the grid, part of it from
+    # cell moments.  At h = 0.7 the tests sq < h^2 and 1 - sq / h^2 > 0
+    # part just below the boundary
     below = math.nextafter(0.7 * 0.7, 0.0)
     assert below < 0.7 * 0.7 and not 1.0 - below * (1.0 / (0.7 * 0.7)) > 0.0
     data = generate(preset("set2", seed=0))
@@ -969,23 +1050,49 @@ def test_pruned_steps_are_the_index_order_steps_to_the_bit(alpha, traced, h):
     others = [j for j in range(pts.shape[0]) if j not in idx][:4]
     for j, (u, v) in zip(others, [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]):
         pts[j] = pts[first] + h * np.array([u, v])
-    moves = assert_kernel_block_is_index_order(pts, idx, h, alpha, traced)
+    moves = assert_steps_are_exact(pts, idx, h, alpha, traced)
     assert any(before != after for before, after in moves), "no step changed cell"
+
+
+@pytest.mark.usefixtures("needs_kernel")
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_collapsed_cluster_steps_are_exact(alpha):
+    # a cluster collapsed into a few cells: its cells lie inside both balls
+    # of its points' steps, so alpha <= 2 takes them whole from their moments
+    g = np.random.default_rng(7)
+    pts = np.concatenate([g.normal(0.3, 0.03, size=(170, 2)), g.uniform(-4.0, 4.0, size=(30, 2))])
+    cells = np.floor((pts[:170] - pts.min(axis=0)) / 0.25)
+    assert len(np.unique(cells, axis=0)) <= 4
+    assert_steps_are_exact(pts, RandomIndexStream(3).draw_block(200, 40).tolist(), 1.0, alpha)
+
+
+@pytest.mark.usefixtures("needs_kernel")
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_traced_collapsed_run_passes_the_theory_checks(alpha):
+    # set4 collapses into clusters holding most of the state, the run
+    # verify makes on its first seed
+    data = generate(preset("set4", seed=0))
+    cfg = AlgoConfig(profile=Profile(alpha), seed=index_seed(0, 0), trace_objective=True, trace_gradient=True)
+    trace = sms_run(data.points, cfg)[1]
+    assert trace.stop_reason == "converged"
+    for check in (check_monotone_ascent, check_partial_gradient_bound, check_gradient_vanishes):
+        result = check(trace, cfg)
+        assert result.status == "pass", result
 
 
 @pytest.mark.usefixtures("needs_kernel")
 @pytest.mark.parametrize("state, alpha, traced", [("set1", 2, True), ("set1", 2, False), ("crowded", 1, True),
                                                   ("crowded", 3, True), ("crowded", 2, False)])
 def test_pruned_runs_are_the_plain_loop_runs(state, alpha, traced):
-    # whole runs to convergence: the pruned step against the all-points
-    # loop, bit for bit.  One point 1e4 bandwidths off makes the grid refuse
-    # the state (it would need about 1.6e9 cells), so the kernel runs the
-    # plain loop there; that point is never drawn and its terms are +0.0
+    # whole runs to convergence: the gridded step, which leaves out the
+    # cells its near test rules out, against the all-points loop, under
+    # assert_same_run's bounds.  One point 1e4 bandwidths off makes the grid
+    # refuse the state (it would need about 1.6e9 cells), so the kernel
+    # runs the plain loop there; that point is never drawn and adds +0.0
     if state == "set1":
         pts = generate(preset("set1", seed=0)).points
     else:
-        # 3/4 of the points in one blob, so its steps find more than 2/3 of
-        # the state near and run the plain loop inside the grid's block
+        # 3/4 of the points in one blob, which collapses into a few cells
         g = np.random.default_rng(5)
         pts = np.concatenate([g.normal(0.0, 0.4, size=(150, 2)), g.uniform(-6.0, 6.0, size=(50, 2))])
     cfg = AlgoConfig(profile=Profile(alpha), seed=1, trace_objective=traced, trace_gradient=traced)
@@ -995,11 +1102,11 @@ def test_pruned_runs_are_the_plain_loop_runs(state, alpha, traced):
     m = trace.total_updates
     kernel = _native.SmsBlockKernel(_native.load(), far, 1.0, alpha, 0.0, m, traced, traced)
     assert kernel.run(trace.moved_index.astype(np.int64)) == (m, False)
-    np.testing.assert_array_equal(far[:-1].view(np.int64), final.view(np.int64))
-    np.testing.assert_array_equal(kernel.shifts.view(np.int64), trace.shift.view(np.int64))
-    if traced:
-        np.testing.assert_array_equal(kernel.deltas.view(np.int64), trace.objective_delta.view(np.int64))
-        np.testing.assert_array_equal(kernel.grads.view(np.int64), trace.grad_norm.view(np.int64))
+    assert_within_floors((final, trace.shift, trace.objective_delta, trace.grad_norm),
+                         (far[:-1], kernel.shifts, kernel.deltas, kernel.grads), trace.initial_objective, cfg)
+    policy = MergePolicy(1.0 / 3.0)
+    np.testing.assert_array_equal(extract_clusters(final, 1.0, policy).assignment,
+                                  extract_clusters(far[:-1], 1.0, policy).assignment)
 
 
 @pytest.mark.usefixtures("needs_kernel")
@@ -1155,23 +1262,21 @@ static int sweeps(int64_t n, int64_t d, int64_t alpha, int64_t max_sweeps)
 
 int main(void)
 {
-    int bad = sms(300, 2, 1, 0, 0); /* the grid: d = 2, alpha = 1, n >= 128, untraced */
-    /* the pruned step: d = 2 and n >= 128, traced or alpha >= 2; n = 130
-     * ends the bitmaps in a partial word.  A width of 0.2 puts each group
-     * in one cell, a third of the points that the pruned step visits,
-     * and with no gap every point in one cell, where it runs the plain
-     * loop inside the grid's block */
-    for (int64_t alpha = 1; alpha <= 3; alpha++)
-        for (int64_t n = 128; n <= 130; n += 2) {
-            bad |= sms(n, 2, alpha, 1, 1) << 5;
-            bad |= sms_on(spread(n, 2, 4.0, 0.2), n, 2, alpha, 1, 1) << 5;
-            bad |= sms_on(spread(n, 2, 0.0, 0.2), n, 2, alpha, 1, 1) << 5;
+    /* the gridded step: d = 2 and n >= 128, every alpha, traced or not.
+     * A width of 0.2 puts each group in one cell, and with no gap every
+     * point in one cell, a collapsed state whose steps take the cell whole
+     * from its moments; a gap of 0.3 and a width of 0.05 put the groups in
+     * neighbouring cells within one ball, so the first step of each point
+     * crosses cells */
+    int bad = 0;
+    for (int64_t alpha = 1; alpha <= 3; alpha++) {
+        for (int64_t traced = 0; traced < 4; traced++) { /* plain, objective, gradient, both */
+            bad |= sms(130, 2, alpha, traced & 1, traced >> 1) << 5;
+            bad |= sms_on(spread(130, 2, 0.0, 0.2), 130, 2, alpha, traced & 1, traced >> 1) << 5;
         }
-    bad |= sms(130, 2, 2, 0, 0) << 5;
-    bad |= sms(128, 2, 3, 1, 0) << 5;
-    bad |= sms(130, 2, 1, 0, 1) << 5;
-    bad |= sms_on(spread(130, 2, 4.0, 0.2), 130, 2, 2, 0, 0) << 5;
-    bad |= sms_on(spread(130, 2, 0.0, 0.2), 130, 2, 2, 0, 0) << 5;
+        bad |= sms_on(spread(128, 2, 4.0, 0.2), 128, 2, alpha, 1, 1) << 5;
+        bad |= sms_on(spread(128, 2, 0.3, 0.05), 128, 2, alpha, 1, 1) << 5;
+    }
     for (int64_t alpha = 1; alpha <= 3; alpha++)
         for (int64_t d = 1; d <= 5; d += d == 1 ? 1 : 3) /* d = 1, 2, 5 */
             for (int64_t traced = 0; traced < 4; traced++) /* plain, objective, gradient, both */
