@@ -6,29 +6,10 @@ benchmark generators, an executable suite of convergence checks, and a
 score-matrix SMS variant for embedding data.
 """
 
-from .algorithms import (
-    ALGORITHMS,
-    AlgoConfig,
-    RandomIndexStream,
-    RunTrace,
-    bms_run,
-    bms_sweep,
-    ms_run,
-    run,
-    sms_run,
-    sms_step,
-)
+from .algorithms import ALGORITHMS, AlgoConfig, RandomIndexStream, RunTrace, bms_run, ms_run, run, sms_run
 from .affinity import PreprocessConfig, knn_sms_run, spherical_normalize, top_score_neighbors
 from .clustering import MergePolicy, Partition, cluster_summary, extract_clusters
-from .core import (
-    full_gradient,
-    gradient_max_norm,
-    kde_value,
-    mean_shift_operator,
-    neighborhood,
-    objective_value,
-    partial_gradient,
-)
+from .core import full_gradient, gradient_max_norm, objective_value
 from .kernels import (
     BIWEIGHT,
     EPANECHNIKOV,

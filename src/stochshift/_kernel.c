@@ -25,9 +25,9 @@
  * adds work after a move, so a traced run moves its points to the bits of
  * the untraced one on every path.  The
  * neighbour mean of knn_block sums its k rows in order and divides by k,
- * as numpy's mean over a (k, d) gather does for d >= 2, so its positions
- * match numpy's bit for bit; its shifts are index-order sums, where
- * numpy's dot product is BLAS's.
+ * as the numpy move's cumulative sum over the (k, d) gather does in every
+ * d, so its positions match numpy's bit for bit; its shifts are
+ * index-order sums, where numpy's dot product is BLAS's.
  * Build without -ffast-math and with -ffp-contract=off, so the compiler
  * keeps the order of the sums and the exactness of the two-sum below.
  */

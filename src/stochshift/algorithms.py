@@ -12,9 +12,9 @@ The three drivers share the same update arithmetic:
 
 The drivers differ only in their update and stop rules; every run
 records through one ``_Recorder``, which checks the budget, copies the
-state, evaluates the starting objective, times the run and takes the
-snapshots (at multiples of ``snapshot_every`` for SMS, after every
-batch event when it is set).  ``event()`` records one batch event (a
+state, evaluates the starting objective and takes the snapshots (at
+multiples of ``snapshot_every`` for SMS, after every batch event when
+it is set); nothing times a run.  ``event()`` records one batch event (a
 BMS sweep, an MS iteration; moved index -1) and ``events()`` one block
 of SMS steps, as rows of the update count, moved index, shift and, when
 traced, the objective, its increment and the partial-gradient norm.  A
@@ -33,15 +33,15 @@ share ``run(idx) -> (steps, converged)`` and the step buffers
 ``shifts``, ``deltas`` and ``grads`` (None when untraced):
 
 * ``_PySteps`` calls a ``move(i)`` that updates row i in place and
-  returns ``(shift, delta, grad)``: ``_sms_move`` (shared with
-  ``sms_step``) or the neighbour-mean move of ``affinity.knn_sms_run``.
+  returns ``(shift, delta, grad)``: ``_sms_move`` or the
+  neighbour-mean move of ``affinity.knn_sms_run``.
 * ``_native.SmsBlockKernel`` runs distance SMS in C, traced or not,
   averaging the same points as ``_sms_move`` and taking the increment
   and the gradient norm in its form (see ``_kernel.c``).
   ``sms_run`` uses it whenever it loads.
 * ``_native.KnnBlockKernel`` runs the neighbour-mean move in C, to the
-  same positions as numpy's for d >= 2.  ``knn_sms_run`` uses it
-  whenever it loads and d >= 2 (see its docstring).
+  same positions as numpy's in every d: both sum the k rows in index
+  order.  ``knn_sms_run`` uses it whenever it loads.
 
 The two compiled runners share one stop rule in C.  ``_PySteps`` is
 their fallback and their test reference.
@@ -80,9 +80,7 @@ __all__ = [
     "AlgoConfig",
     "RunTrace",
     "RandomIndexStream",
-    "sms_step",
     "sms_run",
-    "bms_sweep",
     "bms_run",
     "ms_run",
     "run",
@@ -357,18 +355,6 @@ def _sms_move(pts: np.ndarray, cfg: AlgoConfig):
     return move
 
 
-def sms_step(points, cfg: AlgoConfig, rng: RandomIndexStream):
-    """One stochastic update: draw i uniformly and move x_i.
-
-    Returns ``(new_points, moved_index, shift_magnitude)``; the input
-    array is left untouched.
-    """
-    pts = check_state(points).copy()
-    i = rng.draw(pts.shape[0])
-    shift, _, _ = _sms_move(pts, cfg)(i)
-    return pts, i, shift
-
-
 def _index_blocks(n: int, cfg: AlgoConfig):
     """The run's index stream in blocks; see the module docstring."""
     rng = RandomIndexStream(cfg.seed)
@@ -526,12 +512,6 @@ def _bms_sweeps(pts: np.ndarray, cfg: AlgoConfig, sweeps: int) -> np.ndarray:
         if maxima[-1] < cfg.move_tolerance:
             break
     return np.array(maxima)
-
-
-def bms_sweep(points, cfg: AlgoConfig):
-    """One synchronous sweep of ``_bms_sweeps``; returns ``(new_points, max_shift)``."""
-    pts = check_state(points).copy()
-    return pts, float(_bms_sweeps(pts, cfg, 1)[0])
 
 
 def bms_run(points, cfg: AlgoConfig):

@@ -29,13 +29,9 @@ from .kernels import Profile, _value, _weight
 __all__ = [
     "check_state",
     "check_bandwidth",
-    "neighborhood",
-    "mean_shift_operator",
     "objective_value",
-    "partial_gradient",
     "full_gradient",
     "gradient_max_norm",
-    "kde_value",
     "pairwise_sq_blocks",
 ]
 
@@ -124,46 +120,6 @@ def check_bandwidth(h) -> float:
     return h
 
 
-def _query(x, points) -> tuple[np.ndarray, np.ndarray]:
-    pts = check_state(points)
-    xq = np.asarray(x, dtype=np.float64).reshape(-1)
-    if xq.shape[0] != pts.shape[1]:
-        raise ValueError(f"query has dimension {xq.shape[0]}, state has {pts.shape[1]}")
-    if not np.all(np.isfinite(xq)):
-        raise ValueError("query coordinates must be finite")
-    return xq, pts
-
-
-def _sq_dists(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    diff = pts - x
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def neighborhood(x, points, h) -> np.ndarray:
-    """Indices i with ||x - x_i|| < h (strict), as a sorted int array."""
-    xq, pts = _query(x, points)
-    h = check_bandwidth(h)
-    return np.flatnonzero(_sq_dists(xq, pts) < h * h)
-
-
-def mean_shift_operator(x, points, h, profile: Profile) -> np.ndarray:
-    """Map x to the G-weighted average of the sample within its h-ball.
-
-    Queries with an empty neighborhood (possible only for probe points
-    that are not themselves part of the sample) are their own fixed
-    point: x is returned unchanged.  :func:`neighborhood` returns no
-    index in that case.
-    """
-    xq, pts = _query(x, points)
-    h = check_bandwidth(h)
-    t = _sq_dists(xq, pts) / (h * h)
-    w = _weight(profile.alpha, t)
-    total = w.sum()
-    if total <= 0.0:
-        return xq.copy()
-    return (w @ pts) / total
-
-
 def objective_value(points, h, profile: Profile) -> float:
     """Total pairwise kernel affinity over ordered pairs i <= j.
 
@@ -185,27 +141,13 @@ def objective_value(points, h, profile: Profile) -> float:
     return total
 
 
-def partial_gradient(points, h, profile: Profile, i: int) -> np.ndarray:
-    """Gradient of the pairwise affinity with respect to point i.
-
-    Equals (2 / h^2) * sum_{j != i} G((x_i - x_j) / h) (x_j - x_i), and
-    satisfies the identity grad_i = (2 W / h^2) (S_h(x_i) - x_i) with W
-    the total neighbourhood weight including the self term.
-    """
-    pts = check_state(points)
-    h = check_bandwidth(h)
-    n = pts.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"point index {i} out of range for n={n}")
-    diff = pts - pts[i]
-    t = np.einsum("ij,ij->i", diff, diff) / (h * h)
-    w = _weight(profile.alpha, t)
-    w[i] = 0.0
-    return (2.0 / (h * h)) * (w @ diff)
-
-
 def full_gradient(points, h, profile: Profile) -> np.ndarray:
-    """All n partial gradients, as an (n, d) array."""
+    """All n partial gradients of the objective, as an (n, d) array.
+
+    Row i is (2 / h^2) sum_{j != i} G(|x_i - x_j|^2 / h^2) (x_j - x_i),
+    which equals (2 W / h^2) (S_h(x_i) - x_i) with W the total weight
+    including the self term.
+    """
     pts = check_state(points)
     h = check_bandwidth(h)
     inv_h2 = 1.0 / (h * h)
@@ -225,17 +167,3 @@ def gradient_max_norm(grad: np.ndarray) -> float:
     if g.size == 0:
         return 0.0
     return float(np.sqrt(np.einsum("ij,ij->i", g, g).max()))
-
-
-def kde_value(x, points, h, profile: Profile) -> float:
-    """Kernel density estimate at x, up to the kernel's mass constant.
-
-    Profiles are not normalised to integrate to one (the algorithms only
-    use ratios of weights), so this is (1 / (n h^d)) sum_i K((x-x_i)/h)
-    with K(0) = 1.
-    """
-    xq, pts = _query(x, points)
-    h = check_bandwidth(h)
-    n, d = pts.shape
-    vals = _value(profile.alpha, _sq_dists(xq, pts) / (h * h))
-    return float(vals.sum()) / (n * h**d)

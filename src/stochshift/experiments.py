@@ -43,7 +43,7 @@ def run_pipeline(points, labels, cfg: AlgoConfig, policy: MergePolicy = MergePol
         report = metrics_report(partition, labels)
     else:
         report = {"num_clusters": partition.n_clusters, "n": partition.n}
-    # deterministic accounting only; wall-clock lives on the trace
+    # deterministic accounting only: nothing times a run
     report["total_updates"] = trace.total_updates
     report["updates_per_point"] = trace.updates_per_point
     report["stop_reason"] = trace.stop_reason

@@ -10,8 +10,7 @@ from stochshift.affinity import (
     spherical_normalize,
     top_score_neighbors,
 )
-from stochshift.algorithms import AlgoConfig, RandomIndexStream, sms_step
-from stochshift.core import neighborhood
+from stochshift.algorithms import AlgoConfig, RandomIndexStream, _sms_move
 from stochshift.kernels import EPANECHNIKOV
 from stochshift.synthdata import generate, parse_preset
 
@@ -162,12 +161,12 @@ class TestKnnSmsRun:
 
     def test_distance_scores_select_ball_minus_self(self):
         # with scores = -squared distance the top-k set is the h-ball
-        # neighbourhood without the centre, cross-checking the geometry path
+        # neighbourhood without the centre
         pts = np.array([[0.0], [0.1], [0.2], [5.0]])
         diff = pts[:, None, :] - pts[None, :, :]
         scores = -np.einsum("ijk,ijk->ij", diff, diff)
         i = 1
-        ball = set(neighborhood(pts[i], pts, 0.5).tolist()) - {i}
+        ball = {0, 2}  # the rows within 0.5 of row 1, itself left out
         sets = top_score_neighbors(scores, len(ball))
         assert set(sets[i].tolist()) == ball
 
@@ -181,7 +180,9 @@ class TestKnnSmsRun:
             s for s in range(100) if RandomIndexStream(s).draw(4) == 0
         )
         cfg = AlgoConfig(profile=EPANECHNIKOV, h=0.5, seed=seed, max_updates=4)
-        stepped, i, shift = sms_step(pts, cfg, RandomIndexStream(seed))
+        stepped = pts.copy()
+        i = RandomIndexStream(seed).draw(4)
+        shift, _, _ = _sms_move(stepped, cfg)(i)
         assert i == 0 and shift == pytest.approx(0.0)
         final, trace = knn_sms_run(pts, scores, 2, AlgoConfig(seed=seed, max_updates=4))
         assert trace.moved_index[0] == 0

@@ -19,15 +19,15 @@ from stochshift.affinity import knn_sms_run
 from stochshift.algorithms import (
     AlgoConfig,
     RandomIndexStream,
+    _shift_rows,
+    _sms_move,
     bms_run,
-    bms_sweep,
     ms_run,
     run,
     sms_run,
-    sms_step,
 )
 from stochshift.clustering import MergePolicy, extract_clusters
-from stochshift.core import mean_shift_operator, objective_value, partial_gradient
+from stochshift.core import full_gradient, objective_value
 from stochshift.experiments import index_seed
 from stochshift.io import write_trace_jsonl
 from stochshift.kernels import EPANECHNIKOV, Profile
@@ -107,32 +107,37 @@ class TestRandomIndexStream:
 
 
 class TestSmsStep:
+    """One step of ``_sms_move``, the numpy runner's move, at an index the stream draws."""
+
     def test_two_point_epanechnikov(self):
         pts = np.array([[0.0], [0.5]])
         cfg = AlgoConfig(profile=EPANECHNIKOV, h=1.0)
-        seed = seed_with_first_draw(2, 0)
-        new, i, shift = sms_step(pts, cfg, RandomIndexStream(seed))
+        i = RandomIndexStream(seed_with_first_draw(2, 0)).draw(2)
+        shift, _, _ = _sms_move(pts, cfg)(i)
         assert i == 0
-        np.testing.assert_allclose(new, [[0.25], [0.5]])
+        np.testing.assert_allclose(pts, [[0.25], [0.5]])
         assert shift == pytest.approx(0.25)
 
     def test_touches_exactly_one_point(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(20, 3))
-        cfg = AlgoConfig(profile=P2, h=1.0)
-        new, i, _ = sms_step(pts, cfg, RandomIndexStream(5))
+        new = pts.copy()
+        i = RandomIndexStream(5).draw(20)
+        _sms_move(new, AlgoConfig(profile=P2, h=1.0))(i)
         others = np.delete(np.arange(20), i)
         np.testing.assert_array_equal(new[others], pts[others])
 
     def test_coincident_fixed_point(self):
         pts = np.tile([[1.0, 1.0]], (4, 1))
-        new, _, shift = sms_step(pts, AlgoConfig(profile=P2), RandomIndexStream(0))
+        new = pts.copy()
+        shift, _, _ = _sms_move(new, AlgoConfig(profile=P2))(RandomIndexStream(0).draw(4))
         np.testing.assert_array_equal(new, pts)
         assert shift == 0.0
 
     def test_separated_fixed_point(self):
         pts = np.array([[0.0], [5.0]])
-        new, _, shift = sms_step(pts, AlgoConfig(profile=P2), RandomIndexStream(0))
+        new = pts.copy()
+        shift, _, _ = _sms_move(new, AlgoConfig(profile=P2))(RandomIndexStream(0).draw(2))
         np.testing.assert_array_equal(new, pts)
         assert shift == 0.0
 
@@ -142,43 +147,63 @@ class TestSmsStep:
         pts = rng.uniform(-1, 1, size=(9, 2))
         h = 0.8
         cfg = AlgoConfig(profile=P2, h=h)
-        seed = seed_with_first_draw(9, 4)
-        new, i, _ = sms_step(pts, cfg, RandomIndexStream(seed))
+        new = pts.copy()
+        i = RandomIndexStream(seed_with_first_draw(9, 4)).draw(9)
+        _sms_move(new, cfg)(i)
         assert i == 4
-        op = mean_shift_operator(pts[4], pts, h, P2)
-        np.testing.assert_allclose(new[4], op, atol=1e-12)
+        for runner in ("default", "numpy"):
+            with pytest.MonkeyPatch.context() as mp:
+                use_runner(runner, mp)
+                np.testing.assert_allclose(new[4], _shift_rows(pts[4][None], pts, cfg)[0][0], atol=1e-12)
         diff = pts - pts[4]
         t = np.einsum("ij,ij->i", diff, diff) / (h * h)
         total = (2.0 * np.clip(1.0 - t, 0.0, None)).sum()
-        grad_form = pts[4] + (h * h / 2.0) / total * partial_gradient(pts, h, P2, 4)
+        grad_form = pts[4] + (h * h / 2.0) / total * full_gradient(pts, h, P2)[4]
         np.testing.assert_allclose(new[4], grad_form, atol=1e-12)
+
+
+def one_sweep(pts, cfg):
+    """One synchronous BMS sweep: ``bms_run`` on a budget of n updates; returns ``(new, trace)``.
+
+    Checks that the run is one event whose shift is the largest row move.
+    """
+    new, trace = bms_run(pts, replace(cfg, algorithm="bms", max_updates=pts.shape[0]))
+    assert_one_batch_event(pts, new, trace)
+    return new, trace
+
+
+def assert_one_batch_event(start, final, trace):
+    assert trace.n_events == 1
+    moves = np.sqrt(np.einsum("ij,ij->i", final - start, final - start))
+    assert trace.shift[0] == pytest.approx(moves.max(), rel=1e-14, abs=0.0)
 
 
 class TestBmsSweep:
     def test_two_point_collapse(self):
         pts = np.array([[0.0], [0.5]])
-        new, max_shift = bms_sweep(pts, AlgoConfig(profile=EPANECHNIKOV, h=1.0))
+        new, trace = one_sweep(pts, AlgoConfig(profile=EPANECHNIKOV, h=1.0))
         np.testing.assert_allclose(new, [[0.25], [0.25]])
-        assert max_shift == pytest.approx(0.25)
+        assert trace.shift[0] == pytest.approx(0.25)
 
     def test_critical_state_unchanged(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0]])
-        new, max_shift = bms_sweep(pts, AlgoConfig(profile=P2, h=1.0))
+        new, trace = one_sweep(pts, AlgoConfig(profile=P2, h=1.0))
         np.testing.assert_array_equal(new, pts)
-        assert max_shift == 0.0
+        assert trace.shift[0] == 0.0
 
     def test_collinear_strict_neighbors(self):
         pts = np.array([[0.0], [0.4], [0.8]])
-        new, _ = bms_sweep(pts, AlgoConfig(profile=EPANECHNIKOV, h=0.5))
+        new, _ = one_sweep(pts, AlgoConfig(profile=EPANECHNIKOV, h=0.5))
         np.testing.assert_allclose(new, [[0.2], [0.4], [0.6]])
 
     def test_synchronous_update_uses_input_state(self):
         # sequential updating would give a different second coordinate
         pts = np.array([[0.0], [0.4], [0.8]])
-        new, _ = bms_sweep(pts, AlgoConfig(profile=EPANECHNIKOV, h=0.5))
+        cfg = AlgoConfig(profile=EPANECHNIKOV, h=0.5)
+        new, _ = one_sweep(pts, cfg)
         sequential = pts.copy()
         for i in range(3):
-            sequential[i] = mean_shift_operator(sequential[i], sequential, 0.5, EPANECHNIKOV)
+            sequential[i] = _shift_rows(sequential[i][None], sequential, cfg)[0][0]
         assert not np.allclose(new, sequential)
 
 
@@ -280,10 +305,11 @@ class TestSmsRun:
         data = generate(preset("set2", seed=2))
         cfg = AlgoConfig(profile=EPANECHNIKOV, h=1.0, seed=11, max_updates=data.n)
         _, trace = sms_run(data.points, cfg)
-        pts = data.points.copy()
+        move = _sms_move(data.points.copy(), cfg)
         stream = RandomIndexStream(11)
         for j in range(25):
-            pts, i, shift = sms_step(pts, cfg, stream)
+            i = stream.draw(data.n)
+            shift, _, _ = move(i)
             assert i == trace.moved_index[j]
             assert shift == pytest.approx(trace.shift[j], abs=1e-12)
 
@@ -327,7 +353,7 @@ class TestSmsRun:
 
         assert trace.grad_norm.shape == (total,)
         for k, snap in trace.snapshots[:-1]:  # the step after a snapshot moves from it
-            grad = partial_gradient(snap, cfg.h, P2, int(trace.moved_index[k]))
+            grad = full_gradient(snap, cfg.h, P2)[trace.moved_index[k]]
             assert trace.grad_norm[k] == pytest.approx(np.sqrt(grad @ grad), rel=1e-9, abs=1e-12)
 
     def test_snapshots_and_counts(self):
@@ -1535,29 +1561,32 @@ class TestBmsRun:
 
 
 def peak_traced_bytes(call, *args):
+    """``call(*args)``'s peak of traced allocations and its result, as ``(peak, result)``."""
     tracemalloc.start()
     try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
 
 @pytest.mark.parametrize("call, runner", [
-    (lambda pts: bms_sweep(pts, AlgoConfig(algorithm="bms")), "default"),
-    (lambda pts: bms_sweep(pts, AlgoConfig(algorithm="bms")), "numpy"),
+    (lambda pts: bms_run(pts, AlgoConfig(algorithm="bms", max_updates=pts.shape[0])), "default"),
+    (lambda pts: bms_run(pts, AlgoConfig(algorithm="bms", max_updates=pts.shape[0])), "numpy"),
     (lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])), "default"),
     (lambda pts: ms_run(pts, AlgoConfig(algorithm="ms", max_updates=pts.shape[0])), "numpy"),
 ], ids=["bms_sweep", "bms_sweep-numpy", "ms_run", "ms_run-numpy"])
 def test_batch_map_peak_memory_is_one_distance_block(call, runner, monkeypatch):
     # n = 1000 rows fit one n x n block (8 MB); the numpy path writes the
     # uniform weight into it, so no second block-sized array may appear,
-    # and the kernel holds no block at all
+    # and the kernel holds no block at all.  A budget of n updates is one
+    # BMS sweep or one MS iteration.
     use_runner(runner, monkeypatch)
     pts = generate(parse_preset("imbalance:2", seed=0)).points
     n = pts.shape[0]
-    peak = peak_traced_bytes(call, pts)
+    peak, (final, trace) = peak_traced_bytes(call, pts)
     assert peak < 1.25 * 8 * n * n, f"peak {peak / 2**20:.1f} MiB at n={n}"
+    assert_one_batch_event(pts, final, trace)
 
 
 def test_biweight_batch_map_peak_memory_is_three_distance_blocks(monkeypatch):
@@ -1566,5 +1595,6 @@ def test_biweight_batch_map_peak_memory_is_three_distance_blocks(monkeypatch):
     monkeypatch.setattr(_native, "load", lambda: None)
     pts = generate(parse_preset("imbalance:2", seed=0)).points
     n = pts.shape[0]
-    peak = peak_traced_bytes(bms_sweep, pts, AlgoConfig(algorithm="bms", profile=P2))
+    peak, (final, trace) = peak_traced_bytes(bms_run, pts, AlgoConfig(algorithm="bms", profile=P2, max_updates=n))
     assert peak < 3.25 * 8 * n * n, f"peak {peak / 2**20:.1f} MiB at n={n}"
+    assert_one_batch_event(pts, final, trace)

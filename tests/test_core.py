@@ -1,20 +1,31 @@
-"""State operations: neighborhoods, operator, objective, gradients, KDE."""
+"""State operations: the h-ball, the mean-shift operator, objective, gradients, KDE."""
 
 import numpy as np
 import pytest
 
-from stochshift.core import (
-    full_gradient,
-    gradient_max_norm,
-    kde_value,
-    mean_shift_operator,
-    neighborhood,
-    objective_value,
-    partial_gradient,
-)
+from stochshift import _native
+from stochshift.algorithms import AlgoConfig, _shift_rows
+from stochshift.core import full_gradient, gradient_max_norm, objective_value
 from stochshift.kernels import EPANECHNIKOV, Profile
 
 P2 = Profile(2)
+
+
+def mean_shift(x, points, h, profile):
+    """S_h(x) from ``_shift_rows``, the one batch map, on the default runner (the kernel if it loads) and numpy."""
+    cfg = AlgoConfig(profile=profile, h=h)
+    query = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    out = [_shift_rows(query, points, cfg)[0][0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        out.append(_shift_rows(query, points, cfg)[0][0])
+    return out
+
+
+def kde_sum(x, points, h, profile):
+    """sum_i K((x - x_i) / h), the KDE at x times n h^d, read off ``objective_value`` with x appended as a row."""
+    with_x = np.vstack([points, np.asarray(x, dtype=np.float64)])
+    return objective_value(with_x, h, profile) - objective_value(points, h, profile) - 1.0
 
 
 def fd_gradient(points, h, profile, step=1e-6):
@@ -34,52 +45,57 @@ def fd_gradient(points, h, profile, step=1e-6):
 
 
 class TestNeighborhood:
+    """The h-ball that S_h averages, seen through the uniform weight: a plain mean over it."""
+
     def test_hand_example(self):
         pts = np.array([[-0.5], [0.5], [2.0]])
-        assert neighborhood([0.0], pts, 1.0).tolist() == [0, 1]
+        for out in mean_shift([0.0], pts, 1.0, EPANECHNIKOV):
+            np.testing.assert_array_equal(out, [0.0])  # the mean of rows 0 and 1, not of all three
 
     def test_self_at_distance_zero(self):
-        assert neighborhood([0.0], np.array([[0.0]]), 1.0).tolist() == [0]
+        # the query's own row counts: without it the mean would be 0.6
+        for out in mean_shift([0.0], np.array([[0.0], [0.6]]), 1.0, EPANECHNIKOV):
+            np.testing.assert_allclose(out, [0.3], rtol=1e-15)
 
     def test_strict_inequality_at_h(self):
-        assert neighborhood([0.0], np.array([[1.0]]), 1.0).size == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            neighborhood([0.0, 0.0], np.array([[1.0]]), 1.0)
+        # a row exactly h away has no weight: with it the mean would be 0.5
+        for out in mean_shift([0.0], np.array([[0.0], [1.0]]), 1.0, EPANECHNIKOV):
+            np.testing.assert_array_equal(out, [0.0])
 
 
 class TestMeanShiftOperator:
     def test_epanechnikov_plain_mean(self):
         pts = np.array([[-0.5], [0.5], [2.0]])
-        np.testing.assert_allclose(mean_shift_operator([0.0], pts, 1.0, EPANECHNIKOV), [0.0])
+        for out in mean_shift([0.0], pts, 1.0, EPANECHNIKOV):
+            np.testing.assert_allclose(out, [0.0])
 
     def test_biweight_weighted_mean(self):
         pts = np.array([[0.0], [0.5]])
-        out = mean_shift_operator([0.0], pts, 1.0, P2)
-        np.testing.assert_allclose(out, [1.5 * 0.5 / 3.5])
+        for out in mean_shift([0.0], pts, 1.0, P2):
+            np.testing.assert_allclose(out, [1.5 * 0.5 / 3.5])
 
     def test_single_point_fixed(self):
         pts = np.array([[1.0, 2.0]])
-        np.testing.assert_array_equal(mean_shift_operator([1.0, 2.0], pts, 1.0, P2), [1.0, 2.0])
+        for out in mean_shift([1.0, 2.0], pts, 1.0, P2):
+            np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_isolated_query_returned_unchanged(self):
         pts = np.array([[5.0]])
-        assert neighborhood([0.0], pts, 1.0).size == 0
-        np.testing.assert_array_equal(mean_shift_operator([0.0], pts, 1.0, P2), [0.0])
+        for out in mean_shift([0.0], pts, 1.0, P2):
+            np.testing.assert_array_equal(out, [0.0])
 
     def test_output_in_neighborhood_hull(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             pts = rng.uniform(-1, 1, size=(rng.integers(2, 12), 2))
             x = rng.uniform(-1, 1, size=2)
-            idx = neighborhood(x, pts, 1.0)
+            idx = np.flatnonzero(np.einsum("ij,ij->i", pts - x, pts - x) < 1.0)
             if idx.size == 0:
                 continue
-            out = mean_shift_operator(x, pts, 1.0, P2)
             lo = pts[idx].min(axis=0) - 1e-12
             hi = pts[idx].max(axis=0) + 1e-12
-            assert np.all(out >= lo) and np.all(out <= hi)
+            for out in mean_shift(x, pts, 1.0, P2):
+                assert np.all(out >= lo) and np.all(out <= hi)
 
 
 class TestShiftVector:
@@ -88,16 +104,19 @@ class TestShiftVector:
     def test_hand_example(self):
         pts = np.array([[0.0], [0.5]])
         x = np.array([0.0])
-        np.testing.assert_allclose(mean_shift_operator(x, pts, 1.0, P2) - x, [1.5 * 0.5 / 3.5])
+        for out in mean_shift(x, pts, 1.0, P2):
+            np.testing.assert_allclose(out - x, [1.5 * 0.5 / 3.5])
 
     def test_zero_at_barycenter(self):
         pts = np.array([[-0.3], [0.3]])
         x = np.array([0.0])
-        np.testing.assert_allclose(mean_shift_operator(x, pts, 1.0, EPANECHNIKOV) - x, [0.0], atol=1e-15)
+        for out in mean_shift(x, pts, 1.0, EPANECHNIKOV):
+            np.testing.assert_allclose(out - x, [0.0], atol=1e-15)
 
     def test_isolated_zero(self):
         x = np.array([0.0])
-        np.testing.assert_array_equal(mean_shift_operator(x, np.array([[9.0]]), 1.0, P2) - x, [0.0])
+        for out in mean_shift(x, np.array([[9.0]]), 1.0, P2):
+            np.testing.assert_array_equal(out - x, [0.0])
 
 
 class TestObjective:
@@ -122,15 +141,17 @@ class TestObjective:
 class TestGradients:
     def test_partial_hand_value(self):
         pts = np.array([[0.0], [0.5]])
-        np.testing.assert_allclose(partial_gradient(pts, 1.0, P2, 0), [1.5])
-        np.testing.assert_allclose(partial_gradient(pts, 1.0, P2, 1), [-1.5])
+        np.testing.assert_allclose(full_gradient(pts, 1.0, P2), [[1.5], [-1.5]])
 
     def test_full_matches_partials(self):
+        # each row against (2 / h^2) sum_{j != i} G_ij (x_j - x_i) from direct differences
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1.5, size=(8, 2))
         g = full_gradient(pts, 0.9, P2)
         for i in range(8):
-            np.testing.assert_allclose(g[i], partial_gradient(pts, 0.9, P2, i), atol=1e-12)
+            diff = pts - pts[i]
+            w = 2.0 * np.clip(1.0 - np.einsum("ij,ij->i", diff, diff) / 0.81, 0.0, None)  # biweight G
+            np.testing.assert_allclose(g[i], (2.0 / 0.81) * (w @ diff), atol=1e-12)
 
     def test_exact_zero_at_critical_states(self):
         coincident = np.tile([[0.7, -0.2]], (4, 1))
@@ -138,25 +159,23 @@ class TestGradients:
         separated = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         assert gradient_max_norm(full_gradient(separated, 1.0, P2)) == 0.0
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            partial_gradient(np.zeros((2, 1)), 1.0, P2, 2)
-
     def test_identity_with_shift_vector(self):
         # grad_i = (2 sum_j G / h^2) * (S_h(x_i) - x_i), including the self weight
         rng = np.random.default_rng(5)
         for _ in range(20):
             pts = rng.uniform(-1, 1, size=(rng.integers(2, 10), 2))
             h = rng.uniform(0.5, 1.5)
+            grad = full_gradient(pts, h, P2)
             for i in range(pts.shape[0]):
                 diff = pts - pts[i]
                 t = np.einsum("ij,ij->i", diff, diff) / (h * h)
                 w = -(-2.0) * np.clip(1.0 - t, 0.0, None)  # biweight G values
                 total = w.sum()
-                lhs = partial_gradient(pts, h, P2, i)
-                rhs = (2.0 * total / (h * h)) * (mean_shift_operator(pts[i], pts, h, P2) - pts[i])
+                lhs = grad[i]
                 scale = max(1.0, np.abs(lhs).max())
-                assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+                for out in mean_shift(pts[i], pts, h, P2):
+                    rhs = (2.0 * total / (h * h)) * (out - pts[i])
+                    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_finite_difference_equivalence(self, alpha):
@@ -171,19 +190,17 @@ class TestGradients:
 
 
 class TestKde:
+    """The KDE at x, times n h^d: ``kde_sum``, the objective's gain from appending x."""
+
     def test_single_sample_at_point(self):
-        assert kde_value([0.0], np.array([[0.0]]), 1.0, P2) == 1.0
+        assert kde_sum([0.0], np.array([[0.0]]), 1.0, P2) == 1.0
 
     def test_zero_outside_support(self):
-        assert kde_value([5.0], np.array([[0.0], [1.0]]), 1.0, P2) == 0.0
+        assert kde_sum([5.0], np.array([[0.0], [1.0]]), 1.0, P2) == 0.0
 
     def test_hand_value(self):
-        val = kde_value([0.0], np.array([[0.0], [1.0]]), 2.0, P2)
+        val = kde_sum([0.0], np.array([[0.0], [1.0]]), 2.0, P2) / (2 * 2.0)
         assert val == pytest.approx(0.390625)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kde_value([0.0, 0.0], np.array([[1.0]]), 1.0, P2)
 
     def test_shift_parallel_to_kde_gradient(self):
         # the shift points along the density gradient for smooth profiles
@@ -193,19 +210,17 @@ class TestKde:
         while checked < 15:
             pts = rng.uniform(-1, 1, size=(8, 2))
             x = rng.uniform(-0.8, 0.8, size=2)
-            sv = mean_shift_operator(x, pts, 1.0, P2) - x
             fd = np.array(
                 [
-                    (
-                        kde_value(x + dx, pts, 1.0, P2) - kde_value(x - dx, pts, 1.0, P2)
-                    )
-                    / (2 * step)
+                    (kde_sum(x + dx, pts, 1.0, P2) - kde_sum(x - dx, pts, 1.0, P2)) / (2 * step)
                     for dx in (np.array([step, 0.0]), np.array([0.0, step]))
                 ]
             )
-            ns, nf = np.linalg.norm(sv), np.linalg.norm(fd)
-            if ns < 1e-8 or nf < 1e-8:
+            svs = [out - x for out in mean_shift(x, pts, 1.0, P2)]
+            nf = np.linalg.norm(fd)
+            if min(np.linalg.norm(sv) for sv in svs) < 1e-8 or nf < 1e-8:
                 continue
-            cosine = float(sv @ fd / (ns * nf))
-            assert cosine >= 1.0 - 1e-6
+            for sv in svs:
+                cosine = float(sv @ fd / (np.linalg.norm(sv) * nf))
+                assert cosine >= 1.0 - 1e-6
             checked += 1
