@@ -2,15 +2,18 @@
  * distance SMS steps and knn_block one block of score-matrix SMS steps
  * (affinity.knn_sms_run), both under one stop rule, stop_rule below:
  * stop once every point has been drawn, with a shift below tolerance,
- * since the last shift at or above it.  A traced distance block also
- * gives each step's objective increment and partial-gradient norm: from
- * a second pass over all n points (move_traced), or in 2-D from the grid's
- * cells near the old and new positions (move_cells).
- * shift_rows is the mean-shift batch map of algorithms._shift_rows:
- * every query row moves onto the weighted mean of a sample, as MS's
- * probes do against the input.  bms_sweeps runs blurring mean-shift
- * sweeps, each the same map of the state against itself, with each
- * unordered pair evaluated once: n (n + 1) / 2 pairs a sweep, no grid.
+ * since the last shift at or above it.  A distance block handed
+ * increment and gradient buffers also gives each step's objective
+ * increment and partial-gradient norm: from a second pass over all n
+ * points (move_traced), or from the grid's cells near the old and new
+ * positions (move_cells).  shift_rows is the mean-shift batch map of
+ * algorithms._shift_rows: every query row moves onto the weighted mean
+ * of a sample, as MS's probes do against the input.  One rule,
+ * grid_build's, says when both query a cell grid, SMS on its moving state
+ * and the map on its fixed sample: in 2-D with n >= GRID_MIN_N, for every
+ * profile.  bms_sweeps runs blurring mean-shift sweeps, each the same map
+ * of the state against itself, with each unordered pair evaluated once:
+ * n (n + 1) / 2 pairs a sweep, no grid.
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the
@@ -23,11 +26,11 @@
  * some of them whole from their moments, so positions, increments and
  * gradient norms agree with the numpy path to rounding.  Tracing only
  * adds work after a move, so a traced run moves its points to the bits of
- * the untraced one on every path.  The
- * neighbour mean of knn_block sums its k rows in order and divides by k,
- * as the numpy move's cumulative sum over the (k, d) gather does in every
- * d, so its positions match numpy's bit for bit; its shifts are
- * index-order sums, where numpy's dot product is BLAS's.
+ * the untraced one on every path.  The neighbour mean of knn_block sums
+ * its k rows in order and divides by k, as the numpy move's cumulative
+ * sum over the (k, d) gather does in every d, so its positions match
+ * numpy's bit for bit; its shifts are index-order sums, where numpy's dot
+ * product is BLAS's.
  * Build without -ffast-math and with -ffp-contract=off, so the compiler
  * keeps the order of the sums and the exactness of the two-sum below.
  */
@@ -211,7 +214,8 @@ static inline void dd_add(dd *a, double b)
  * SMS builds it on the state and moves a point onto a convex combination
  * of the state, so every position stays inside the box for the whole
  * block (cell_coord clamps what rounding puts outside it); shift_rows
- * builds it on the sample once per call and never changes it.
+ * builds it on the sample once per call and never changes it.  Both query
+ * it through grid_query, at every alpha.
  *
  * A query around x visits the cells that meet the square of side
  * 2 * reach (just over 2h) around it.
@@ -321,12 +325,17 @@ static void grid_free(grid_t *g)
     free(g->sx);
 }
 
-/* Build the grid over the n points of pts, with moments when asked;
- * returns 0 when it would need too many cells (a spread far beyond h) or
- * memory runs out.  Queries may come from points up to qscale from the
- * origin in each coordinate, beyond the box's own. */
-static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double qscale, int moments)
+/* The one rule for when a query runs on the grid: build it over the n
+ * points of pts (n x d), with moments for alpha = 2, when d = 2 and
+ * n >= GRID_MIN_N; returns 0, for the plain loop, otherwise or when it
+ * would need too many cells (a spread far beyond h) or memory runs out.
+ * Queries may come from points up to qscale from the origin in each
+ * coordinate, beyond the box's own. */
+static int grid_build(grid_t *g, const double *pts, int64_t n, int64_t d, double h2, double qscale,
+                      int64_t alpha)
 {
+    if (d != 2 || n < GRID_MIN_N)
+        return 0;
     double xmin = pts[0], xmax = pts[0], ymin = pts[1], ymax = pts[1];
     for (int64_t j = 1; j < n; j++) {
         const double x = pts[2 * j], y = pts[2 * j + 1];
@@ -357,7 +366,7 @@ static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double
     g->reach = sqrt(h2 + 2.0 * g->errb) + g->pad;
     if (!(2.0 * g->reach * g->inv_s + 3.0 <= GRID_SPAN))
         return 0;
-    const int64_t nc = g->nx * g->ny, sums = moments ? 7 : 2;
+    const int64_t nc = g->nx * g->ny, sums = alpha == 2 ? 7 : 2;
     g->head = malloc((size_t)(2 * nc + 3 * n) * sizeof(int64_t));
     g->sx = malloc((size_t)(sums * nc) * sizeof(dd));
     if (!g->head || !g->sx) {
@@ -369,7 +378,7 @@ static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double
     g->next = g->cell + n;
     g->prev = g->next + n;
     g->sy = g->sx + nc;
-    g->mom = moments ? g->sy + nc : NULL;
+    g->mom = alpha == 2 ? g->sy + nc : NULL;
     for (int64_t c = 0; c < nc; c++) {
         g->head[c] = -1;
         g->count[c] = 0;
@@ -390,13 +399,34 @@ static int grid_build(grid_t *g, const double *pts, int64_t n, double h2, double
 }
 
 /* The cells a query around at = (x0, x1) visits, cx0..cx1 by cy0..cy1,
- * and the squared farthest and nearest x-distances from x0 to each of
- * their columns, widened by the pad margin. */
+ * and the squared farthest and nearest distances from at to each of
+ * their columns (far_x, near_x) and rows (far_y, near_y), widened by the
+ * pad margin and, on the rows and in opposite directions, by the
+ * identity's rounding margin errb: a cell with far_x + far_y < h^2 lies
+ * inside the ball, and one with near_x + near_y >= h^2 outside it, for
+ * the identity test and for 1 - sq / h^2 > 0 alike. */
 typedef struct {
     double at[2];
     int64_t cx0, cx1, cy0, cy1;
-    double far_x[GRID_SPAN], near_x[GRID_SPAN];
+    double far_x[GRID_SPAN], near_x[GRID_SPAN], far_y[GRID_SPAN], near_y[GRID_SPAN];
 } window_t;
+
+/* One axis of a window: the bounds from v to the cells c0..c1 of the axis
+ * that starts at origin, the far ones raised and the near ones lowered by
+ * slack. */
+static inline __attribute__((always_inline)) void
+window_axis(const grid_t *g, double v, double origin, int64_t c0, int64_t c1, double slack, double *far,
+            double *near)
+{
+    for (int64_t c = c0; c <= c1; c++) {
+        const double lo = origin + (double)c * g->s - g->pad;
+        const double hi = origin + (double)(c + 1) * g->s + g->pad;
+        const double f = dmax(fabs(v - lo), fabs(v - hi));
+        const double nr = v < lo ? lo - v : (v > hi ? v - hi : 0.0);
+        far[c - c0] = f * f + slack;
+        near[c - c0] = nr * nr - slack;
+    }
+}
 
 static inline __attribute__((always_inline)) void
 grid_window(const grid_t *g, double x0, double x1, window_t *w)
@@ -408,30 +438,18 @@ grid_window(const grid_t *g, double x0, double x1, window_t *w)
     w->cx1 = cell_coord(x0 + reach, g->x0, g->inv_s, g->nx);
     w->cy0 = cell_coord(x1 - reach, g->y0, g->inv_s, g->ny);
     w->cy1 = cell_coord(x1 + reach, g->y0, g->inv_s, g->ny);
-    for (int64_t cx = w->cx0; cx <= w->cx1; cx++) {
-        const double lx = g->x0 + (double)cx * g->s - g->pad;
-        const double ux = g->x0 + (double)(cx + 1) * g->s + g->pad;
-        const double fx = dmax(fabs(x0 - lx), fabs(x0 - ux));
-        const double nx_ = x0 < lx ? lx - x0 : (x0 > ux ? x0 - ux : 0.0);
-        w->far_x[cx - w->cx0] = fx * fx;
-        w->near_x[cx - w->cx0] = nx_ * nx_;
-    }
+    window_axis(g, x0, g->x0, w->cx0, w->cx1, 0.0, w->far_x, w->near_x);
+    window_axis(g, x1, g->y0, w->cy0, w->cy1, g->errb, w->far_y, w->near_y);
 }
 
-/* The squared farthest and nearest y-distances from x1 to row cy, widened
- * by the pad margin and, in opposite directions, by the identity's
- * rounding margin errb: a cell with far_x + far_y < h^2 lies inside the
- * ball, and one with near_x + near_y >= h^2 outside it, for the identity
- * test and for 1 - sq / h^2 > 0 alike. */
-static inline __attribute__((always_inline)) void
-grid_row(const grid_t *g, double x1, int64_t cy, double *far_y, double *near_y)
+/* Whether cell (cx, cy) passes w's near test, or with near = 0 its far
+ * test; a cell outside w passes neither. */
+static inline int window_has(const window_t *w, int64_t cx, int64_t cy, double h2, int near)
 {
-    const double ly = g->y0 + (double)cy * g->s - g->pad;
-    const double uy = g->y0 + (double)(cy + 1) * g->s + g->pad;
-    const double fy = dmax(fabs(x1 - ly), fabs(x1 - uy));
-    const double ny_ = x1 < ly ? ly - x1 : (x1 > uy ? x1 - uy : 0.0);
-    *far_y = fy * fy + g->errb;
-    *near_y = ny_ * ny_ - g->errb;
+    if (cx < w->cx0 || cx > w->cx1 || cy < w->cy0 || cy > w->cy1)
+        return 0;
+    const int64_t kx = cx - w->cx0, ky = cy - w->cy0;
+    return near ? w->near_x[kx] + w->near_y[ky] < h2 : w->far_x[kx] + w->far_y[ky] < h2;
 }
 
 /* Cell c's first moment about its centre ctr, sum_j (x_j - ctr), from its
@@ -480,8 +498,7 @@ grid_query(const grid_t *g, const double *pts, const double *sqn, const window_t
     double ax = 0.0, ay = 0.0, total = 0.0;
     int64_t inside = 0; /* alpha = 1: counted as an integer, faster than a double total */
     for (int64_t cy = w->cy0; cy <= w->cy1; cy++) {
-        double far_y, near_y;
-        grid_row(g, x1, cy, &far_y, &near_y);
+        const double far_y = w->far_y[cy - w->cy0], near_y = w->near_y[cy - w->cy0];
         for (int64_t cx = w->cx0; cx <= w->cx1; cx++) {
             const int64_t c = cy * g->nx + cx;
             if (g->count[c] == 0)
@@ -518,25 +535,6 @@ grid_query(const grid_t *g, const double *pts, const double *sqn, const window_t
     sum[0] = ax;
     sum[1] = ay;
     return alpha == 1 ? (double)inside : total;
-}
-
-/* The cells of the window w that grid_query's near test does not rule
- * out and that done's near test does rule out go to cells, *ncells of
- * them: the cells near w's position that were not visited from done. */
-static void grid_near(const grid_t *g, const window_t *w, const window_t *done, double h2, int64_t *cells,
-                      int64_t *ncells)
-{
-    *ncells = 0;
-    for (int64_t cy = w->cy0; cy <= w->cy1; cy++) {
-        double far_y, near_y, done_y = INFINITY; /* no cell of done outside its rows */
-        grid_row(g, w->at[1], cy, &far_y, &near_y);
-        if (cy >= done->cy0 && cy <= done->cy1)
-            grid_row(g, done->at[1], cy, &far_y, &done_y);
-        for (int64_t cx = w->cx0; cx <= w->cx1; cx++)
-            if (w->near_x[cx - w->cx0] + near_y < h2 &&
-                !(cx >= done->cx0 && cx <= done->cx1 && done->near_x[cx - done->cx0] + done_y < h2))
-                cells[(*ncells)++] = cy * g->nx + cx;
-    }
 }
 
 /* Take point i, at (x0, x1), out of its cell's count and sums; it stays
@@ -609,11 +607,11 @@ cell_increment(const grid_t *g, int64_t c, const double *ctr, const double *x, c
 
 /* The objective increment sum_{j != i} k(t_new) - k(t_old) of point i's
  * step from x (squared norm sqx; old is the window around it) to its new
- * position, with i taken out of the grid's counts and sums.  The cells
- * near the old position come first: a cell inside both balls adds its
- * share from its moments for alpha <= 2, and every other cell adds its
- * points' terms one by one; then the other cells near the new position
- * add theirs.  A cell that no near test keeps adds +0.0 terms only. */
+ * position, with i taken out of the grid's counts and sums.  One walk
+ * over the cells of both windows: a cell inside both balls adds its share
+ * from its moments for alpha <= 2, and every other cell that either near
+ * test keeps adds its points' terms one by one.  A cell that no near test
+ * keeps adds +0.0 terms only. */
 static double grid_increment(const grid_t *g, const double *pts, const double *sqn, int64_t i,
                              const double *x, double sqx, const window_t *old, double h2, double inv_h2,
                              int64_t alpha)
@@ -624,28 +622,20 @@ static double grid_increment(const grid_t *g, const double *pts, const double *s
     window_t around;
     grid_window(g, new[0], new[1], &around);
     double sum = 0.0;
-    for (int64_t cy = old->cy0; cy <= old->cy1; cy++) {
-        double far_y, near_y, new_far_y = INFINITY, new_near_y; /* no cell of around outside its rows */
-        grid_row(g, x[1], cy, &far_y, &near_y);
-        if (cy >= around.cy0 && cy <= around.cy1)
-            grid_row(g, new[1], cy, &new_far_y, &new_near_y);
-        for (int64_t cx = old->cx0; cx <= old->cx1; cx++) {
+    const int64_t cy0 = old->cy0 < around.cy0 ? old->cy0 : around.cy0;
+    const int64_t cx0 = old->cx0 < around.cx0 ? old->cx0 : around.cx0;
+    for (int64_t cy = cy0; cy <= old->cy1 || cy <= around.cy1; cy++)
+        for (int64_t cx = cx0; cx <= old->cx1 || cx <= around.cx1; cx++) {
             const int64_t c = cy * g->nx + cx;
-            if (g->count[c] == 0 || !(old->near_x[cx - old->cx0] + near_y < h2))
+            if (g->count[c] == 0 || !(window_has(old, cx, cy, h2, 1) || window_has(&around, cx, cy, h2, 1)))
                 continue;
-            if (alpha <= 2 && old->far_x[cx - old->cx0] + far_y < h2 && cx >= around.cx0 && cx <= around.cx1 &&
-                around.far_x[cx - around.cx0] + new_far_y < h2) {
+            if (alpha <= 2 && window_has(old, cx, cy, h2, 0) && window_has(&around, cx, cy, h2, 0)) {
                 double ctr[2];
                 cell_centre(g, cx, cy, ctr);
                 sum += cell_increment(g, c, ctr, x, new, dx, inv_h2, alpha);
             } else
                 sum += cell_terms(g, pts, sqn, c, i, x, sqx, new, dx, cross, inv_h2, alpha);
         }
-    }
-    int64_t cells[GRID_SPAN * GRID_SPAN], ncells;
-    grid_near(g, &around, old, h2, cells, &ncells);
-    for (int64_t k = 0; k < ncells; k++)
-        sum += cell_terms(g, pts, sqn, cells[k], i, x, sqx, new, dx, cross, inv_h2, alpha);
     return sum;
 }
 
@@ -700,38 +690,34 @@ stop_rule(double shift, double tol, int64_t i, int64_t n, int64_t *stamp, int64_
 /* Run the steps idx[0..m) on pts (n x d, row-major) with cached squared
  * norms sqn, writing each step's shift to shifts, under stop_rule.
  * Returns the number of steps taken; state[2] is set to 1 when the stop
- * rule fired on the last of them.  When trace_objective (trace_gradient)
- * is nonzero, step s also writes its objective increment to deltas[s] (its
- * partial-gradient norm to grads[s]).  In 2-D with n >= GRID_MIN_N and a
- * state the grid accepts, every block runs move_cells, with alpha = 1
- * compiled in for the uniform weight; otherwise every block runs the
- * plain loop move_traced.  scratch holds 2 * d + n doubles. */
+ * rule fired on the last of them.  When deltas (grads) is not NULL, step s
+ * also writes its objective increment to deltas[s] (its partial-gradient
+ * norm to grads[s]).  Where grid_build accepts the state, every step runs
+ * move_cells, with alpha = 1 compiled in for the uniform weight;
+ * otherwise every step runs the plain loop move_traced.  scratch holds
+ * 2 * d + n doubles. */
 EXPORT
 int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
                   const int64_t *idx, int64_t m, double h2, int64_t alpha,
                   double tol, int64_t *stamp, int64_t *state, double *shifts,
-                  double *deltas, double *grads, int64_t trace_objective,
-                  int64_t trace_gradient, double *scratch)
+                  double *deltas, double *grads, double *scratch)
 {
     const double inv_h2 = 1.0 / h2;
     int64_t epoch = state[0], covered = state[1];
     int64_t s = 0;
     grid_t g;
-    const int traced = trace_objective || trace_gradient;
-    const int gridded = d == 2 && n >= GRID_MIN_N && grid_build(&g, pts, n, h2, 0.0, alpha == 2);
+    const int gridded = grid_build(&g, pts, n, d, h2, 0.0, alpha);
     state[2] = 0;
     while (s < m) {
         const int64_t i = idx[s];
-        double *delta = trace_objective ? deltas + s : NULL, *grad = trace_gradient ? grads + s : NULL;
+        double *delta = deltas ? deltas + s : NULL, *grad = grads ? grads + s : NULL;
         double shift;
-        if (gridded && alpha == 1)
-            shift = move_cells(&g, pts, sqn, i, h2, inv_h2, 1, delta, grad);
-        else if (gridded)
-            shift = move_cells(&g, pts, sqn, i, h2, inv_h2, alpha, delta, grad);
-        else if (traced)
-            shift = move_traced(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, delta, grad);
+        if (gridded)
+            shift = alpha == 1 ? move_cells(&g, pts, sqn, i, h2, inv_h2, 1, delta, grad)
+                               : move_cells(&g, pts, sqn, i, h2, inv_h2, alpha, delta, grad);
         else
-            shift = move_traced(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, NULL, NULL);
+            shift = deltas || grads ? move_traced(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, delta, grad)
+                                    : move_traced(pts, sqn, n, d, i, h2, inv_h2, alpha, scratch, NULL, NULL);
         shifts[s++] = shift;
         if (stop_rule(shift, tol, i, n, stamp, &epoch, &covered)) {
             state[2] = 1;
@@ -788,25 +774,35 @@ int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t 
     return s;
 }
 
+/* Divide row, a weighted sum with weight total, into its mean; a row
+ * with no weight stays at its query x.  Returns its squared shift. */
+static inline __attribute__((always_inline)) double
+row_mean(double *row, const double *x, double total, int64_t d)
+{
+    double shift2 = 0.0;
+    for (int64_t k = 0; k < d; k++) {
+        row[k] = total > 0.0 ? row[k] / total : x[k];
+        const double dx = row[k] - x[k];
+        shift2 += dx * dx;
+    }
+    return shift2;
+}
+
 /* The batch map: move each of the m query rows q (m x d, squared norms
  * sqq) onto the G-weighted mean of the n sample rows s (squared norms
- * sqs), into out (m x d), which may alias neither.  A row with no weight
- * stays at its query.  For alpha = 1 in 2-D with
- * n >= GRID_MIN_N the rows query a grid built on the sample; otherwise,
- * or when the grid is refused, each row is weighted_sum's plain loop
- * over the sample. */
+ * sqs), into out (m x d), which may alias neither (row_mean).  Where
+ * grid_build accepts the sample, the rows query its grid, with alpha = 1
+ * compiled in for the uniform weight; otherwise each row is
+ * weighted_sum's plain loop over the sample. */
 EXPORT
 void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
                 const double *sqs, int64_t n, int64_t d, double h2, int64_t alpha, double *out)
 {
+    double qscale = 0.0;
+    for (int64_t k = 0; k < m * d; k++)
+        qscale = dmax(qscale, fabs(q[k]));
     grid_t g;
-    int gridded = 0;
-    if (d == 2 && alpha == 1 && n >= GRID_MIN_N) {
-        double qscale = 0.0;
-        for (int64_t k = 0; k < 2 * m; k++)
-            qscale = dmax(qscale, fabs(q[k]));
-        gridded = grid_build(&g, s, n, h2, qscale, 0);
-    }
+    const int gridded = grid_build(&g, s, n, d, h2, qscale, alpha);
     const double inv_h2 = 1.0 / h2;
     for (int64_t r = 0; r < m; r++) {
         const double *x = q + r * d;
@@ -815,11 +811,11 @@ void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
         if (gridded) {
             window_t w;
             grid_window(&g, x[0], x[1], &w);
-            total = grid_query(&g, s, sqs, &w, sqq[r], h2, inv_h2, 1, row);
+            total = alpha == 1 ? grid_query(&g, s, sqs, &w, sqq[r], h2, inv_h2, 1, row)
+                               : grid_query(&g, s, sqs, &w, sqq[r], h2, inv_h2, alpha, row);
         } else
             total = weighted_sum(s, sqs, n, d, x, sqq[r], h2, inv_h2, alpha, row, NULL);
-        for (int64_t k = 0; k < d; k++)
-            row[k] = total > 0.0 ? row[k] / total : x[k];
+        row_mean(row, x, total, d);
     }
     if (gridded)
         grid_free(&g);
@@ -891,13 +887,7 @@ int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, 
                 row[0] = acc[0], row[1] = acc[1];
             } else
                 pair_sums(pts, sqn, n, d, r, h2, inv_h2, alpha, row, next, wsum);
-            double shift2 = 0.0;
-            for (int64_t k = 0; k < d; k++) {
-                row[k] = wsum[r] > 0.0 ? row[k] / wsum[r] : x[k];
-                const double dx = row[k] - x[k];
-                shift2 += dx * dx;
-            }
-            top = dmax(top, sqrt(shift2));
+            top = dmax(top, sqrt(row_mean(row, x, wsum[r], d)));
         }
         memcpy(pts, next, (size_t)(n * d) * sizeof(double));
         shifts[t] = top;

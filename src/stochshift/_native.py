@@ -26,10 +26,11 @@ untyped pointers, as it reads columns of mixed kinds through strides.
 with g++) each compile their source once into a shared library in the
 user cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, else a
 per-user directory under the system temporary directory), under a file
-name keyed by the source's name and a hash of its text and the flags,
-and load it with ctypes, its exports' prototypes set from one table,
-``_PROTOTYPES``.  The two are separate libraries, so a machine without
-g++ still runs the kernel.  Concurrent first uses (``sweep
+name keyed by the source's name and a hash of its text and the flags
+(``build`` keeps the newest few of each source), and load it with
+ctypes, its exports' prototypes set from one table, ``_PROTOTYPES``.
+The two are separate libraries, so a machine without g++ still runs
+the kernel.  Concurrent first uses (``sweep
 --workers``) each compile to a private temporary name and publish with
 an atomic ``os.replace``.  The flags are portable: no ``-ffast-math``,
 which would reorder the sums, and no ``-march=native``.
@@ -44,6 +45,7 @@ the reference its compiled twin is tested against.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -62,6 +64,7 @@ _FORMAT_SOURCE = Path(__file__).with_name("_format.cpp")
 _FORMAT_COMPILER = "g++"
 _FORMAT_FLAGS = ("-std=c++17", "-O2", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 120
+_KEEP_BUILDS = 4
 _log = logging.getLogger("stochshift")
 
 
@@ -88,7 +91,9 @@ def build(cache_dir: Path, source: Path, compiler: str, flags: tuple[str, ...]) 
     Raises OSError when the source or the compiler is missing or the
     directory cannot be made or is not the user's own, and
     ``subprocess.SubprocessError`` when the compile fails; no
-    half-written library is left behind.
+    half-written library is left behind.  A compile deletes the source's
+    libraries older than the ``_KEEP_BUILDS`` newest, which are enough
+    for two revisions run by turns never to recompile.
     """
     target = library_path(cache_dir, source, flags)
     cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -106,6 +111,11 @@ def build(cache_dir: Path, source: Path, compiler: str, flags: tuple[str, ...]) 
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    with contextlib.suppress(OSError):  # housekeeping: a file a concurrent build pruned first fails no build
+        builds = sorted(cache_dir.glob(target.name.rsplit("-", 1)[0] + "-*.so"),
+                        key=lambda path: path.stat().st_mtime_ns, reverse=True)
+        for path in builds[_KEEP_BUILDS:]:
+            path.unlink()
     return target
 
 
@@ -120,9 +130,8 @@ _f, _i, _p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
 # untyped ones.
 _PROTOTYPES = {
     "kernel": {
-        # pts, sqn, n, d, idx, m, h2, alpha, tol, stamp, state, shifts, deltas, grads,
-        # trace_objective, trace_gradient, scratch
-        "sms_block": (_i, [_F64, _F64, _i, _i, _I64, _i, _f, _i, _f, _I64, _I64, _F64, _F64, _F64, _i, _i, _F64]),
+        # pts, sqn, n, d, idx, m, h2, alpha, tol, stamp, state, shifts, deltas, grads, scratch
+        "sms_block": (_i, [_F64, _F64, _i, _i, _I64, _i, _f, _i, _f, _I64, _I64, _F64, _F64, _F64, _F64]),
         # pts, n, d, nb, k, idx, m, tol, stamp, state, shifts, scratch
         "knn_block": (_i, [_F64, _i, _i, _I64, _i, _I64, _i, _f, _I64, _I64, _F64, _F64]),
         # q, sqq, m, s, sqs, n, d, h2, alpha, out
@@ -228,22 +237,20 @@ class SmsBlockKernel(_BlockRunner):
 
     Holds the cached squared norms beside the shared state.  As in
     ``_PySteps``, ``deltas`` (objective increments) and ``grads``
-    (partial-gradient norms) are None unless ``trace_objective`` and
-    ``trace_gradient`` ask for them; the library is always handed both
-    buffers and writes only the traced ones.
+    (partial-gradient norms) of the last block are None, and handed to
+    the library as NULL, unless ``trace_objective`` and
+    ``trace_gradient`` ask for them.
     """
 
     def __init__(self, lib, pts: np.ndarray, h: float, alpha: int, tol: float, block: int,
                  trace_objective: bool, trace_gradient: bool):
         super().__init__(pts, block)
-        # the last block's increments and gradient norms
-        deltas, grads = np.empty((2, block))
-        self.deltas = deltas if trace_objective else None
-        self.grads = grads if trace_gradient else None
+        self.deltas = np.empty(block) if trace_objective else None
+        self.grads = np.empty(block) if trace_gradient else None
         sqn = np.einsum("ij,ij->i", pts, pts)
         self._before = (self._pts, _ptr(sqn, np.float64), self._n, self._d)
-        self._after = (h * h, int(alpha), float(tol), *self._stop, _ptr(deltas, np.float64),
-                       _ptr(grads, np.float64), int(bool(trace_objective)), int(bool(trace_gradient)),
+        traced = (None if a is None else _ptr(a, np.float64) for a in (self.deltas, self.grads))
+        self._after = (h * h, int(alpha), float(tol), *self._stop, *traced,
                        _ptr(np.empty(2 * self._d + self._n), np.float64))
         self._export = lib.sms_block
 

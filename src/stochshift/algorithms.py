@@ -51,7 +51,7 @@ against itself, MS its active probes against the fixed sample.  Its
 numpy body walks ``core.pairwise_sq_blocks``, the one such walk here,
 and is the test reference of both compiled paths.  Whenever the kernel
 loads, MS's map runs ``_native.shift_rows`` (a cell grid on the sample
-for the uniform weight in 2-D, a plain loop otherwise), and BMS runs
+wherever SMS steps on one, a plain loop otherwise), and BMS runs
 ``_native.bms_sweeps`` through ``_bms_sweeps``: many sweeps per call,
 each unordered pair evaluated once a sweep (``bms_run`` says why no grid).
 ``_shift_rows``' docstring states how far the two paths agree.
@@ -447,8 +447,8 @@ def _shift_rows(queries: np.ndarray, sample: np.ndarray, cfg: AlgoConfig):
     """Move each query row onto the G-weighted mean of ``sample``; returns ``(new, shifts)``.
 
     When the kernel loads, ``_native.shift_rows`` does the work: it
-    queries a cell grid built on the sample for the uniform weight in
-    2-D with n >= 128, and runs a plain loop over the sample otherwise.
+    queries a cell grid built on the sample in 2-D with n >= 128, for
+    every profile, and runs a plain loop over the sample otherwise.
     Without it the numpy body below does it; it is also the test
     reference of the kernel's map and of its BMS sweeps
     (``_native.bms_sweeps``).

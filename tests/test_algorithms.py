@@ -486,8 +486,8 @@ class TestCompiledSms:
 
     @pytest.mark.parametrize("layout", ["small", "far_apart"])
     def test_inputs_the_grid_leaves_to_the_plain_loop(self, layout, monkeypatch):
-        # the uniform-weight d=2 kernel sums over a grid of cells only for
-        # n >= 128 and a spread of not too many cells
+        # the d=2 kernel sums over a grid of cells, at every profile, only
+        # for n >= 128 and a spread of not too many cells
         rng = np.random.default_rng(3)
         pts = rng.normal(scale=0.5, size=(100 if layout == "small" else 200, 2))
         if layout == "far_apart":
@@ -566,6 +566,26 @@ class TestCompiledSms:
         assert list(tmp_path.iterdir()) == [path]
         assert _native._open(path, _native._PROTOTYPES["kernel"]) is not None
 
+    def test_build_keeps_the_newest_libraries_of_its_source(self, tmp_path):
+        # six flag sets name six libraries of one source; each compile
+        # deletes that source's builds older than the newest four, and
+        # leaves another source's library and an in-flight compile alone
+        source = tmp_path / "src" / "_kernel.c"
+        source.parent.mkdir()
+        source.write_text("int variant(void) { return VARIANT; }\n")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        others = [cache / "format-0123456789abcdef.so", cache / "kernel-0123456789abcdef.so.a1b2c3.tmp"]
+        for other in others:
+            other.write_bytes(b"")
+        built = []
+        for k in range(6):
+            built.append(_native.build(cache, source, _native._COMPILER, ("-fPIC", "-shared", f"-DVARIANT={k}")))
+            assert sorted(cache.glob("kernel-*.so")) == sorted(built[-_native._KEEP_BUILDS:])
+        assert len(set(built)) == 6 and all(other.exists() for other in others)
+        assert _native.build(cache, source, str(tmp_path / "no-such-gcc"), ("-fPIC", "-shared", "-DVARIANT=5")) \
+            == built[-1]
+
 
 @pytest.mark.usefixtures("needs_kernel")
 class TestCompiledTracedSms:
@@ -639,10 +659,12 @@ def assert_same_batch_run(points, cfg, monkeypatch):
       distance, so a collapse amplifies the rounding of the two summation
       orders (BLAS against cells or index order) before it closes again.
       Over 192 MS and BMS parity runs (set1-set4, imbalance:0.5,
-      imbalance:2 and dim:5, five data seeds, two for set3) the largest
-      mid-run gaps were 8e-14 s at alpha = 1 and 3.1e-11 s at
-      alpha >= 2 (set3, alpha = 3, MS), and the largest final gap
-      3.6e-14 s;
+      imbalance:2 and dim:5, five data seeds, two for set3, alpha 1-3,
+      one BLAS thread) the largest mid-run gaps were 2.0e-13 s at
+      alpha = 1 (set3, BMS) and 1.3e-11 s at alpha >= 2 (dim:5,
+      alpha = 3, BMS; MS, on the sample grid in 2-D, reached 1.3e-12 s
+      on set3 at alpha = 3), and the largest final gap 1.7e-13 s (set3,
+      alpha = 1, BMS);
     * traced BMS objectives under the mid-run factor times L, the largest
       objective of the run, and the starting objective identical.
     """
@@ -679,10 +701,10 @@ PLAIN_LOOP_LAYOUTS = ["small", "far_apart", "offset", "tiny_h"]
 def plain_loop_input(layout):
     """A sample and bandwidth that the kernel's grid leaves to the plain loop.
 
-    The uniform-weight d=2 map queries a grid of cells only for a sample
-    of n >= 128 (small), a spread of not too many cells (far_apart,
-    tiny_h) and rounding margins that stay within a query's reach
-    (offset).  At a +1e7 offset the identity rounds squared distances by
+    The d=2 map queries a grid of cells, at every profile, only for a
+    sample of n >= 128 (small), a spread of not too many cells
+    (far_apart, tiny_h) and rounding margins that stay within a query's
+    reach (offset).  At a +1e7 offset the identity rounds squared distances by
     about eps |x|^2 = 0.02 h^2, so both paths decide pairs near the
     support boundary by rounding: the offset sample has two groups with
     no pair near it.
@@ -781,9 +803,11 @@ class TestCompiledBatchMap:
         with pytest.raises(ValueError):
             _native.bms_sweeps(_native.load(), state, 1.0, 1, 1e-6, 1)
 
-    @pytest.mark.parametrize("name, alpha", [("set2", 2), ("set2", 3), ("set4", 2)])
+    # MS on the sample grid: set2 (n = 450) and set4, and imbalance:2 and set1 (n = 750-1000)
+    @pytest.mark.parametrize("name, alpha", [("set2", 2), ("set2", 3), ("set4", 2), ("imbalance:2", 2),
+                                             ("set1", 3)])
     def test_smooth_profiles_match_numpy_path(self, name, alpha, monkeypatch):
-        data = generate(preset(name, seed=0))
+        data = generate(parse_preset(name, seed=0))
         cfg = AlgoConfig(algorithm="ms", profile=Profile(alpha))
         assert assert_same_batch_run(data.points, cfg, monkeypatch).stop_reason == "converged"
 
@@ -1164,9 +1188,10 @@ def test_kernel_compiles_without_warnings(tmp_path):
 KERNEL_SANITIZER_FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 
 # calls every export of the kernel on heap buffers of exactly the sizes
-# the _native wrappers allocate: a block of indices as long as its shift,
-# increment and gradient buffers, sms_block's scratch of 2d + n doubles,
-# knn_block's of d, bms_sweeps' n x d + 2n, and shift_rows' m x d out
+# the _native wrappers allocate: a block of indices as long as its shift
+# buffer and its increment and gradient buffers when traced (NULL when
+# not), sms_block's scratch of 2d + n doubles, knn_block's of d,
+# bms_sweeps' n x d + 2n, and shift_rows' m x d out
 KERNEL_SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
@@ -1174,7 +1199,7 @@ KERNEL_SANITIZER_DRIVER = r"""
 
 int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d, const int64_t *idx, int64_t m, double h2,
                   int64_t alpha, double tol, int64_t *stamp, int64_t *state, double *shifts, double *deltas,
-                  double *grads, int64_t trace_objective, int64_t trace_gradient, double *scratch);
+                  double *grads, double *scratch);
 int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k, const int64_t *idx,
                   int64_t m, double tol, int64_t *stamp, int64_t *state, double *shifts, double *scratch);
 void shift_rows(const double *q, const double *sqq, int64_t m, const double *s, const double *sqs, int64_t n,
@@ -1225,14 +1250,15 @@ static int64_t *draws(int64_t m, int64_t n)
     return idx;
 }
 
-/* two blocks of SMS steps on pts, so the stop-rule state carries over */
+/* two blocks of SMS steps on pts, so the stop-rule state carries over;
+ * an untraced column gets no buffer (NULL), as the wrapper hands it */
 static int sms_on(double *pts, int64_t n, int64_t d, int64_t alpha, int64_t trace_objective,
                   int64_t trace_gradient)
 {
     double *sqn = norms(pts, n, d);
     int64_t *stamp = ints(n), *state = ints(3);
-    double *shifts = doubles(BLOCK), *deltas = doubles(BLOCK), *grads = doubles(BLOCK);
-    double *scratch = doubles(2 * d + n);
+    double *shifts = doubles(BLOCK), *scratch = doubles(2 * d + n);
+    double *deltas = trace_objective ? doubles(BLOCK) : NULL, *grads = trace_gradient ? doubles(BLOCK) : NULL;
     for (int64_t i = 0; i < n; i++)
         stamp[i] = -1;
     state[0] = state[1] = state[2] = 0;
@@ -1240,7 +1266,7 @@ static int sms_on(double *pts, int64_t n, int64_t d, int64_t alpha, int64_t trac
     for (int b = 0; b < 2 && !bad; b++) {
         int64_t *idx = draws(BLOCK, n);
         const int64_t steps = sms_block(pts, sqn, n, d, idx, BLOCK, 1.0, alpha, 1e-6, stamp, state, shifts,
-                                        deltas, grads, trace_objective, trace_gradient, scratch);
+                                        deltas, grads, scratch);
         bad = steps < 1 || steps > BLOCK;
         free(idx);
     }
@@ -1309,7 +1335,8 @@ int main(void)
                 bad |= sms(100, d, alpha, traced & 1, traced >> 1) << 1;
     bad |= knn(50, 3, 5) << 2;
     bad |= knn(40, 1, 39) << 2;
-    bad |= map(60, 300, 2, 1) << 3; /* the grid */
+    for (int64_t alpha = 1; alpha <= 3; alpha++)
+        bad |= map(60, 300, 2, alpha) << 3; /* the grid, from moments at alpha = 2 */
     bad |= map(60, 100, 2, 1) << 3; /* the plain loop */
     bad |= map(60, 150, 5, 2) << 3;
     bad |= sweeps(100, 2, 1, 5) << 4;
