@@ -236,7 +236,7 @@ static inline void dd_add(dd *a, double b)
  * of its new cell's list. */
 #define GRID_DIV 4
 #define GRID_MIN_N 128 /* below about this n the plain loop is faster */
-#define GRID_SPAN (2 * GRID_DIV + 4) /* at least the columns a step visits */
+#define GRID_SPAN (2 * GRID_DIV + 4) /* at least the columns, or rows, a query visits */
 
 typedef struct {
     double x0, y0, s, inv_s, pad, errb, reach;

@@ -583,8 +583,8 @@ class TestCompiledSms:
             built.append(_native.build(cache, source, _native._COMPILER, ("-fPIC", "-shared", f"-DVARIANT={k}")))
             assert sorted(cache.glob("kernel-*.so")) == sorted(built[-_native._KEEP_BUILDS:])
         assert len(set(built)) == 6 and all(other.exists() for other in others)
-        assert _native.build(cache, source, str(tmp_path / "no-such-gcc"), ("-fPIC", "-shared", "-DVARIANT=5")) \
-            == built[-1]
+        rebuilt = _native.build(cache, source, str(tmp_path / "no-such-gcc"), ("-fPIC", "-shared", "-DVARIANT=5"))
+        assert rebuilt == built[-1]
 
 
 @pytest.mark.usefixtures("needs_kernel")
@@ -704,10 +704,10 @@ def plain_loop_input(layout):
     The d=2 map queries a grid of cells, at every profile, only for a
     sample of n >= 128 (small), a spread of not too many cells
     (far_apart, tiny_h) and rounding margins that stay within a query's
-    reach (offset).  At a +1e7 offset the identity rounds squared distances by
-    about eps |x|^2 = 0.02 h^2, so both paths decide pairs near the
-    support boundary by rounding: the offset sample has two groups with
-    no pair near it.
+    reach (offset).  At a +1e7 offset the identity rounds squared
+    distances by about eps |x|^2 = 0.02 h^2, so both paths decide pairs
+    near the support boundary by rounding: the offset sample has two
+    groups with no pair near it.
     """
     rng = np.random.default_rng(3)
     if layout == "tiny_h":
