@@ -8,12 +8,17 @@
  * points (move_traced), or from the grid's cells near the old and new
  * positions (move_cells).  shift_rows is the mean-shift batch map of
  * algorithms._shift_rows: every query row moves onto the weighted mean
- * of a sample, as MS's probes do against the input.  One rule,
- * grid_build's, says when both query a cell grid, SMS on its moving state
- * and the map on its fixed sample: in 2-D with n >= GRID_MIN_N, for every
- * profile.  bms_sweeps runs blurring mean-shift sweeps, each the same map
- * of the state against itself, with each unordered pair evaluated once:
- * n (n + 1) / 2 pairs a sweep, no grid.
+ * of a sample, as MS's probes do against the input; mapping a state
+ * against itself with its weight totals, it gives core.full_gradient.
+ * One rule, grid_build's, says when both query a cell grid, SMS on its
+ * moving state and the map on its fixed sample: in 2-D with
+ * n >= GRID_MIN_N, for every profile.  bms_sweeps runs blurring
+ * mean-shift sweeps, each the same map of the state against itself, with
+ * each unordered pair evaluated once: n (n + 1) / 2 pairs a sweep, no
+ * grid.  Two more half-pair loops serve the theory checks, n (n - 1) / 2
+ * pairs each: pair_objective, the objective's pair sum
+ * (core.objective_value), and band_slack, the exact-distance band scan
+ * (theory._band_slack).
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the
@@ -790,13 +795,16 @@ row_mean(double *row, const double *x, double total, int64_t d)
 
 /* The batch map: move each of the m query rows q (m x d, squared norms
  * sqq) onto the G-weighted mean of the n sample rows s (squared norms
- * sqs), into out (m x d), which may alias neither (row_mean).  Where
- * grid_build accepts the sample, the rows query its grid, with alpha = 1
- * compiled in for the uniform weight; otherwise each row is
+ * sqs), into out (m x d), which may alias neither (row_mean).  When totals
+ * is not NULL, totals[r] receives row r's weight total W, from which
+ * core.full_gradient forms (2 W / h^2) (S_h(x) - x) on the self-map.
+ * Where grid_build accepts the sample, the rows query its grid, with
+ * alpha = 1 compiled in for the uniform weight; otherwise each row is
  * weighted_sum's plain loop over the sample. */
 EXPORT
 void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
-                const double *sqs, int64_t n, int64_t d, double h2, int64_t alpha, double *out)
+                const double *sqs, int64_t n, int64_t d, double h2, int64_t alpha, double *out,
+                double *totals)
 {
     double qscale = 0.0;
     for (int64_t k = 0; k < m * d; k++)
@@ -816,6 +824,8 @@ void shift_rows(const double *q, const double *sqq, int64_t m, const double *s,
         } else
             total = weighted_sum(s, sqs, n, d, x, sqq[r], h2, inv_h2, alpha, row, NULL);
         row_mean(row, x, total, d);
+        if (totals)
+            totals[r] = total;
     }
     if (gridded)
         grid_free(&g);
@@ -895,4 +905,62 @@ int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, 
             return t + 1;
     }
     return max_sweeps;
+}
+
+/* The objective's pair part, sum over i < j of k(t_ij) = (1 - t_ij)_+^alpha
+ * with t_ij = max(sq, 0) / h^2, for pts (n x d, squared norms sqn), the
+ * squared distance from the cached-norm identity grouped as
+ * core.pairwise_sq_blocks groups row i against column j.  Each row's terms
+ * are summed in j order and the row sums in i order, so the rounding grows
+ * with n, not n^2.  core.objective_value adds the n diagonal terms. */
+EXPORT
+double pair_objective(const double *pts, const double *sqn, int64_t n, int64_t d, double h2, int64_t alpha)
+{
+    const double inv_h2 = 1.0 / h2;
+    double total = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *x = pts + i * d;
+        double row = 0.0;
+        for (int64_t j = i + 1; j < n; j++) {
+            const double *p = pts + j * d;
+            double dot = 0.0;
+            for (int64_t k = 0; k < d; k++)
+                dot += x[k] * p[k];
+            const double sq = (dot * -2.0 + sqn[i]) + sqn[j];
+            double b = 1.0 - (sq > 0.0 ? sq : 0.0) * inv_h2;
+            if (b > 0.0) { /* outside the support k is 0 */
+                double v = b;
+                for (int64_t k = 1; k < alpha; k++)
+                    v *= b;
+                row += v;
+            }
+        }
+        total += row;
+    }
+    return total;
+}
+
+/* The band slack of pts (n x d): the minimum over pairs i < j of
+ * max(lo - d_ij, d_ij - hi), with d_ij the exact distance from direct
+ * coordinate differences summed in coordinate order (core._diff_sq_rows),
+ * so coincident points measure 0 wherever they sit.  It is >= 0 iff every
+ * pair lies at most lo or at least hi apart; +inf without a pair. */
+EXPORT
+double band_slack(const double *pts, int64_t n, int64_t d, double lo, double hi)
+{
+    double worst = INFINITY;
+    for (int64_t i = 0; i < n; i++) {
+        const double *x = pts + i * d;
+        for (int64_t j = i + 1; j < n; j++) {
+            const double *p = pts + j * d;
+            double sq = 0.0;
+            for (int64_t k = 0; k < d; k++) {
+                const double diff = x[k] - p[k];
+                sq += diff * diff;
+            }
+            const double dist = sqrt(sq), slack = dmax(lo - dist, dist - hi);
+            worst = slack < worst ? slack : worst;
+        }
+    }
+    return worst;
 }

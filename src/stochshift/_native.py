@@ -3,12 +3,17 @@
 Two sources ship with the package.  ``_kernel.c`` exports ``sms_block``,
 the distance SMS block runner behind :class:`SmsBlockKernel`,
 ``knn_block``, the score-matrix SMS block runner behind
-:class:`KnnBlockKernel`, and ``shift_rows``, the mean-shift batch map
-behind :func:`shift_rows`, which ``algorithms._shift_rows`` runs for MS,
-and ``bms_sweeps``, the blurring mean-shift sweeps behind
-:func:`bms_sweeps`, which ``algorithms._bms_sweeps`` runs for BMS.  The
-two block runners share one stop rule in C and its state and checks
-here (:class:`_BlockRunner`).  ``_format.cpp`` exports ``put_rows``,
+:class:`KnnBlockKernel`, ``shift_rows``, the mean-shift batch map
+behind :func:`shift_rows`, which ``algorithms._shift_rows`` runs for MS
+and ``core.full_gradient`` runs, with the rows' weight totals, on a
+state against itself, and ``bms_sweeps``, the blurring mean-shift
+sweeps behind :func:`bms_sweeps`, which ``algorithms._bms_sweeps`` runs
+for BMS.  Two half-pair reductions serve the theory checks:
+``pair_objective`` behind :func:`pair_objective`, the pair sum of
+``core.objective_value``, and ``band_slack`` behind :func:`band_slack`,
+the exact-distance band scan of ``theory._band_slack``; they return
+doubles.  The two block runners share one stop rule in C and its state
+and checks here (:class:`_BlockRunner`).  ``_format.cpp`` exports ``put_rows``,
 behind :func:`put_rows`, which renders rows of typed columns between
 literal texts; ``io`` states each of its text layouts (``trace.jsonl``,
 the dataset, partition and score-matrix CSVs) as such texts and column
@@ -38,7 +43,9 @@ which would reorder the sums, and no ``-march=native``.
 Any failure (no compiler, no source, a failed compile, an unwritable
 cache or one another user owns, a library that does not load) makes the
 loader log the reason once at WARNING on the ``stochshift`` logger and
-return None.  Callers then run the numpy path instead of the kernel, or
+return None.  Callers then run the numpy path instead of the kernel (the
+numpy bodies of ``algorithms``, ``core.objective_value``,
+``core.full_gradient`` and ``theory._band_slack``), or
 ``io``'s Python row renderer instead of the formatter; each is also
 the reference its compiled twin is tested against.
 """
@@ -134,10 +141,14 @@ _PROTOTYPES = {
         "sms_block": (_i, [_F64, _F64, _i, _i, _I64, _i, _f, _i, _f, _I64, _I64, _F64, _F64, _F64, _F64]),
         # pts, n, d, nb, k, idx, m, tol, stamp, state, shifts, scratch
         "knn_block": (_i, [_F64, _i, _i, _I64, _i, _I64, _i, _f, _I64, _I64, _F64, _F64]),
-        # q, sqq, m, s, sqs, n, d, h2, alpha, out
-        "shift_rows": (None, [_F64, _F64, _i, _F64, _F64, _i, _i, _f, _i, _F64]),
+        # q, sqq, m, s, sqs, n, d, h2, alpha, out, totals (NULL for MS)
+        "shift_rows": (None, [_F64, _F64, _i, _F64, _F64, _i, _i, _f, _i, _F64, _F64]),
         # pts, n, d, h2, alpha, tol, max_sweeps, shifts, scratch
         "bms_sweeps": (_i, [_F64, _i, _i, _f, _i, _f, _i, _F64, _F64]),
+        # pts, sqn, n, d, h2, alpha; returns the sum over pairs i < j of k(t_ij)
+        "pair_objective": (_f, [_F64, _F64, _i, _i, _f, _i]),
+        # pts, n, d, lo, hi; returns the least max(lo - d_ij, d_ij - hi) over pairs i < j
+        "band_slack": (_f, [_F64, _i, _i, _f, _f]),
     },
     # first, n, ncols, cols, strides, kinds, text, text_end, buf, cap
     "format": {"put_rows": (_i, [_i, _i, _i, _p, _p, _p, _p, _p, _p, _i])},
@@ -283,25 +294,56 @@ class KnnBlockKernel(_BlockRunner):
         self._export = lib.knn_block
 
 
-def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: int) -> np.ndarray:
+def _state(pts: np.ndarray) -> np.ndarray:
+    """``pts`` as a C-contiguous float64 (n, d) array; raises ValueError for any other shape."""
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError(f"the kernel needs an (n, d) state, got shape {pts.shape}")
+    return pts
+
+
+def shift_rows(lib, queries: np.ndarray, sample: np.ndarray, h: float, alpha: int,
+               totals: np.ndarray | None = None) -> np.ndarray:
     """The compiled twin of the numpy body of ``algorithms._shift_rows``: the moved rows.
 
+    When ``totals``, an (m,) float64 array, is given, row r's weight
+    total W is written into it (``core.full_gradient``); MS passes none.
     The squared norms of the distance identity are numpy's, as in
-    ``core.pairwise_sq_blocks``; shapes are checked here and every array
-    passes ``_ptr``, so every pointer handed to the library is valid for
-    the call.
+    ``core.pairwise_sq_blocks``, taken once when the queries are the
+    sample.  Shapes are checked here and every array passes ``_ptr``, so
+    every pointer handed to the library is valid for the call.
     """
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    sample = np.ascontiguousarray(sample, dtype=np.float64)
-    if queries.ndim != 2 or sample.ndim != 2 or queries.shape[1] != sample.shape[1]:
+    same = queries is sample
+    queries = _state(queries)
+    sample = queries if same else _state(sample)
+    if queries.shape[1] != sample.shape[1]:
         raise ValueError("the kernel needs (m, d) queries and an (n, d) sample")
-    sqq = np.einsum("ij,ij->i", queries, queries)
-    sqs = np.einsum("ij,ij->i", sample, sample)
     (m, d), n = queries.shape, sample.shape[0]
+    if totals is not None and totals.shape != (m,):
+        raise ValueError(f"totals must hold one value per query row, got shape {totals.shape}")
+    sqq = np.einsum("ij,ij->i", queries, queries)
+    sqs = sqq if same else np.einsum("ij,ij->i", sample, sample)
     q, sqq, s, sqs = (_ptr(a, np.float64, writes=False) for a in (queries, sqq, sample, sqs))
     out = np.empty((m, d))
-    lib.shift_rows(q, sqq, m, s, sqs, n, d, h * h, int(alpha), _ptr(out, np.float64))
+    lib.shift_rows(q, sqq, m, s, sqs, n, d, h * h, int(alpha), _ptr(out, np.float64),
+                   None if totals is None else _ptr(totals, np.float64))
     return out
+
+
+def pair_objective(lib, pts: np.ndarray, h: float, alpha: int) -> float:
+    """The compiled pair part of ``core.objective_value``: the sum over pairs i < j of k(t_ij)."""
+    pts = _state(pts)
+    n, d = pts.shape
+    sqn = np.einsum("ij,ij->i", pts, pts)
+    return float(lib.pair_objective(_ptr(pts, np.float64, writes=False), _ptr(sqn, np.float64, writes=False),
+                                    n, d, h * h, int(alpha)))
+
+
+def band_slack(lib, pts: np.ndarray, lo: float, hi: float) -> float:
+    """The compiled twin of ``theory._band_slack``: min over pairs of max(lo - d_ij, d_ij - hi), +inf without one."""
+    pts = _state(pts)
+    n, d = pts.shape
+    return float(lib.band_slack(_ptr(pts, np.float64, writes=False), n, d, float(lo), float(hi)))
 
 
 def bms_sweeps(lib, pts: np.ndarray, h: float, alpha: int, tol: float, max_sweeps: int) -> np.ndarray:

@@ -6,24 +6,32 @@ is done on squared norms (the profile is evaluated at |u|^2 directly, so
 no square roots are needed), and points at squared distance >= h^2
 contribute exactly zero weight.
 
-All-pairs work in the package walks row blocks under one rule: a block
+When the compiled kernel loads, :func:`objective_value` and
+:func:`full_gradient` run in it (``_native.pair_objective`` and
+``_native.shift_rows``) and hold O(n) memory; their numpy bodies are the
+fallback and the kernel's test reference.
+
+All-pairs work in numpy walks row blocks under one rule: a block
 pairing rows of ``a`` (n_a of them) with n_b entries each holds at most
 2^22 float64 values (32 MiB), or one row where a single row is longer:
-``rows = max(1, min(n_a, 2^22 // n_b))``.
+``rows = max(1, min(n_a, 2^22 // n_b))``.  It governs those numpy
+bodies, the numpy batch map of ``algorithms._shift_rows``, cluster
+linking and ``theory._band_slack``'s numpy body.
 :func:`pairwise_sq_blocks` yields such blocks of squared distances from
 the cached-norm identity, for kernel weights and cluster linking;
 :func:`_diff_sq_blocks` yields exact ones from direct coordinate
 differences (:func:`_diff_sq_rows`) under the same rule with n_b = m * d,
 for geometry compared against thresholds near zero (cluster diameters
-and the theory checks).  Memory is thus O(chunk * n) with
-chunk * n <= 2^22, a few such blocks at a time, however large n is; a
-state of up to 2048 points is a single identity block.
+and the band scan of the theory checks).  Memory is thus O(chunk * n)
+with chunk * n <= 2^22, a few such blocks at a time, however large n
+is; a state of up to 2048 points is a single identity block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _native
 from .kernels import Profile, _value, _weight
 
 __all__ = [
@@ -126,13 +134,18 @@ def objective_value(points, h, profile: Profile) -> float:
     The n diagonal terms contribute k(0) = 1 each, so the value is
     bounded by n (n + 1) / 2 and attains that bound iff all points
     coincide.  Single-point moves change this by an O(n) amount, which
-    is what the iterative algorithms ascend.
+    is what the iterative algorithms ascend.  When the kernel loads, its
+    ``pair_objective`` sums the pairs i < j (row by row, then the rows);
+    otherwise the numpy body below does.
     """
     pts = check_state(points)
     h = check_bandwidth(h)
     n = pts.shape[0]
-    inv_h2 = 1.0 / (h * h)
     total = float(n)  # diagonal: n * k(0)
+    lib = _native.load()
+    if lib is not None:
+        return total + _native.pair_objective(lib, pts, h, profile.alpha)
+    inv_h2 = 1.0 / (h * h)
     cols = np.arange(n)[None, :]
     for lo, hi, sq in pairwise_sq_blocks(pts, pts):
         vals = _value(profile.alpha, np.clip(sq, 0.0, None) * inv_h2)
@@ -146,11 +159,19 @@ def full_gradient(points, h, profile: Profile) -> np.ndarray:
 
     Row i is (2 / h^2) sum_{j != i} G(|x_i - x_j|^2 / h^2) (x_j - x_i),
     which equals (2 W / h^2) (S_h(x_i) - x_i) with W the total weight
-    including the self term.
+    including the self term.  When the kernel loads, the second form is
+    computed from ``_native.shift_rows`` mapping the state against itself
+    (on the cell grid where MS's map uses one), the form the traced SMS
+    step takes its gradient norm in; otherwise the first, below.
     """
     pts = check_state(points)
     h = check_bandwidth(h)
     inv_h2 = 1.0 / (h * h)
+    lib = _native.load()
+    if lib is not None:
+        totals = np.empty(pts.shape[0])
+        means = _native.shift_rows(lib, pts, pts, h, profile.alpha, totals)
+        return (2.0 * inv_h2 * totals)[:, None] * (means - pts)
     grad = np.empty_like(pts)
     for lo, hi, sq in pairwise_sq_blocks(pts, pts):
         np.clip(sq, 0.0, None, out=sq)

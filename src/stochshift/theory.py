@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _native
 from .algorithms import AlgoConfig, RunTrace, sms_run
 from .clustering import MergePolicy, _diameter, extract_clusters
 from .core import _diff_sq_blocks, check_bandwidth, check_state, full_gradient, gradient_max_norm
@@ -173,16 +174,28 @@ def check_gradient_vanishes(trace: RunTrace, cfg: AlgoConfig, grad_scale: float 
     )
 
 
-def _dist_blocks(points: np.ndarray):
-    """Exact pairwise distances as row blocks ``(d, upper)``; upper marks j > i.
+def _band_slack(points: np.ndarray, lo: float, hi: float) -> float:
+    """min over pairs i < j of max(lo - d_ij, d_ij - hi); +inf when there is no pair.
 
-    Distances come from :func:`core._diff_sq_blocks`, so coincident points
-    measure exactly 0 wherever the state sits; the norm identity's
-    rounding would put them up to ~1e-8 |x| apart and fail correct states.
+    It is >= 0 iff every pair lies at most lo or at least hi apart.  The
+    distances d_ij are exact (:func:`core._diff_sq_rows`), so coincident
+    points measure exactly 0 wherever the state sits; the norm identity's
+    rounding would put them up to ~1e-8 |x| apart and fail correct
+    states.  The kernel's ``band_slack`` computes it when the kernel
+    loads; the numpy body below walks row blocks otherwise.
     """
+    lib = _native.load()
+    if lib is not None:
+        return _native.band_slack(lib, points, lo, hi)
     cols = np.arange(points.shape[0])[None, :]
-    for lo, hi, sq in _diff_sq_blocks(points):
-        yield np.sqrt(sq, out=sq), cols > np.arange(lo, hi)[:, None]
+    slack = float("inf")
+    for lo_row, hi_row, sq in _diff_sq_blocks(points):
+        d = np.sqrt(sq, out=sq)
+        # max(lo - d, d - hi), the second term computed in place
+        band = np.maximum(lo - d, np.subtract(d, hi, out=d), out=d)
+        upper = cols > np.arange(lo_row, hi_row)[:, None]
+        slack = min(slack, float(np.min(band, where=upper, initial=np.inf)))
+    return slack
 
 
 def check_cluster_stability(trace: RunTrace, h, tau: float) -> CheckResult:
@@ -199,12 +212,7 @@ def check_cluster_stability(trace: RunTrace, h, tau: float) -> CheckResult:
         raise ValueError("cluster-stability check needs at least two snapshots")
     (_, prev), (_, last) = trace.snapshots[-2], trace.snapshots[-1]
 
-    # worst band slack over pairs j > i; inf when there is no pair
-    slack = float("inf")
-    for d, upper in _dist_blocks(last):
-        # max(tau - d, d - (h - tau)), the second term computed in place
-        band = np.maximum(tau - d, np.subtract(d, h - tau, out=d), out=d)
-        slack = min(slack, float(np.min(band, where=upper, initial=np.inf)))
+    slack = _band_slack(last, tau, h - tau)
 
     policy = MergePolicy(tau / h)
     part_prev = extract_clusters(prev, h, policy)
@@ -287,10 +295,8 @@ def check_critical_characterization(points, h, profile: Profile) -> CheckResult:
     grad_norm = gradient_max_norm(full_gradient(pts, h, profile))
     gradient_zero = grad_norm <= 1e-10 * max(1.0, grad_norm)
 
-    geometric = all(
-        bool(np.all((d <= 1e-12 * h) | (d >= h * (1.0 - 1e-12)), where=upper))
-        for d, upper in _dist_blocks(pts)
-    )
+    # lo - d >= 0 iff d <= lo in floating point, so this is d <= lo or d >= hi for every pair
+    geometric = _band_slack(pts, 1e-12 * h, h * (1.0 - 1e-12)) >= 0.0
 
     agree = gradient_zero == geometric
     return CheckResult(

@@ -400,6 +400,13 @@ def assert_within_floors(run, ref, initial_objective, cfg):
         assert_within(grad, ref_grad, 1e-12 * ref_grad + floor)
 
 
+def assert_same_starting_objective(trace, ref):
+    """Both traces hold a starting objective or neither; the kernel's pair sum is numpy's within 1e-12 L0."""
+    assert (trace.initial_objective is None) == (ref.initial_objective is None)
+    if ref.initial_objective is not None:
+        assert abs(trace.initial_objective - ref.initial_objective) <= 1e-12 * max(1.0, abs(ref.initial_objective))
+
+
 def assert_same_run(points, cfg, monkeypatch):
     """The compiled SMS path takes the numpy path's steps, to rounding.
 
@@ -410,8 +417,9 @@ def assert_same_run(points, cfg, monkeypatch):
     objective|): positions, shifts and snapshots within 1e-12 s;
     increments within 1e-12 (L0 + |increment|); gradient norms within
     1e-12 grad + (2 / h^2) alpha n 1e-12 s, the shift floor carried
-    through grad = (2 / h^2) W shift with W <= alpha n; objectives within
-    1e-11 L0.  Long alpha >= 2 runs on other seeds can exceed these floors
+    through grad = (2 / h^2) W shift with W <= alpha n; starting
+    objectives (the kernel's pair sum against numpy's) within 1e-12 L0,
+    and objectives within 1e-11 L0.  Long alpha >= 2 runs on other seeds can exceed these floors
     mid-run, where the collapse amplifies rounding (README, "Compiled SMS
     loop"); the untraced kernel does the same, and the cases here do not.
     """
@@ -423,7 +431,7 @@ def assert_same_run(points, cfg, monkeypatch):
     np.testing.assert_array_equal(trace.update_count, ref.update_count)
     assert (trace.total_updates, trace.stop_reason) == (ref.total_updates, ref.stop_reason)
     assert [k for k, _ in trace.snapshots] == [k for k, _ in ref.snapshots]
-    assert trace.initial_objective == ref.initial_objective
+    assert_same_starting_objective(trace, ref)
     for column in ("objective", "objective_delta", "grad_norm"):
         assert (getattr(trace, column) is None) == (getattr(ref, column) is None), column
     assert_within_floors((final, trace.shift, trace.objective_delta, trace.grad_norm),
@@ -666,7 +674,8 @@ def assert_same_batch_run(points, cfg, monkeypatch):
       on set3 at alpha = 3), and the largest final gap 1.7e-13 s (set3,
       alpha = 1, BMS);
     * traced BMS objectives under the mid-run factor times L, the largest
-      objective of the run, and the starting objective identical.
+      objective of the run, and the starting objective (the kernel's pair
+      sum against numpy's) within 1e-12 of max(1, itself).
     """
     final, trace = run(points, cfg)
     with monkeypatch.context() as m:
@@ -683,7 +692,7 @@ def assert_same_batch_run(points, cfg, monkeypatch):
     np.testing.assert_allclose(trace.shift, ref.shift, rtol=0, atol=factor * scale)
     for (_, snap), (_, ref_snap) in zip(trace.snapshots, ref.snapshots):
         np.testing.assert_allclose(snap, ref_snap, rtol=0, atol=factor * scale)
-    assert trace.initial_objective == ref.initial_objective
+    assert_same_starting_objective(trace, ref)
     assert (trace.objective is None) == (ref.objective is None)
     if ref.objective is not None:
         np.testing.assert_allclose(trace.objective, ref.objective, rtol=0, atol=factor * np.abs(ref.objective).max())
@@ -1191,7 +1200,9 @@ KERNEL_SANITIZER_FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fsanitize=address,
 # the _native wrappers allocate: a block of indices as long as its shift
 # buffer and its increment and gradient buffers when traced (NULL when
 # not), sms_block's scratch of 2d + n doubles, knn_block's of d,
-# bms_sweeps' n x d + 2n, and shift_rows' m x d out
+# bms_sweeps' n x d + 2n, and shift_rows' m x d out and m totals (or
+# NULL, as MS hands it); pair_objective and band_slack read their state
+# only, on states of one point, two points and d = 5 among others
 KERNEL_SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
@@ -1203,9 +1214,11 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d, const int64_t 
 int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k, const int64_t *idx,
                   int64_t m, double tol, int64_t *stamp, int64_t *state, double *shifts, double *scratch);
 void shift_rows(const double *q, const double *sqq, int64_t m, const double *s, const double *sqs, int64_t n,
-                int64_t d, double h2, int64_t alpha, double *out);
+                int64_t d, double h2, int64_t alpha, double *out, double *totals);
 int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
                    int64_t max_sweeps, double *shifts, double *scratch);
+double pair_objective(const double *pts, const double *sqn, int64_t n, int64_t d, double h2, int64_t alpha);
+double band_slack(const double *pts, int64_t n, int64_t d, double lo, double hi);
 
 enum { BLOCK = 700 };
 static uint64_t rng = 12345;
@@ -1299,9 +1312,33 @@ static int map(int64_t m, int64_t n, int64_t d, int64_t alpha)
 {
     double *q = points(m, d), *s = points(n, d), *out = doubles(m * d);
     double *sqq = norms(q, m, d), *sqs = norms(s, n, d);
-    shift_rows(q, sqq, m, s, sqs, n, d, 1.0, alpha, out);
+    shift_rows(q, sqq, m, s, sqs, n, d, 1.0, alpha, out, NULL);
     free(q), free(s), free(out), free(sqq), free(sqs);
     return 0;
+}
+
+/* the state against itself with its weight totals, as core.full_gradient
+ * maps it; every total holds at least the self weight */
+static int self_map(int64_t n, int64_t d, int64_t alpha)
+{
+    double *p = points(n, d), *out = doubles(n * d), *totals = doubles(n), *sq = norms(p, n, d);
+    shift_rows(p, sq, n, p, sq, n, d, 1.0, alpha, out, totals);
+    int bad = 0;
+    for (int64_t r = 0; r < n; r++)
+        bad |= !(totals[r] > 0.0);
+    free(p), free(out), free(totals), free(sq);
+    return bad;
+}
+
+/* the objective's pair sum lies in [0, n (n - 1) / 2], and the band slack
+ * is +inf exactly when there is no pair */
+static int pairs(int64_t n, int64_t d, int64_t alpha)
+{
+    double *p = points(n, d), *sq = norms(p, n, d);
+    const double sum = pair_objective(p, sq, n, d, 1.0, alpha), slack = band_slack(p, n, d, 0.3, 0.7);
+    const int bad = !(sum >= 0.0 && sum <= (double)n * (double)(n - 1) / 2.0) || (n < 2) != (slack == 1.0 / 0.0);
+    free(p), free(sq);
+    return bad;
 }
 
 static int sweeps(int64_t n, int64_t d, int64_t alpha, int64_t max_sweeps)
@@ -1339,6 +1376,16 @@ int main(void)
         bad |= map(60, 300, 2, alpha) << 3; /* the grid, from moments at alpha = 2 */
     bad |= map(60, 100, 2, 1) << 3; /* the plain loop */
     bad |= map(60, 150, 5, 2) << 3;
+    for (int64_t alpha = 1; alpha <= 3; alpha++) {
+        bad |= self_map(300, 2, alpha) << 3; /* the grid */
+        bad |= self_map(60, 5, alpha) << 3;  /* the plain loop */
+        bad |= self_map(1, 2, alpha) << 3;
+        bad |= self_map(2, 2, alpha) << 3;
+        bad |= pairs(300, 2, alpha) << 6;
+        bad |= pairs(60, 5, alpha) << 6;
+        bad |= pairs(1, 2, alpha) << 6;
+        bad |= pairs(2, 1, alpha) << 6;
+    }
     bad |= sweeps(100, 2, 1, 5) << 4;
     bad |= sweeps(101, 2, 1, 5) << 4; /* the d = 2, alpha = 1 path at odd n */
     bad |= sweeps(60, 5, 2, 3) << 4;
@@ -1378,11 +1425,11 @@ def test_kernel_prototype_matches_c_definition():
     if lib is None:
         pytest.skip("the kernel could not be built here (no gcc?)")
     source = _native._SOURCE.read_text()
-    exported = re.findall(r"^(int64_t|void)\s+(\w+)\s*\(([^)]*)\)", source, flags=re.M)
+    exported = re.findall(r"^(int64_t|double|void)\s+(\w+)\s*\(([^)]*)\)", source, flags=re.M)
     prototypes = _native._PROTOTYPES["kernel"]
     assert sorted(name for _, name, _ in exported) == sorted(prototypes)
     scalars = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
-    restypes = {"int64_t": ctypes.c_int64, "void": None}
+    restypes = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
     for restype, name, params in exported:
         func = getattr(lib, name)
         assert (func.restype, list(func.argtypes)) == prototypes[name], name

@@ -4,22 +4,26 @@ import numpy as np
 import pytest
 
 from stochshift import _native
-from stochshift.algorithms import AlgoConfig, _shift_rows
+from stochshift.algorithms import AlgoConfig, _shift_rows, sms_run
 from stochshift.core import full_gradient, gradient_max_norm, objective_value
 from stochshift.kernels import EPANECHNIKOV, Profile
+from stochshift.synthdata import generate, parse_preset
 
 P2 = Profile(2)
+
+
+def numpy_body(fn, *args):
+    """``fn(*args)`` with the kernel unavailable: the numpy body, the compiled path's reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        return fn(*args)
 
 
 def mean_shift(x, points, h, profile):
     """S_h(x) from ``_shift_rows``, the one batch map, on the default runner (the kernel if it loads) and numpy."""
     cfg = AlgoConfig(profile=profile, h=h)
     query = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    out = [_shift_rows(query, points, cfg)[0][0]]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "load", lambda: None)
-        out.append(_shift_rows(query, points, cfg)[0][0])
-    return out
+    return [_shift_rows(query, points, cfg)[0][0], numpy_body(_shift_rows, query, points, cfg)[0][0]]
 
 
 def kde_sum(x, points, h, profile):
@@ -224,3 +228,37 @@ class TestKde:
                 cosine = float(sv @ fd / (np.linalg.norm(sv) * nf))
                 assert cosine >= 1.0 - 1e-6
             checked += 1
+
+
+class TestCompiledReductions:
+    """The kernel's objective (``pair_objective``) and gradient (``shift_rows`` with totals) against the numpy bodies."""
+
+    @pytest.fixture(autouse=True)
+    def needs_kernel(self):
+        if _native.load() is None:
+            pytest.skip("the kernel could not be built here (no gcc?)")
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["set1", "set2", "set4", "imbalance:2", "dim:5"])
+    def test_presets_match_numpy_bodies(self, name, alpha):
+        # the initial state and the converged one (2-D: on the sample grid;
+        # dim:5: the plain loop) and an n < 128 state (the plain loop).  The
+        # gradient's unit is verify's: max(1, sup norm of the state's
+        # starting gradient), since a converged state's gradient is
+        # rounding noise of either summation order
+        profile = Profile(alpha)
+        data = generate(parse_preset(name, seed=0))
+        final = sms_run(data.points, AlgoConfig(profile=profile, seed=1))[0]
+        small = data.points[:100]
+        for state, start in ((data.points, data.points), (final, data.points), (small, small)):
+            ref = numpy_body(objective_value, state, 1.0, profile)
+            assert abs(objective_value(state, 1.0, profile) - ref) <= 1e-12 * ref
+            scale = max(1.0, np.abs(numpy_body(full_gradient, start, 1.0, profile)).max())
+            gap = np.abs(full_gradient(state, 1.0, profile) - numpy_body(full_gradient, state, 1.0, profile)).max()
+            assert gap <= 1e-12 * scale, (state.shape, gap / scale)
+
+    @pytest.mark.parametrize("check", [TestObjective.test_two_coincident, TestObjective.test_two_far,
+                                       TestGradients.test_exact_zero_at_critical_states])
+    def test_exact_values_hold_on_the_numpy_body(self, check):
+        # the same checks run on the kernel in their own classes
+        numpy_body(check, None)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stochshift import theory
+from stochshift import _native, theory
 from stochshift.algorithms import AlgoConfig, RunTrace, sms_run
 from stochshift.clustering import extract_clusters
 from stochshift.kernels import EPANECHNIKOV, Profile
@@ -19,7 +19,9 @@ from stochshift.theory import (
     check_single_cluster_convergence,
     negative_controls,
     verify_preset,
+    _band_slack,
     _constructed_states,
+    _critical_trials,
     _random_ball_state,
 )
 
@@ -282,3 +284,54 @@ class TestSuite:
         report = verify_preset("set2", P2, n_seeds=1, seed=0, include_negative=True)
         assert not report.all_passed
         assert any(c.name.startswith("negative_") and c.status == "fail" for c in report.checks)
+
+
+def numpy_body(fn, *args):
+    """``fn(*args)`` with the kernel unavailable: the numpy body, the compiled path's reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        return fn(*args)
+
+
+class TestCompiledBandScan:
+    """The kernel's ``band_slack`` and gradient against the numpy bodies, decision for decision."""
+
+    @pytest.fixture(autouse=True)
+    def needs_kernel(self):
+        if _native.load() is None:
+            pytest.skip("the kernel could not be built here (no gcc?)")
+
+    def test_band_slack_is_the_numpy_bits(self):
+        # both bands the checks use, on spread, converged, coincident and
+        # constructed 2-D states, and one with a pair in the band
+        trace, _ = traced_run(3)
+        rng = np.random.default_rng(1)
+        states = [trace.initial_points, trace.final_points, rng.uniform(-1.5, 1.5, size=(40, 2)),
+                  np.repeat(rng.uniform(-5.0, 5.0, size=(3, 2)), 2, axis=0) + 1e3, *_constructed_states(1.0)]
+        for state in states:
+            for lo, hi in ((1.0 / 3.0, 1.0 - 1.0 / 3.0), (1e-12, 1.0 - 1e-12)):
+                assert _band_slack(state, lo, hi) == numpy_body(_band_slack, state, lo, hi), (state.shape, lo)
+
+    def test_no_pair_gives_inf(self):
+        state = np.array([[0.3, -0.2]])
+        assert _band_slack(state, 0.1, 0.9) == numpy_body(_band_slack, state, 0.1, 0.9) == np.inf
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_critical_decisions_match_numpy_bodies(self, alpha):
+        decisions = ("gradient_zero", "geometry_critical")
+        for seed in range(20):
+            for trial in _critical_trials(1.0, Profile(alpha), seed):
+                res = check_critical_characterization(*trial)
+                ref = numpy_body(check_critical_characterization, *trial)
+                assert [res.detail[k] for k in decisions] == [ref.detail[k] for k in decisions], (seed, trial[0])
+
+    def test_negative_controls_fail_on_the_numpy_body(self):
+        # the kernel's run of the same controls is TestNegativeControls
+        numpy_body(TestNegativeControls.test_all_controls_fail, None)
+
+    @pytest.mark.parametrize("check", [TestBoundedMemory.test_cluster_stability_peak_memory,
+                                       TestBoundedMemory.test_critical_characterization_peak_memory,
+                                       TestBoundedMemory.test_band_pair_in_last_block_is_found])
+    def test_numpy_body_walks_row_blocks(self, check):
+        # with the kernel loaded, TestBoundedMemory measures the kernel's scan
+        numpy_body(check, TestBoundedMemory())
