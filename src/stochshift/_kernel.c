@@ -18,7 +18,10 @@
  * grid.  Two more half-pair loops serve the theory checks, n (n - 1) / 2
  * pairs each: pair_objective, the objective's pair sum
  * (core.objective_value), and band_slack, the exact-distance band scan
- * (theory._band_slack).
+ * (theory._band_slack).  top_k ranks each column of a score matrix
+ * (affinity.top_score_neighbors), the neighbour table knn_block reads: one
+ * pass over the matrix in memory order, each column keeping its k best
+ * entries so far behind a threshold, so most entries cost one compare.
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the
@@ -35,7 +38,10 @@
  * its k rows in order and divides by k, as the numpy move's cumulative
  * sum over the (k, d) gather does in every d, so its positions match
  * numpy's bit for bit; its shifts are index-order sums, where numpy's dot
- * product is BLAS's.
+ * product is BLAS's.  It sums four columns at a time in registers, but
+ * each column's sum is its own chain of adds in row order, whichever
+ * columns share a pass, so the blocking changes no bit.  top_k compares
+ * scores only, so its table is the numpy body's exactly.
  * Build without -ffast-math and with -ffp-contract=off, so the compiler
  * keeps the order of the sums and the exactness of the two-sum below.
  */
@@ -736,36 +742,59 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d,
     return s;
 }
 
+/* Move one coordinate x of a point onto sum / k; returns its squared shift. */
+static inline __attribute__((always_inline)) double
+settle(double *x, double sum, double k)
+{
+    const double v = sum / k, dx = v - *x;
+    *x = v;
+    return dx * dx;
+}
+
 /* Run the score-matrix SMS steps idx[0..m) on pts (n x d, row-major),
  * under stop_rule as in sms_block: a step of point i moves it onto the
  * mean of the rows nb[i * k + r], r = 0..k-1, summed in that order and
- * divided by k, and writes its shift to shifts.  The caller guarantees
- * that every entry of nb lies in [0, n) and that row i of nb holds no i.
- * scratch holds d doubles. */
+ * divided by k, and writes its shift to shifts.  Each group of four
+ * columns is summed in registers across the k rows, and the d mod 4
+ * columns left over one at a time, so every column keeps the order of
+ * its sum, and the shift sums its squared parts in column order.  The
+ * caller guarantees that every entry of nb lies in [0, n) and that row i
+ * of nb holds no i, so row i is written only after its columns' sums. */
 EXPORT
 int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k,
                   const int64_t *idx, int64_t m, double tol, int64_t *stamp, int64_t *state,
-                  double *shifts, double *scratch)
+                  double *shifts)
 {
+    const double kd = (double)k;
     int64_t epoch = state[0], covered = state[1];
     int64_t s = 0;
     state[2] = 0;
     while (s < m) {
         const int64_t i = idx[s];
         const int64_t *row_nb = nb + i * k;
-        memcpy(scratch, pts + row_nb[0] * d, (size_t)d * sizeof(double));
-        for (int64_t r = 1; r < k; r++) {
-            const double *p = pts + row_nb[r] * d;
-            for (int64_t c = 0; c < d; c++)
-                scratch[c] += p[c];
-        }
         double *row = pts + i * d;
         double shift2 = 0.0;
-        for (int64_t c = 0; c < d; c++) {
-            const double v = scratch[c] / (double)k;
-            const double dx = v - row[c];
-            shift2 += dx * dx;
-            row[c] = v;
+        int64_t c = 0;
+        for (; c + 4 <= d; c += 4) {
+            const double *p = pts + row_nb[0] * d + c;
+            double a0 = p[0], a1 = p[1], a2 = p[2], a3 = p[3];
+            for (int64_t r = 1; r < k; r++) {
+                p = pts + row_nb[r] * d + c;
+                a0 += p[0];
+                a1 += p[1];
+                a2 += p[2];
+                a3 += p[3];
+            }
+            shift2 += settle(row + c, a0, kd);
+            shift2 += settle(row + c + 1, a1, kd);
+            shift2 += settle(row + c + 2, a2, kd);
+            shift2 += settle(row + c + 3, a3, kd);
+        }
+        for (; c < d; c++) {
+            double a = pts[row_nb[0] * d + c];
+            for (int64_t r = 1; r < k; r++)
+                a += pts[row_nb[r] * d + c];
+            shift2 += settle(row + c, a, kd);
         }
         const double shift = sqrt(shift2);
         shifts[s++] = shift;
@@ -963,4 +992,103 @@ double band_slack(const double *pts, int64_t n, int64_t d, double lo, double hi)
         }
     }
     return worst;
+}
+
+/* Entry (sa, ja) ranks below (sb, jb): a lower score, or the same score
+ * from a later row (-0.0 and 0.0 are the same score). */
+static inline int ranks_below(double sa, int64_t ja, double sb, int64_t jb)
+{
+    return sa < sb || (sa == sb && ja > jb);
+}
+
+/* Sift the entry at position p of a heap of size entries (scores hs,
+ * rows hj), whose root ranks lowest, down to its place. */
+static void sift_down(double *hs, int64_t *hj, int64_t size, int64_t p)
+{
+    const double sv = hs[p];
+    const int64_t jv = hj[p];
+    for (int64_t c = 2 * p + 1; c < size; c = 2 * p + 1) {
+        if (c + 1 < size && ranks_below(hs[c + 1], hj[c + 1], hs[c], hj[c]))
+            c++;
+        if (!ranks_below(hs[c], hj[c], sv, jv))
+            break;
+        hs[p] = hs[c];
+        hj[p] = hj[c];
+        p = c;
+    }
+    hs[p] = sv;
+    hj[p] = jv;
+}
+
+/* Put (v, j) in place of the root of a k-entry heap; returns the new
+ * root's score, the least an entry must beat to enter. */
+static inline double offer(double *hs, int64_t *hj, int64_t k, double v, int64_t j)
+{
+    hs[0] = v;
+    hj[0] = j;
+    sift_down(hs, hj, k, 0);
+    return hs[0];
+}
+
+/* For each column i of the score matrix s (n x n, element (j, i) at
+ * s[j * rs + i * cs], strides in elements, so any strided or transposed
+ * view is read in place), the k rows j != i with the highest s[j, i],
+ * ties to the lower j, into out[i * k .. i * k + k) by descending score
+ * (affinity.top_score_neighbors).  Column i keeps its k best entries so
+ * far in a heap whose root ranks lowest (best + i * k and out + i * k),
+ * and the root's score in thr[i]: the columns' thresholds sit together,
+ * so an entry that does not enter costs one compare.  The matrix is read
+ * once, row by row when its rows are contiguous and column by column
+ * otherwise; either way each column sees its entries in ascending j, so
+ * an entry enters only with a score strictly above the root's, and ties
+ * stay with the lower index.  An entry enters in O(log k), where a sorted
+ * buffer would shift O(k) entries: at n = 750 and k = n - 1 one ran
+ * about 5 times slower than the heap, and slower than the numpy body.
+ * The heaps start full of -inf entries
+ * from row n; the caller guarantees finite scores and 1 <= k <= n - 1,
+ * so n - 1 finite entries replace them all.  scratch holds n (k + 1)
+ * doubles: thr, then best. */
+EXPORT
+void top_k(const double *s, int64_t n, int64_t rs, int64_t cs, int64_t k, int64_t *out, double *scratch)
+{
+    double *thr = scratch, *best = scratch + n;
+    for (int64_t e = 0; e < n * k; e++) {
+        best[e] = -INFINITY;
+        out[e] = n;
+    }
+    if (llabs(cs) <= llabs(rs)) {
+        for (int64_t i = 0; i < n; i++)
+            thr[i] = -INFINITY;
+        for (int64_t j = 0; j < n; j++) {
+            const double *row = s + j * rs;
+            for (int64_t i = 0; i < n; i++) {
+                const double v = row[i * cs];
+                if (v > thr[i] && i != j)
+                    thr[i] = offer(best + i * k, out + i * k, k, v, j);
+            }
+        }
+    } else {
+        for (int64_t i = 0; i < n; i++) {
+            const double *col = s + i * cs;
+            double t = -INFINITY;
+            for (int64_t j = 0; j < n; j++) {
+                const double v = col[j * rs];
+                if (v > t && i != j)
+                    t = offer(best + i * k, out + i * k, k, v, j);
+            }
+        }
+    }
+    for (int64_t i = 0; i < n; i++) { /* heapsort: the lowest-ranked root goes last */
+        double *hs = best + i * k;
+        int64_t *hj = out + i * k;
+        for (int64_t e = k - 1; e > 0; e--) {
+            const double sv = hs[0];
+            const int64_t jv = hj[0];
+            hs[0] = hs[e];
+            hj[0] = hj[e];
+            hs[e] = sv;
+            hj[e] = jv;
+            sift_down(hs, hj, e, 0);
+        }
+    }
 }

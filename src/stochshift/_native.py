@@ -12,7 +12,9 @@ for BMS.  Two half-pair reductions serve the theory checks:
 ``pair_objective`` behind :func:`pair_objective`, the pair sum of
 ``core.objective_value``, and ``band_slack`` behind :func:`band_slack`,
 the exact-distance band scan of ``theory._band_slack``; they return
-doubles.  The two block runners share one stop rule in C and its state
+doubles.  ``top_k``, behind :func:`top_k`, ranks the columns of a score
+matrix for ``affinity.top_score_neighbors``, reading any strided view in
+place.  The two block runners share one stop rule in C and its state
 and checks here (:class:`_BlockRunner`).  ``_format.cpp`` exports ``put_rows``,
 behind :func:`put_rows`, which renders rows of typed columns between
 literal texts; ``io`` states each of its text layouts (``trace.jsonl``,
@@ -24,8 +26,10 @@ The kernel's exports declare each array as a typed pointer (double or
 int64_t).  Every array reaches them through ``_ptr``, which checks it
 once (dtype, C-contiguity and, where C writes through it, writeability)
 and binds it to that pointer; the block runners bind their buffers when
-built, so each block binds only its index block.  The formatter takes
-untyped pointers, as it reads columns of mixed kinds through strides.
+built, so each block binds only its index block.  The one exception is
+the score matrix of :func:`top_k`, read through its element strides.
+The formatter takes untyped pointers, as it reads columns of mixed kinds
+through strides.
 
 ``load()`` (the kernel, with gcc) and ``load_format()`` (the formatter,
 with g++) each compile their source once into a shared library in the
@@ -45,7 +49,8 @@ cache or one another user owns, a library that does not load) makes the
 loader log the reason once at WARNING on the ``stochshift`` logger and
 return None.  Callers then run the numpy path instead of the kernel (the
 numpy bodies of ``algorithms``, ``core.objective_value``,
-``core.full_gradient`` and ``theory._band_slack``), or
+``core.full_gradient``, ``theory._band_slack`` and
+``affinity.top_score_neighbors``), or
 ``io``'s Python row renderer instead of the formatter; each is also
 the reference its compiled twin is tested against.
 """
@@ -139,8 +144,8 @@ _PROTOTYPES = {
     "kernel": {
         # pts, sqn, n, d, idx, m, h2, alpha, tol, stamp, state, shifts, deltas, grads, scratch
         "sms_block": (_i, [_F64, _F64, _i, _i, _I64, _i, _f, _i, _f, _I64, _I64, _F64, _F64, _F64, _F64]),
-        # pts, n, d, nb, k, idx, m, tol, stamp, state, shifts, scratch
-        "knn_block": (_i, [_F64, _i, _i, _I64, _i, _I64, _i, _f, _I64, _I64, _F64, _F64]),
+        # pts, n, d, nb, k, idx, m, tol, stamp, state, shifts
+        "knn_block": (_i, [_F64, _i, _i, _I64, _i, _I64, _i, _f, _I64, _I64, _F64]),
         # q, sqq, m, s, sqs, n, d, h2, alpha, out, totals (NULL for MS)
         "shift_rows": (None, [_F64, _F64, _i, _F64, _F64, _i, _i, _f, _i, _F64, _F64]),
         # pts, n, d, h2, alpha, tol, max_sweeps, shifts, scratch
@@ -149,6 +154,8 @@ _PROTOTYPES = {
         "pair_objective": (_f, [_F64, _F64, _i, _i, _f, _i]),
         # pts, n, d, lo, hi; returns the least max(lo - d_ij, d_ij - hi) over pairs i < j
         "band_slack": (_f, [_F64, _i, _i, _f, _f]),
+        # scores, n, row and column strides in elements, k, out, scratch; scores may be any strided view
+        "top_k": (None, [_F64, _i, _i, _i, _i, _I64, _F64]),
     },
     # first, n, ncols, cols, strides, kinds, text, text_end, buf, cap
     "format": {"put_rows": (_i, [_i, _i, _i, _p, _p, _p, _p, _p, _p, _i])},
@@ -290,7 +297,7 @@ class KnnBlockKernel(_BlockRunner):
             raise ValueError("a point is listed among its own neighbours")
         self._before = (self._pts, self._n, self._d, _ptr(np.ascontiguousarray(nb), np.int64, writes=False),
                         nb.shape[1])
-        self._after = (float(tol), *self._stop, _ptr(np.empty(self._d), np.float64))
+        self._after = (float(tol), *self._stop)
         self._export = lib.knn_block
 
 
@@ -344,6 +351,29 @@ def band_slack(lib, pts: np.ndarray, lo: float, hi: float) -> float:
     pts = _state(pts)
     n, d = pts.shape
     return float(lib.band_slack(_ptr(pts, np.float64, writes=False), n, d, float(lo), float(hi)))
+
+
+def top_k(lib, scores: np.ndarray, k: int) -> np.ndarray:
+    """The compiled twin of the numpy body of ``affinity.top_score_neighbors``: the (n, k) neighbour table.
+
+    ``scores`` is read in place through its strides, so a transposed or
+    strided float64 view is not copied; only a view whose strides are not
+    whole, aligned elements is.  The caller has checked that every score
+    is finite (``affinity._check_scores``); the shape and k are checked
+    here, as the library fills exactly k entries of each column from its
+    n - 1 others.
+    """
+    n = scores.shape[0]
+    if scores.dtype != np.float64 or scores.shape != (n, n) or not 1 <= k <= n - 1:
+        raise ValueError(f"the kernel needs an (n, n) float64 score matrix and 1 <= k <= n - 1, "
+                         f"got {scores.dtype} {scores.shape} and k = {k}")
+    size = scores.itemsize
+    if not scores.flags.aligned or any(stride % size for stride in scores.strides):
+        scores = np.ascontiguousarray(scores)
+    out = np.empty((n, k), dtype=np.int64)
+    lib.top_k(scores.ctypes.data_as(_F64), n, scores.strides[0] // size, scores.strides[1] // size, int(k),
+              _ptr(out, np.int64), _ptr(np.empty(n * (k + 1)), np.float64))
+    return out
 
 
 def bms_sweeps(lib, pts: np.ndarray, h: float, alpha: int, tol: float, max_sweeps: int) -> np.ndarray:

@@ -95,12 +95,17 @@ def top_score_neighbors(scores, k: int) -> np.ndarray:
     """For each column i, the k rows j != i with the highest scores[j, i].
 
     Ties break toward the lower index.  Returns an (n, k) int array of
-    neighbour indices, each row sorted by descending score.  Row i of the
-    negated transpose, with +inf in place of the self score, ranks
-    column i's scores; ``np.partition`` finds each row's k-th best value,
-    and only the entries at or above it are sorted, by (row, score,
-    index), so the cost is linear in the matrix and not n log n per
-    column.  Rows go in blocks under ``core``'s block rule, so the
+    neighbour indices, each row sorted by descending score.  The scores
+    and k are checked here; then the compiled kernel
+    (``_native.top_k``) ranks the columns when it loads, reading the
+    matrix once in place, a strided or transposed view too, and keeping
+    each column's k best entries so far in a heap.  Otherwise the numpy
+    body, the kernel's fallback and test reference, gives the same table:
+    row i of the negated transpose, with +inf in place of the self score,
+    ranks column i's scores; ``np.partition`` finds each row's k-th best
+    value, and only the entries at or above it are sorted, by (row,
+    score, index), so the cost is linear in the matrix and not n log n
+    per column.  Rows go in blocks under ``core``'s block rule, so the
     temporaries stay O(chunk * n).
     """
     s = np.asarray(scores, dtype=np.float64)
@@ -110,6 +115,9 @@ def top_score_neighbors(scores, k: int) -> np.ndarray:
     s = _check_scores(s, n)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
+    lib = _native.load()
+    if lib is not None:
+        return _native.top_k(lib, s, k)
     out = np.empty((n, k), dtype=np.int64)
     for lo, hi in _row_blocks(n, n):
         cost = -s[:, lo:hi].T
@@ -133,9 +141,11 @@ def knn_sms_run(points, scores, k: int, cfg: AlgoConfig):
     objective or the gradient is rejected, as is a score matrix that is
     not n x n for the n points.
 
-    The steps run in the compiled kernel (``_native.KnnBlockKernel``)
-    when it loads, and on the numpy runner otherwise.  Both sum a point's
-    k neighbour rows in order and divide by k, so both take the same
+    The neighbours come from :func:`top_score_neighbors`.  The steps run
+    in the compiled kernel (``_native.KnnBlockKernel``) when it loads,
+    and on the numpy runner otherwise.  Both sum a point's k neighbour
+    rows in order and divide by k (the kernel four columns at a time in
+    registers, each column still in row order), so both take the same
     steps to the same bits; only the shifts differ in the last bits, as
     numpy's dot product sums in BLAS's order, so a stop decision can
     differ only for a shift within rounding of the tolerance.

@@ -15,9 +15,11 @@ records through one ``_Recorder``, which checks the budget, copies the
 state, evaluates the starting objective and takes the snapshots (at
 multiples of ``snapshot_every`` for SMS, after every batch event when
 it is set); nothing times a run.  ``event()`` records one batch event (a
-BMS sweep, an MS iteration; moved index -1) and ``events()`` one block
-of SMS steps, as rows of the update count, moved index, shift and, when
-traced, the objective, its increment and the partial-gradient norm.  A
+BMS sweep, an MS iteration; moved index -1), as a row of the update
+count, moved index, shift and, when traced, the objective, and
+``events()`` one block of SMS steps, as rows of the same columns but the
+update count, with the increment and the partial-gradient norm: the
+s-th SMS step is update s, so ``finish()`` builds that column once.  A
 traced SMS objective is the running sum of the moves' increments; a
 batch event evaluates ``objective_value`` afresh.
 
@@ -241,8 +243,6 @@ class _Recorder:
         takes a snapshot.
         """
         m = idx.shape[0]
-        counts = np.arange(self.updates + 1, self.updates + m + 1, dtype=np.int64)
-        self.update_count.frombytes(counts.tobytes())
         self.moved_index.frombytes(idx.astype(np.int64, copy=False).tobytes())
         self.shift.frombytes(steps.shifts[:m].tobytes())
         if self.objective is not None:
@@ -271,7 +271,9 @@ class _Recorder:
             shift=column(self.shift),
             initial_points=self.initial,
             final_points=pts.copy(),
-            update_count=column(self.update_count),
+            # SMS steps record no count: the column is 1..updates, built once here
+            update_count=column(self.update_count) if self.update_count
+            else np.arange(1, self.updates + 1, dtype=np.int64),
             objective=column(self.objective),
             # increments exist only where the moves supplied them (SMS)
             objective_delta=column(self.objective_delta) if self.objective_delta else None,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, _diff_sq_rows, check_bandwidth, check_state, pairwise_sq_blocks
+from .core import (_BLOCK_ENTRIES, _diff_sq_rows, _sorted_unique, check_bandwidth, check_state,
+                   pairwise_sq_blocks)
 
 __all__ = ["MergePolicy", "Partition", "extract_clusters", "cluster_summary"]
 
@@ -48,7 +49,7 @@ class Partition:
         object.__setattr__(self, "assignment", ids)
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("assignment must be a non-empty 1-D array")
-        present = np.unique(ids)
+        present = _sorted_unique(ids)
         if present[0] != 1 or present[-1] != self.n_clusters or present.size != self.n_clusters:
             raise ValueError("cluster ids must be exactly 1..n_clusters")
 
@@ -89,7 +90,7 @@ def extract_clusters(final_positions, h, policy: MergePolicy = MergePolicy()) ->
         ids[root] = n_clusters
         frontier = np.array([root])
         while frontier.size:
-            cells = near_cells(np.unique(cell[frontier]))
+            cells = near_cells(_sorted_unique(cell[frontier]))
             lens = start[cells + 1] - start[cells]  # the cells' member ranges, concatenated
             cand = members[np.repeat(start[cells] + lens - np.cumsum(lens), lens) + np.arange(lens.sum())]
             cand = cand[ids[cand] == 0]
@@ -136,7 +137,7 @@ def _cell_grid(pos: np.ndarray, tau_sq: float):
         row, col = np.nonzero(codes[at] == near)
         a, b = cells[row], at[row, col]
         gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
-        return np.unique(b[np.einsum("ij,ij->i", gap, gap) <= reach_sq])
+        return _sorted_unique(b[np.einsum("ij,ij->i", gap, gap) <= reach_sq])
 
     return cell, members, start, near_cells
 

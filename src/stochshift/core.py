@@ -57,6 +57,17 @@ def _row_blocks(n_a: int, n_b: int):
         yield lo, min(lo + rows, n_a)
 
 
+def _sorted_unique(a) -> np.ndarray:
+    """The distinct values of ``a``, ascending, as ``np.unique(a)`` gives them.
+
+    Sorts and keeps each value that differs from the one before.  A plain
+    ``np.unique`` asks ``np.ma.is_masked`` first, which imports
+    ``numpy.ma``, a module nothing else in a CLI run loads.
+    """
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def pairwise_sq_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(lo, hi, sq)`` with sq[r, j] = ||a[lo + r] - b[j]||^2.
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _sorted_unique
+
 __all__ = ["GmmSpec", "LabeledDataset", "generate", "preset", "parse_preset", "PRESET_KINDS", "MAX_COORDINATES"]
 
 _SET_MEANS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
@@ -78,7 +80,7 @@ class LabeledDataset:
 
     @property
     def n_labels(self) -> int:
-        return int(np.unique(self.labels).size)
+        return int(_sorted_unique(self.labels).size)
 
 
 def generate(spec: GmmSpec) -> LabeledDataset:

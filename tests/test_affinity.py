@@ -62,7 +62,46 @@ class TestSphericalNormalize:
             PreprocessConfig(target_dim=2, whiten_epsilon=-1.0)
 
 
+def sorting_loop(s, k):
+    """The rule, as one stable sort per column: descending score, ties to the lower index, self excluded."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.empty((s.shape[0], k), dtype=np.int64)
+    for i in range(s.shape[0]):
+        order = np.argsort(-s[:, i], kind="stable")
+        out[i] = order[order != i][:k]
+    return out
+
+
+def numpy_body(scores, k):
+    """``top_score_neighbors`` on its numpy body, the compiled kernel's fallback and reference."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "load", lambda: None)
+        return top_score_neighbors(scores, k)
+
+
+def assert_same_table(scores, k):
+    """The table of the path under test is the numpy body's and the sorting loop's."""
+    out = top_score_neighbors(scores, k)
+    assert out.dtype == np.int64 and out.shape == (np.shape(scores)[0], k)
+    np.testing.assert_array_equal(out, numpy_body(scores, k))
+    np.testing.assert_array_equal(out, sorting_loop(scores, k))
+
+
+def signed_zeros(n, seed):
+    """An (n, n) matrix of -1, -0.0, 0.0 and 1, so most ties are between the two zeros."""
+    return np.random.default_rng(seed).choice([-1.0, -0.0, 0.0, 1.0], size=(n, n), p=[0.1, 0.4, 0.4, 0.1])
+
+
 class TestTopScoreNeighbors:
+    """On the compiled kernel when it loads; ``TestTopScoreNeighborsOnNumpy`` runs every test again on the numpy body."""
+
+    def test_kernel_called_when_it_loads(self, monkeypatch):
+        calls = []
+        kernel_top_k = _native.top_k
+        monkeypatch.setattr(_native, "top_k", lambda *a: calls.append(1) or kernel_top_k(*a))
+        top_score_neighbors(np.zeros((3, 3)), 1)
+        assert len(calls) == (_native.load() is not None)
+
     def test_highest_scores_win(self):
         scores = np.array(
             [
@@ -100,27 +139,113 @@ class TestTopScoreNeighbors:
         with pytest.raises(ValueError, match="score matrix"):
             top_score_neighbors(np.zeros((3, 4)), 1)
 
-    def test_matches_sorting_loop_on_tie_heavy_matrices(self):
-        # the rule, as one stable sort per column: descending score, ties
-        # to the lower index, self excluded; few distinct values force ties
-        # across the k-th place
-        def sorting_loop(s, k):
-            out = np.empty((s.shape[0], k), dtype=np.int64)
-            for i in range(s.shape[0]):
-                order = np.argsort(-s[:, i], kind="stable")
-                out[i] = order[order != i][:k]
-            return out
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.zeros((4, 4))
+        scores[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            top_score_neighbors(scores, 2)
 
+    def test_matches_sorting_loop_on_tie_heavy_matrices(self):
+        # few distinct values force ties across the k-th place
         rng = np.random.default_rng(2)
         for _ in range(500):
             n = int(rng.integers(2, 40))
             k = int(rng.integers(1, n))
-            scores = rng.integers(-2, 3, size=(n, n)).astype(np.float64)
-            np.testing.assert_array_equal(top_score_neighbors(scores, k), sorting_loop(scores, k))
+            assert_same_table(rng.integers(-2, 3, size=(n, n)).astype(np.float64), k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zeros_tie(self, seed):
+        # -0.0 and 0.0 are the same score, so they tie to the lower index
+        scores = signed_zeros(25, seed)
+        for k in (1, 5, 24):
+            assert_same_table(scores, k)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 3.5, -1e300])
+    def test_all_equal_matrices(self, value):
+        n = 7
+        for k in range(1, n):
+            assert_same_table(np.full((n, n), value), k)
+            np.testing.assert_array_equal(top_score_neighbors(np.full((n, n), value), k)[3],
+                                          [0, 1, 2, 4, 5, 6][:k])
+
+    @pytest.mark.parametrize("scores", [[[0.0, 1.0], [2.0, 3.0]], [[5.0, 5.0], [5.0, 5.0]], [[1.0, -0.0], [0.0, 2.0]]])
+    def test_two_points(self, scores):
+        np.testing.assert_array_equal(top_score_neighbors(np.array(scores), 1), [[1], [0]])
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_every_other_point(self, n):
+        # k = n - 1 ranks all n - 1 others of each column
+        rng = np.random.default_rng(n)
+        assert_same_table(rng.normal(size=(n, n)), n - 1)
+        assert_same_table(rng.integers(-1, 2, size=(n, n)).astype(np.float64), n - 1)
+        assert_same_table(signed_zeros(n, 0), n - 1)
+
+    @pytest.mark.parametrize("view", ["transposed", "strided", "reversed", "broadcast", "unaligned"])
+    def test_views(self, view):
+        # the kernel reads views through their strides (a copy only where a
+        # stride is not whole, aligned elements); every one gives the table
+        # of the same values in a fresh C-contiguous array
+        n = 23
+        rng = np.random.default_rng(7)
+        base = rng.integers(-3, 4, size=(3 * n, 2 * n)).astype(np.float64)
+        if view == "transposed":
+            scores = base[:n, :n].copy().T
+        elif view == "strided":
+            scores = base[::3, ::2]
+        elif view == "reversed":
+            scores = base[n - 1::-1, 2 * n - 1:n - 1:-1]
+        elif view == "broadcast":
+            scores = np.broadcast_to(base[:n, :1], (n, n))
+        else:
+            raw = np.zeros(n * n * 8 + 1, dtype=np.uint8)[1:].view(np.float64).reshape(n, n)
+            raw[...] = base[:n, :n]
+            assert not raw.flags.aligned
+            scores = raw
+        assert scores.shape == (n, n) and not (scores.flags.c_contiguous and scores.flags.aligned)
+        for k in (1, 4, n - 1):
+            np.testing.assert_array_equal(top_score_neighbors(scores, k), numpy_body(scores.copy(), k))
+            assert_same_table(scores, k)
+
+    def test_float32_scores(self):
+        rng = np.random.default_rng(11)
+        scores = rng.normal(size=(30, 30)).astype(np.float32)
+        scores[::4] = scores[1::4]  # ties between rows
+        for k in (1, 6, 29):
+            assert_same_table(scores, k)
+            np.testing.assert_array_equal(top_score_neighbors(scores, k),
+                                          top_score_neighbors(scores.astype(np.float64), k))
 
     def test_scalar_scores_rejected(self):
         with pytest.raises(ValueError, match=r"score matrix must be a square \(n, n\) array, got shape \(\)"):
             top_score_neighbors(3.0, 1)
+
+
+class TestTopScoreNeighborsOnNumpy(TestTopScoreNeighbors):
+    """Every test of ``TestTopScoreNeighbors`` again, with the kernel unavailable: the numpy body."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_path(self, monkeypatch):
+        monkeypatch.setattr(_native, "load", lambda: None)
+
+
+class TestCompiledTopK:
+    """The wrapper's own checks, which the library relies on."""
+
+    @pytest.mark.parametrize("scores, k", [
+        pytest.param(np.zeros((3, 3), dtype=np.float32), 1, id="float32"),
+        pytest.param(np.zeros((3, 4)), 1, id="not-square"),
+        pytest.param(np.zeros((3, 3)), 3, id="k-too-high"),
+        pytest.param(np.zeros((3, 3)), 0, id="k-zero"),
+        pytest.param(np.zeros((1, 1)), 1, id="one-point"),
+    ])
+    def test_rejected_before_the_library(self, scores, k):
+        class NoCalls:
+            def __getattr__(self, name):
+                raise AssertionError(f"kernel function {name} reached")
+
+        with pytest.raises(ValueError, match="the kernel needs"):
+            _native.top_k(NoCalls(), scores, k)
 
 
 class TestKnnSmsRun:
@@ -277,6 +402,17 @@ class TestCompiledKnnSms:
         diff = pts - pts.T
         trace = assert_same_knn_run(pts, -diff * diff, k, AlgoConfig(seed=2), monkeypatch)
         assert trace.stop_reason == "converged"
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    @pytest.mark.parametrize("d", [1, 3, 4, 5, 8, 9, 16])
+    def test_column_groups_match_numpy_runner(self, d, k, monkeypatch):
+        # the kernel sums whole groups of four columns in registers and the
+        # d mod 4 left over one at a time, each column in neighbour order
+        rng = np.random.default_rng(100 * d + k)
+        pts = rng.normal(size=(40, d)) + 3.0 * rng.integers(0, 3, size=(40, 1))
+        diff = pts[:, None, :] - pts[None, :, :]
+        scores = -np.einsum("ijk,ijk->ij", diff, diff)
+        assert_same_knn_run(pts, scores, k, AlgoConfig(seed=d + k, max_updates=20_000), monkeypatch)
 
     @pytest.mark.parametrize("table", ["too_high", "negative", "self", "short", "int32", "empty"])
     def test_bad_neighbour_table_rejected_before_the_kernel(self, table):

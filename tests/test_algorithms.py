@@ -1199,9 +1199,12 @@ KERNEL_SANITIZER_FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fsanitize=address,
 # calls every export of the kernel on heap buffers of exactly the sizes
 # the _native wrappers allocate: a block of indices as long as its shift
 # buffer and its increment and gradient buffers when traced (NULL when
-# not), sms_block's scratch of 2d + n doubles, knn_block's of d,
-# bms_sweeps' n x d + 2n, and shift_rows' m x d out and m totals (or
-# NULL, as MS hands it); pair_objective and band_slack read their state
+# not), sms_block's scratch of 2d + n doubles, bms_sweeps' n x d + 2n,
+# shift_rows' m x d out and m totals (or NULL, as MS hands it), and
+# top_k's n x k table and n (k + 1) doubles of scratch, on score matrices
+# just as large as the view it reads; knn_block takes no scratch, and runs
+# with d = 1, 4, 5 and 9, so with whole groups of four columns and with
+# columns left over; pair_objective and band_slack read their state
 # only, on states of one point, two points and d = 5 among others
 KERNEL_SANITIZER_DRIVER = r"""
 #include <stdint.h>
@@ -1212,13 +1215,14 @@ int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d, const int64_t 
                   int64_t alpha, double tol, int64_t *stamp, int64_t *state, double *shifts, double *deltas,
                   double *grads, double *scratch);
 int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k, const int64_t *idx,
-                  int64_t m, double tol, int64_t *stamp, int64_t *state, double *shifts, double *scratch);
+                  int64_t m, double tol, int64_t *stamp, int64_t *state, double *shifts);
 void shift_rows(const double *q, const double *sqq, int64_t m, const double *s, const double *sqs, int64_t n,
                 int64_t d, double h2, int64_t alpha, double *out, double *totals);
 int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
                    int64_t max_sweeps, double *shifts, double *scratch);
 double pair_objective(const double *pts, const double *sqn, int64_t n, int64_t d, double h2, int64_t alpha);
 double band_slack(const double *pts, int64_t n, int64_t d, double lo, double hi);
+void top_k(const double *s, int64_t n, int64_t rs, int64_t cs, int64_t k, int64_t *out, double *scratch);
 
 enum { BLOCK = 700 };
 static uint64_t rng = 12345;
@@ -1296,16 +1300,44 @@ static int knn(int64_t n, int64_t d, int64_t k)
 {
     double *pts = points(n, d);
     int64_t *nb = ints(n * k), *idx = draws(BLOCK, n), *stamp = ints(n), *state = ints(3);
-    double *shifts = doubles(BLOCK), *scratch = doubles(d);
+    double *shifts = doubles(BLOCK);
     for (int64_t i = 0; i < n; i++) {
         stamp[i] = -1;
         for (int64_t r = 0; r < k; r++)
             nb[i * k + r] = (i + 1 + r) % n;
     }
     state[0] = state[1] = state[2] = 0;
-    const int64_t steps = knn_block(pts, n, d, nb, k, idx, BLOCK, 1e-6, stamp, state, shifts, scratch);
-    free(pts), free(nb), free(idx), free(stamp), free(state), free(shifts), free(scratch);
+    const int64_t steps = knn_block(pts, n, d, nb, k, idx, BLOCK, 1e-6, stamp, state, shifts);
+    free(pts), free(nb), free(idx), free(stamp), free(state), free(shifts);
     return steps < 1 || steps > BLOCK;
+}
+
+/* top_k on the n x n view of a matrix (the view's own entries and no
+ * more: n rows of n entries step apart, or columns when transposed) of
+ * values drawn from levels levels, so ties are common; every column must
+ * list k distinct others by descending score */
+static int topk(int64_t n, int64_t k, int64_t levels, int64_t step, int transposed)
+{
+    const int64_t line = (n - 1) * step + 1, size = n * line;
+    double *s = doubles(size), *scratch = doubles(n * (k + 1));
+    int64_t *out = ints(n * k);
+    for (int64_t e = 0; e < size; e++)
+        s[e] = (double)(int64_t)(uniform() * (double)levels);
+    const int64_t rs = transposed ? step : line, cs = transposed ? line : step;
+    top_k(s, n, rs, cs, k, out, scratch);
+    int bad = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t r = 0; r < k; r++) {
+            const int64_t j = out[i * k + r];
+            if (j < 0 || j >= n || j == i) {
+                bad = 1;
+                continue;
+            }
+            for (int64_t q = 0; q < r; q++)
+                bad |= out[i * k + q] == j || s[out[i * k + q] * rs + i * cs] < s[j * rs + i * cs];
+        }
+    free(s), free(scratch), free(out);
+    return bad;
 }
 
 static int map(int64_t m, int64_t n, int64_t d, int64_t alpha)
@@ -1372,6 +1404,16 @@ int main(void)
                 bad |= sms(100, d, alpha, traced & 1, traced >> 1) << 1;
     bad |= knn(50, 3, 5) << 2;
     bad |= knn(40, 1, 39) << 2;
+    bad |= knn(50, 4, 10) << 2; /* one whole group of four columns */
+    bad |= knn(50, 5, 10) << 2; /* a group and one column left over */
+    bad |= knn(30, 9, 1) << 2;
+    bad |= topk(2, 1, 1000, 1, 0) << 7;
+    bad |= topk(2, 1, 1, 1, 0) << 7; /* a tie */
+    bad |= topk(40, 5, 3, 1, 0) << 7;
+    bad |= topk(40, 39, 2, 1, 1) << 7; /* k = n - 1 through a transposed view */
+    bad |= topk(30, 7, 4, 3, 0) << 7;  /* a strided view */
+    bad |= topk(30, 7, 4, 2, 1) << 7;
+    bad |= topk(25, 24, 1, 2, 0) << 7; /* all equal */
     for (int64_t alpha = 1; alpha <= 3; alpha++)
         bad |= map(60, 300, 2, alpha) << 3; /* the grid, from moments at alpha = 2 */
     bad |= map(60, 100, 2, 1) << 3; /* the plain loop */

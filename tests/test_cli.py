@@ -1,10 +1,15 @@
 """CLI commands, exit codes, and output file schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochshift
 from stochshift import _native
 from stochshift.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from stochshift.io import read_dataset_csv, write_dataset_csv
@@ -155,6 +160,26 @@ class TestCluster:
         data_path.write_text("x0,x1\n1e154,0\n1e154,5\n")
         assert run_cli("cluster", "--input", data_path, "--out", tmp_path / "o") == EXIT_DATA
 
+
+# a fresh interpreter, so modules an earlier test imported do not count
+FRESH_CLUSTER_AND_VERIFY = """
+import sys
+from stochshift.cli import main
+assert main(["synth", "--preset", "set1", "--out", "d.csv"]) == 0
+assert main(["cluster", "--input", "d.csv", "--out", "out"]) == 0
+assert "numpy.ma" not in sys.modules, "cluster"
+assert main(["verify", "--preset", "set1", "--seeds", "1", "--out", "v.json"]) == 0
+assert "numpy.ma" not in sys.modules, "verify"
+"""
+
+
+def test_cluster_and_verify_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique asks np.ma.is_masked, whose import alone costs a CLI run about 12 ms
+    src = str(Path(stochshift.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FRESH_CLUSTER_AND_VERIFY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 class TestBench:
     def test_too_few_sizes_usage_error(self, tmp_path):

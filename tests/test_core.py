@@ -5,7 +5,7 @@ import pytest
 
 from stochshift import _native
 from stochshift.algorithms import AlgoConfig, _shift_rows, sms_run
-from stochshift.core import full_gradient, gradient_max_norm, objective_value
+from stochshift.core import _sorted_unique, full_gradient, gradient_max_norm, objective_value
 from stochshift.kernels import EPANECHNIKOV, Profile
 from stochshift.synthdata import generate, parse_preset
 
@@ -47,6 +47,19 @@ def fd_gradient(points, h, profile, step=1e-6):
             ) / (2 * step)
     return grad
 
+
+@pytest.mark.parametrize("values", [
+    pytest.param([], id="empty"),
+    pytest.param([7], id="one"),
+    pytest.param([3, 3, 3], id="all-equal"),
+    pytest.param([[4, -1], [4, 2], [-1, 0]], id="2-d"),
+    pytest.param(np.random.default_rng(0).integers(-5, 6, size=200), id="random"),
+])
+def test_sorted_unique_is_np_unique(values):
+    values = np.asarray(values, dtype=np.int64)
+    out = _sorted_unique(values)
+    assert out.dtype == values.dtype
+    np.testing.assert_array_equal(out, np.unique(values))
 
 class TestNeighborhood:
     """The h-ball that S_h averages, seen through the uniform weight: a plain mean over it."""
