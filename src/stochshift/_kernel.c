@@ -1038,10 +1038,9 @@ static inline double offer(double *hs, int64_t *hj, int64_t k, double v, int64_t
  * far in a heap whose root ranks lowest (best + i * k and out + i * k),
  * and the root's score in thr[i]: the columns' thresholds sit together,
  * so an entry that does not enter costs one compare.  The matrix is read
- * once, row by row when its rows are contiguous and column by column
- * otherwise; either way each column sees its entries in ascending j, so
- * an entry enters only with a score strictly above the root's, and ties
- * stay with the lower index.  An entry enters in O(log k), where a sorted
+ * once, row by row (in memory order for a C-ordered matrix), so each
+ * column sees its entries in ascending j: an entry enters only with a
+ * score strictly above the root's, and ties stay with the lower index.  An entry enters in O(log k), where a sorted
  * buffer would shift O(k) entries: at n = 750 and k = n - 1 one ran
  * about 5 times slower than the heap, and slower than the numpy body.
  * The heaps start full of -inf entries
@@ -1056,26 +1055,14 @@ void top_k(const double *s, int64_t n, int64_t rs, int64_t cs, int64_t k, int64_
         best[e] = -INFINITY;
         out[e] = n;
     }
-    if (llabs(cs) <= llabs(rs)) {
-        for (int64_t i = 0; i < n; i++)
-            thr[i] = -INFINITY;
-        for (int64_t j = 0; j < n; j++) {
-            const double *row = s + j * rs;
-            for (int64_t i = 0; i < n; i++) {
-                const double v = row[i * cs];
-                if (v > thr[i] && i != j)
-                    thr[i] = offer(best + i * k, out + i * k, k, v, j);
-            }
-        }
-    } else {
+    for (int64_t i = 0; i < n; i++)
+        thr[i] = -INFINITY;
+    for (int64_t j = 0; j < n; j++) {
+        const double *row = s + j * rs;
         for (int64_t i = 0; i < n; i++) {
-            const double *col = s + i * cs;
-            double t = -INFINITY;
-            for (int64_t j = 0; j < n; j++) {
-                const double v = col[j * rs];
-                if (v > t && i != j)
-                    t = offer(best + i * k, out + i * k, k, v, j);
-            }
+            const double v = row[i * cs];
+            if (v > thr[i] && i != j)
+                thr[i] = offer(best + i * k, out + i * k, k, v, j);
         }
     }
     for (int64_t i = 0; i < n; i++) { /* heapsort: the lowest-ranked root goes last */

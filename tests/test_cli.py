@@ -181,6 +181,7 @@ def test_cluster_and_verify_leave_numpy_ma_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
 
+
 class TestBench:
     def test_too_few_sizes_usage_error(self, tmp_path):
         assert run_cli("bench", "--sizes", "10", "--out", tmp_path) == EXIT_USAGE

@@ -61,6 +61,7 @@ def test_sorted_unique_is_np_unique(values):
     assert out.dtype == values.dtype
     np.testing.assert_array_equal(out, np.unique(values))
 
+
 class TestNeighborhood:
     """The h-ball that S_h averages, seen through the uniform weight: a plain mean over it."""
 
