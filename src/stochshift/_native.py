@@ -39,10 +39,12 @@ name keyed by the source's name and a hash of its text and the flags
 (``build`` keeps the newest few of each source), and load it with
 ctypes, its exports' prototypes set from one table, ``_PROTOTYPES``.
 The two are separate libraries, so a machine without g++ still runs
-the kernel.  Concurrent first uses (``sweep
---workers``) each compile to a private temporary name and publish with
-an atomic ``os.replace``.  The flags are portable: no ``-ffast-math``,
-which would reorder the sums, and no ``-march=native``.
+the kernel.  First uses in concurrent processes each compile to a
+private temporary name and publish with an atomic ``os.replace``.
+Within one process the cache is not locked, so threads must not make
+the first call: ``experiments.ordered_map`` calls ``load()`` before it
+starts any.  The flags are portable: no ``-ffast-math``, which would
+reorder the sums, and no ``-march=native``.
 
 Any failure (no compiler, no source, a failed compile, an unwritable
 cache or one another user owns, a library that does not load) makes the

@@ -173,14 +173,17 @@ def run_sweep(
     profile: Profile = EPANECHNIKOV,
     h: float = 1.0,
     merge_factor: float = 1.0 / 3.0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[dict]:
     """Metric sweep rows: one per (value, algorithm, metric in {acp, k}).
 
     Each row carries the median and the 5%/95% quantiles over the
     seeded repetitions, in the long format used by external plotters.
-    A bad value, algorithm, bandwidth or merge factor raises ValueError
-    before the first replicate runs.
+    Each cell's replicates run on every usable CPU unless ``workers``
+    caps the thread count (see ``experiments.replicate_preset``); the
+    rows are identical for any ``workers``.  A bad value, algorithm,
+    bandwidth or merge factor raises ValueError before the first
+    replicate runs.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")

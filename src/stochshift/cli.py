@@ -189,7 +189,8 @@ def verify(preset_text, profile_name, seeds, seed, bandwidth, negative_controls,
 @click.option("--profile", "profile_name", default="epanechnikov", show_default=True)
 @click.option("--h", "bandwidth", default=1.0, show_default=True, type=float)
 @click.option("--merge-factor", default=1.0 / 3.0, show_default=True, type=float)
-@click.option("--workers", default=1, show_default=True, type=COUNT)
+@click.option("--workers", default=None, show_default="the CPUs this process may use", type=COUNT,
+              help="most threads to run replicates on")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 def sweep(kind, range_text, algos, reps, seed, profile_name, bandwidth,
           merge_factor, workers, out):

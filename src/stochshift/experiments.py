@@ -3,24 +3,31 @@
 Repetition r of an experiment uses dataset seed ``seed + r`` and the
 index seed ``index_seed(seed, r)``, offset from it by a fixed constant
 so index draws never share a bit stream with the sampling that produced
-the data.  Runs fan out to a process pool of at most
-``min(workers, repetitions, CPUs)`` processes; aggregation is keyed by
-repetition index, so results are identical whatever the pool size.
+the data.
+
+Seeded ensembles (:func:`replicate_preset` here, ``theory.verify_preset``)
+fan their tasks out through :func:`ordered_map`, on at most
+``min(workers, tasks, usable_cpus())`` threads.  Threads suffice because
+the runs spend most of their time in compiled-kernel calls, and ctypes
+releases the GIL around each one.  Every task draws from its own seeded
+generators and results are collected in task order, so they are
+identical whatever the number of threads.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import _native
 from .algorithms import AlgoConfig, run
 from .clustering import MergePolicy, extract_clusters
 from .metrics import metrics_report
 from .synthdata import generate, parse_preset
 
-__all__ = ["RUN_SEED_OFFSET", "index_seed", "run_pipeline", "replicate_preset"]
+__all__ = ["RUN_SEED_OFFSET", "index_seed", "ordered_map", "run_pipeline", "replicate_preset", "usable_cpus"]
 
 RUN_SEED_OFFSET = 1_000_003
 
@@ -28,6 +35,37 @@ RUN_SEED_OFFSET = 1_000_003
 def index_seed(seed: int, rep: int) -> int:
     """The algorithm's index seed for repetition ``rep`` of base ``seed``."""
     return seed + rep + RUN_SEED_OFFSET
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, which ``taskset`` and cpusets narrow.
+
+    Where the OS has no affinity call, ``os.cpu_count()`` (1 if unknown).
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def ordered_map(fn, tasks, workers: int | None = None) -> list:
+    """``[fn(task) for task in tasks]``, on up to ``min(workers, len(tasks), usable_cpus())`` threads.
+
+    ``workers`` caps the thread count and defaults to no cap.  Results
+    come back in task order; an exception raised by a task is raised
+    here, the one of the first failing task in order, as the serial loop
+    would raise it.  The kernel is loaded before any task starts, so
+    threads never race to build it.  Every thread has exited on return.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    tasks = list(tasks)
+    workers = min(workers or len(tasks), len(tasks), usable_cpus())
+    _native.load()
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def run_pipeline(points, labels, cfg: AlgoConfig, policy: MergePolicy = MergePolicy()):
@@ -50,47 +88,34 @@ def run_pipeline(points, labels, cfg: AlgoConfig, policy: MergePolicy = MergePol
     return partition, trace, report
 
 
-def _replicate_one(args) -> tuple[int, dict]:
-    preset_text, algorithm, cfg_kwargs, merge_factor, seed, rep = args
-    data = generate(parse_preset(preset_text, seed=seed + rep))
-    cfg = AlgoConfig(algorithm=algorithm, seed=index_seed(seed, rep), **cfg_kwargs)
-    _, _, report = run_pipeline(
-        data.points, data.labels, cfg, MergePolicy(merge_factor)
-    )
-    report["rep"] = rep
-    return rep, report
-
-
 def replicate_preset(
     preset_text: str,
     algorithm: str,
     repetitions: int = 20,
     seed: int = 0,
     merge_factor: float = 1.0 / 3.0,
-    workers: int = 1,
+    workers: int | None = None,
     **cfg_kwargs,
 ) -> list[dict]:
     """Run ``repetitions`` seeded pipeline replicates of one preset.
 
     ``cfg_kwargs`` are forwarded to :class:`AlgoConfig` (profile, h,
-    tolerances...).  Results come back ordered by repetition index.
+    tolerances...).  Replicates run through :func:`ordered_map`, one task
+    each, on every usable CPU unless ``workers`` caps the thread count.
+    Results come back ordered by repetition index and are identical for
+    any ``workers``.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    tasks = [
-        (preset_text, algorithm, cfg_kwargs, merge_factor, seed, rep)
-        for rep in range(repetitions)
-    ]
-    # a fork-started pool starts all max_workers processes at once
-    workers = min(workers, repetitions, os.cpu_count() or 1)
-    if workers == 1:
-        results = [_replicate_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_one, tasks))
-    return [rep for _, rep in sorted(results, key=lambda kv: kv[0])]
+
+    def replicate(rep: int) -> dict:
+        data = generate(parse_preset(preset_text, seed=seed + rep))
+        cfg = AlgoConfig(algorithm=algorithm, seed=index_seed(seed, rep), **cfg_kwargs)
+        _, _, report = run_pipeline(data.points, data.labels, cfg, MergePolicy(merge_factor))
+        report["rep"] = rep
+        return report
+
+    return ordered_map(replicate, range(repetitions), workers)
 
 
 def summarize(reports: list[dict], keys: tuple[str, ...] = ("acp", "alp", "k", "g", "num_clusters")):

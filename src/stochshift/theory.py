@@ -24,7 +24,7 @@ from . import _native
 from .algorithms import AlgoConfig, RunTrace, sms_run
 from .clustering import MergePolicy, _diameter, extract_clusters
 from .core import _diff_sq_blocks, check_bandwidth, check_state, full_gradient, gradient_max_norm
-from .experiments import index_seed
+from .experiments import index_seed, ordered_map
 from .kernels import Profile
 from .synthdata import generate, parse_preset
 
@@ -407,6 +407,7 @@ def verify_preset(
     h: float = 1.0,
     seed: int = 0,
     include_negative: bool = False,
+    workers: int | None = None,
 ) -> TheoryReport:
     """Run the whole check suite over seeded runs of one preset.
 
@@ -417,46 +418,62 @@ def verify_preset(
     the first run when ``preset_text`` does not parse, when ``h`` is not
     a valid bandwidth, or when ``n_seeds`` is below 1, since a report
     over no runs would pass vacuously.
+
+    Each seed's traced run is one task of ``experiments.ordered_map``:
+    generate, run, gradient scale and the four checks on its trace.  A
+    task returns only its verdicts, so at most as many traces are alive
+    as threads run, on every usable CPU unless ``workers`` caps them.
+    The single-cluster and critical-point trials, each under a
+    millisecond of mostly Python that holds the GIL, run in order on the
+    calling thread, where they are faster than fanned out.  The report
+    is identical for any ``workers``.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     parse_preset(preset_text, seed=seed)
     check_bandwidth(h)
 
-    def runs():
-        for i in range(n_seeds):
-            data = generate(parse_preset(preset_text, seed=seed + i))
-            cfg = AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i),
-                             trace_objective=True, trace_gradient=profile.smooth, snapshot_every=data.n)
-            trace = sms_run(data.points, cfg)[1]
-            # the unit of both gradient checks, from one full gradient of the initial state
-            yield trace, cfg, _gradient_scale(trace.initial_points, cfg) if profile.smooth else None
+    def traced_run(i):
+        data = generate(parse_preset(preset_text, seed=seed + i))
+        cfg = AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i),
+                         trace_objective=True, trace_gradient=profile.smooth, snapshot_every=data.n)
+        trace = sms_run(data.points, cfg)[1]
+        # the unit of both gradient checks, from one full gradient of the initial state
+        return trace, cfg, _gradient_scale(trace.initial_points, cfg) if profile.smooth else None
 
-    balls = ((_random_ball_state(20, 2, 0.4 * h, seed + i),
-              AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i))) for i in range(n_seeds))
-    # Report order, grouped by shared trials (argument tuples) so one traced run
-    # is alive at a time; entries are (name, check, needs a C1 profile, min pass
-    # fraction).  Built per call, so a check patched onto the module is the one run.
+    def ball(i):
+        return (_random_ball_state(20, 2, 0.4 * h, seed + i),
+                AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i)))
+
+    # Report order, grouped by shared trials: how a task makes its trial from
+    # its argument, the arguments (drawn in order here), the thread cap, and
+    # entries (name, check, needs a C1 profile, min pass fraction).  Built per
+    # call, so a check patched onto the module is the one run.
     table = [
-        (runs(), [
+        (traced_run, range(n_seeds), workers, [
             ("monotone_ascent", lambda trace, cfg, _: check_monotone_ascent(trace, cfg), False, 1.0),
             ("partial_gradient_bound", check_partial_gradient_bound, True, 1.0),
             ("gradient_vanishes", check_gradient_vanishes, True, 1.0),
             ("cluster_stability", lambda trace, *_: check_cluster_stability(trace, h, h / 3.0), False, 0.95),
         ]),
-        (balls, [("single_cluster_convergence", check_single_cluster_convergence, False, 1.0)]),
-        (_critical_trials(h, profile, seed), [
+        (ball, range(n_seeds), 1, [
+            ("single_cluster_convergence", check_single_cluster_convergence, False, 1.0),
+        ]),
+        (lambda trial: trial, _critical_trials(h, profile, seed), 1, [
             ("critical_characterization", check_critical_characterization, True, 1.0),
         ]),
     ]
     checks = []
-    for trials, entries in table:
+    for make, args, cap, entries in table:
         active = [(name, check) for name, check, needs_c1, _ in entries if profile.smooth or not needs_c1]
-        results = {name: [] for name, _ in active}
-        for trial in trials if active else ():
-            for name, check in active:
-                results[name].append(check(*trial))
-        checks += [_aggregate(name, results[name], fraction) if name in results
+
+        def task(arg, make=make, group=[check for _, check in active]):
+            trial = make(arg)
+            return [check(*trial) for check in group]
+
+        per_trial = ordered_map(task, args if active else (), cap)
+        results = dict(zip([name for name, _ in active], zip(*per_trial)))
+        checks += [_aggregate(name, list(results[name]), fraction) if name in results
                    else CheckResult(name, "skipped", None, {"reason": "profile assumption"})
                    for name, _, _, fraction in entries]
 

@@ -168,13 +168,16 @@ from stochshift.cli import main
 assert main(["synth", "--preset", "set1", "--out", "d.csv"]) == 0
 assert main(["cluster", "--input", "d.csv", "--out", "out"]) == 0
 assert "numpy.ma" not in sys.modules, "cluster"
+assert "multiprocessing" not in sys.modules, "cluster"
 assert main(["verify", "--preset", "set1", "--seeds", "1", "--out", "v.json"]) == 0
 assert "numpy.ma" not in sys.modules, "verify"
+assert "multiprocessing" not in sys.modules, "verify"
 """
 
 
 def test_cluster_and_verify_leave_numpy_ma_unloaded(tmp_path):
-    # np.unique asks np.ma.is_masked, whose import alone costs a CLI run about 12 ms
+    # np.unique asks np.ma.is_masked, whose import alone costs a CLI run about 12 ms;
+    # ensembles fan out on threads, so no command imports multiprocessing (about 6 ms)
     src = str(Path(stochshift.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", FRESH_CLUSTER_AND_VERIFY], cwd=tmp_path, env=env,
