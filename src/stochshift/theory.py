@@ -407,7 +407,6 @@ def verify_preset(
     h: float = 1.0,
     seed: int = 0,
     include_negative: bool = False,
-    workers: int | None = None,
 ) -> TheoryReport:
     """Run the whole check suite over seeded runs of one preset.
 
@@ -422,11 +421,11 @@ def verify_preset(
     Each seed's traced run is one task of ``experiments.ordered_map``:
     generate, run, gradient scale and the four checks on its trace.  A
     task returns only its verdicts, so at most as many traces are alive
-    as threads run, on every usable CPU unless ``workers`` caps them.
+    as threads run, one per usable CPU.
     The single-cluster and critical-point trials, each under a
     millisecond of mostly Python that holds the GIL, run in order on the
     calling thread, where they are faster than fanned out.  The report
-    is identical for any ``workers``.
+    is identical for any thread count.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -450,7 +449,7 @@ def verify_preset(
     # entries (name, check, needs a C1 profile, min pass fraction).  Built per
     # call, so a check patched onto the module is the one run.
     table = [
-        (traced_run, range(n_seeds), workers, [
+        (traced_run, range(n_seeds), None, [
             ("monotone_ascent", lambda trace, cfg, _: check_monotone_ascent(trace, cfg), False, 1.0),
             ("partial_gradient_bound", check_partial_gradient_bound, True, 1.0),
             ("gradient_vanishes", check_gradient_vanishes, True, 1.0),

@@ -179,11 +179,12 @@ class TestWorkerCountInvariance:
             runs.append(json.dumps(reports))
         assert runs[0] == runs[1]
 
-    def test_verify_preset(self, two_cpus):
+    def test_verify_preset(self, monkeypatch):
         threads = threading.active_count()
         reports = []
-        for workers in (1, 2):
-            report = theory.verify_preset("set1", BIWEIGHT, n_seeds=4, seed=0, workers=workers)
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda cpus=cpus: cpus)
+            report = theory.verify_preset("set1", BIWEIGHT, n_seeds=4, seed=0)
             assert threading.active_count() == threads
             reports.append(json.dumps(report.to_json_dict()))
         assert reports[0] == reports[1]
@@ -217,7 +218,7 @@ class TestWorkerCountInvariance:
                 replicate_preset("complexity:10", "sms", repetitions=4, seed=0, workers=workers)
             assert threading.active_count() == threads
 
-    def test_verify_error_surfaces_as_serially(self, monkeypatch, two_cpus):
+    def test_verify_error_surfaces_as_serially(self, monkeypatch):
         real_run = theory.sms_run
 
         def sms_run(points, cfg):
@@ -227,9 +228,10 @@ class TestWorkerCountInvariance:
 
         monkeypatch.setattr(theory, "sms_run", sms_run)
         threads = threading.active_count()
-        for workers in (1, 2):
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda cpus=cpus: cpus)
             with pytest.raises(RuntimeError, match="seed 1"):
-                theory.verify_preset("set2", BIWEIGHT, n_seeds=3, seed=0, workers=workers)
+                theory.verify_preset("set2", BIWEIGHT, n_seeds=3, seed=0)
             assert threading.active_count() == threads
 
 
