@@ -20,8 +20,8 @@
  * (core.objective_value), and band_slack, the exact-distance band scan
  * (theory._band_slack).  top_k ranks each column of a score matrix
  * (affinity.top_score_neighbors), the neighbour table knn_block reads: one
- * pass over the matrix in memory order, each column keeping its k best
- * entries so far behind a threshold, so most entries cost one compare.
+ * pass over the C-ordered matrix in memory order, each column keeping its
+ * k best entries so far behind a threshold, so most entries cost one compare.
  *
  * The arithmetic follows the numpy path (algorithms._sms_move and
  * algorithms._shift_rows) step for step: squared distances from the
@@ -1030,25 +1030,24 @@ static inline double offer(double *hs, int64_t *hj, int64_t k, double v, int64_t
     return hs[0];
 }
 
-/* For each column i of the score matrix s (n x n, element (j, i) at
- * s[j * rs + i * cs], strides in elements, so any strided or transposed
- * view is read in place), the k rows j != i with the highest s[j, i],
- * ties to the lower j, into out[i * k .. i * k + k) by descending score
+/* For each column i of the score matrix s (n x n, C-ordered), the k rows
+ * j != i with the highest s[j * n + i], ties to the lower j, into
+ * out[i * k .. i * k + k) by descending score
  * (affinity.top_score_neighbors).  Column i keeps its k best entries so
  * far in a heap whose root ranks lowest (best + i * k and out + i * k),
  * and the root's score in thr[i]: the columns' thresholds sit together,
  * so an entry that does not enter costs one compare.  The matrix is read
- * once, row by row (in memory order for a C-ordered matrix), so each
- * column sees its entries in ascending j: an entry enters only with a
- * score strictly above the root's, and ties stay with the lower index.  An entry enters in O(log k), where a sorted
- * buffer would shift O(k) entries: at n = 750 and k = n - 1 one ran
- * about 5 times slower than the heap, and slower than the numpy body.
- * The heaps start full of -inf entries
- * from row n; the caller guarantees finite scores and 1 <= k <= n - 1,
- * so n - 1 finite entries replace them all.  scratch holds n (k + 1)
- * doubles: thr, then best. */
+ * once, row by row in memory order, so each column sees its entries in
+ * ascending j: an entry enters only with a score strictly above the
+ * root's, and ties stay with the lower index.  An entry enters in
+ * O(log k), where a sorted buffer would shift O(k) entries: at n = 750
+ * and k = n - 1 one ran about 5 times slower than the heap, and slower
+ * than the numpy body.  The heaps start full of -inf entries from row n;
+ * the caller guarantees finite scores and 1 <= k <= n - 1, so n - 1
+ * finite entries replace them all.  scratch holds n (k + 1) doubles: thr,
+ * then best. */
 EXPORT
-void top_k(const double *s, int64_t n, int64_t rs, int64_t cs, int64_t k, int64_t *out, double *scratch)
+void top_k(const double *s, int64_t n, int64_t k, int64_t *out, double *scratch)
 {
     double *thr = scratch, *best = scratch + n;
     for (int64_t e = 0; e < n * k; e++) {
@@ -1058,9 +1057,9 @@ void top_k(const double *s, int64_t n, int64_t rs, int64_t cs, int64_t k, int64_
     for (int64_t i = 0; i < n; i++)
         thr[i] = -INFINITY;
     for (int64_t j = 0; j < n; j++) {
-        const double *row = s + j * rs;
+        const double *row = s + j * n;
         for (int64_t i = 0; i < n; i++) {
-            const double v = row[i * cs];
+            const double v = row[i];
             if (v > thr[i] && i != j)
                 thr[i] = offer(best + i * k, out + i * k, k, v, j);
         }

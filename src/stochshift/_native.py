@@ -3,33 +3,31 @@
 Two sources ship with the package.  ``_kernel.c`` exports ``sms_block``,
 the distance SMS block runner behind :class:`SmsBlockKernel`,
 ``knn_block``, the score-matrix SMS block runner behind
-:class:`KnnBlockKernel`, ``shift_rows``, the mean-shift batch map
-behind :func:`shift_rows`, which ``algorithms._shift_rows`` runs for MS
-and ``core.full_gradient`` runs, with the rows' weight totals, on a
-state against itself, and ``bms_sweeps``, the blurring mean-shift
-sweeps behind :func:`bms_sweeps`, which ``algorithms._bms_sweeps`` runs
-for BMS.  Two half-pair reductions serve the theory checks:
+:class:`KnnBlockKernel`, ``shift_rows``, the mean-shift batch map behind
+:func:`shift_rows`, which ``algorithms._shift_rows`` runs for MS and
+``core.full_gradient`` runs, with the rows' weight totals, on a state
+against itself, and ``bms_sweeps``, the blurring mean-shift sweeps
+behind :func:`bms_sweeps`, which ``algorithms._bms_sweeps`` runs for
+BMS.  Two half-pair reductions serve the theory checks:
 ``pair_objective`` behind :func:`pair_objective`, the pair sum of
 ``core.objective_value``, and ``band_slack`` behind :func:`band_slack`,
 the exact-distance band scan of ``theory._band_slack``; they return
 doubles.  ``top_k``, behind :func:`top_k`, ranks the columns of a score
-matrix for ``affinity.top_score_neighbors``, reading any strided view in
-place.  The two block runners share one stop rule in C and its state
-and checks here (:class:`_BlockRunner`).  ``_format.cpp`` exports ``put_rows``,
-behind :func:`put_rows`, which renders rows of typed columns between
-literal texts; ``io`` states each of its text layouts (``trace.jsonl``,
-the dataset, partition and score-matrix CSVs) as such texts and column
-kinds.  Floats are spelled as ``repr`` spells them, from the shortest
-round-trip digits of C++17's ``std::to_chars``.
+matrix for ``affinity.top_score_neighbors``.  The two block runners
+share one stop rule in C and its state and checks here
+(:class:`_BlockRunner`).  ``_format.cpp`` exports ``put_rows``, behind
+:func:`put_rows`, which renders rows of typed columns between literal
+texts; ``io`` states each of its text layouts (``trace.jsonl``, the
+dataset and partition CSVs) as such texts and column kinds.  Floats are
+spelled as ``repr`` spells them, from the shortest round-trip digits of
+C++17's ``std::to_chars``.
 
 The kernel's exports declare each array as a typed pointer (double or
 int64_t).  Every array reaches them through ``_ptr``, which checks it
 once (dtype, C-contiguity and, where C writes through it, writeability)
 and binds it to that pointer; the block runners bind their buffers when
-built, so each block binds only its index block.  The one exception is
-the score matrix of :func:`top_k`, read through its element strides.
-The formatter takes untyped pointers, as it reads columns of mixed kinds
-through strides.
+built, so each block binds only its index block.  The formatter takes
+untyped pointers, as it reads columns of mixed kinds through strides.
 
 ``load()`` (the kernel, with gcc) and ``load_format()`` (the formatter,
 with g++) each compile their source once into a shared library in the
@@ -156,8 +154,8 @@ _PROTOTYPES = {
         "pair_objective": (_f, [_F64, _F64, _i, _i, _f, _i]),
         # pts, n, d, lo, hi; returns the least max(lo - d_ij, d_ij - hi) over pairs i < j
         "band_slack": (_f, [_F64, _i, _i, _f, _f]),
-        # scores, n, row and column strides in elements, k, out, scratch; scores may be any strided view
-        "top_k": (None, [_F64, _i, _i, _i, _i, _I64, _F64]),
+        # scores, n, k, out, scratch
+        "top_k": (None, [_F64, _i, _i, _I64, _F64]),
     },
     # first, n, ncols, cols, strides, kinds, text, text_end, buf, cap
     "format": {"put_rows": (_i, [_i, _i, _i, _p, _p, _p, _p, _p, _p, _i])},
@@ -358,23 +356,18 @@ def band_slack(lib, pts: np.ndarray, lo: float, hi: float) -> float:
 def top_k(lib, scores: np.ndarray, k: int) -> np.ndarray:
     """The compiled twin of the numpy body of ``affinity.top_score_neighbors``: the (n, k) neighbour table.
 
-    ``scores`` is read in place through its strides, so a transposed or
-    strided float64 view is not copied; only a view whose strides are not
-    whole, aligned elements is.  The caller has checked that every score
-    is finite (``affinity._check_scores``); the shape and k are checked
-    here, as the library fills exactly k entries of each column from its
-    n - 1 others.
+    A C-ordered, aligned ``scores`` is read in place and any other view
+    copied once.  The caller has checked that every score is finite
+    (``affinity._check_scores``); the shape and k are checked here, as the
+    library fills exactly k entries of each column from its n - 1 others.
     """
     n = scores.shape[0]
     if scores.dtype != np.float64 or scores.shape != (n, n) or not 1 <= k <= n - 1:
         raise ValueError(f"the kernel needs an (n, n) float64 score matrix and 1 <= k <= n - 1, "
                          f"got {scores.dtype} {scores.shape} and k = {k}")
-    size = scores.itemsize
-    if not scores.flags.aligned or any(stride % size for stride in scores.strides):
-        scores = np.ascontiguousarray(scores)
     out = np.empty((n, k), dtype=np.int64)
-    lib.top_k(scores.ctypes.data_as(_F64), n, scores.strides[0] // size, scores.strides[1] // size, int(k),
-              _ptr(out, np.int64), _ptr(np.empty(n * (k + 1)), np.float64))
+    lib.top_k(_ptr(np.require(scores, requirements="CA"), np.float64, writes=False), n, int(k), _ptr(out, np.int64),
+              _ptr(np.empty(n * (k + 1)), np.float64))
     return out
 
 

@@ -97,9 +97,9 @@ def top_score_neighbors(scores, k: int) -> np.ndarray:
     Ties break toward the lower index.  Returns an (n, k) int array of
     neighbour indices, each row sorted by descending score.  The scores
     and k are checked here; then the compiled kernel
-    (``_native.top_k``) ranks the columns when it loads, reading the
-    matrix once in place, a strided or transposed view too, and keeping
-    each column's k best entries so far in a heap.  Otherwise the numpy
+    (``_native.top_k``) ranks the columns when it loads, reading a
+    C-ordered matrix once in place (any other view is copied first) and
+    keeping each column's k best entries so far in a heap.  Otherwise the numpy
     body, the kernel's fallback and test reference, gives the same table:
     row i of the negated transpose, with +inf in place of the self score,
     ranks column i's scores; ``np.partition`` finds each row's k-th best

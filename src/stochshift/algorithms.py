@@ -24,8 +24,8 @@ traced SMS objective is the running sum of the moves' increments; a
 batch event evaluates ``objective_value`` afresh.
 
 ``_sms_loop`` is the one SMS loop.  ``_index_blocks`` draws the index
-stream in blocks of at most ``_BLOCK`` (the same stream as scalar
-draws) that also end at every multiple of ``snapshot_every`` and at the
+stream in blocks of at most ``_BLOCK`` (the same stream however it is
+split) that also end at every multiple of ``snapshot_every`` and at the
 budget.  A runner applies each block with the stop rule, keeping its
 state between blocks, and the loop records the block.  The stop rule:
 a step with shift >= tol starts a new epoch, one below tol stamps its
@@ -149,11 +149,8 @@ class RandomIndexStream:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def draw(self, n: int) -> int:
-        return int(self._gen.integers(n))
-
     def draw_block(self, n: int, m: int) -> np.ndarray:
-        """The next m draws at once, as an int64 array: the stream m ``draw(n)`` calls give."""
+        """The next m draws, as an int64 array; blocks of any lengths split one stream."""
         return self._gen.integers(n, size=m)
 
 
@@ -358,7 +355,7 @@ def _sms_move(pts: np.ndarray, cfg: AlgoConfig):
 
 
 def _index_blocks(n: int, cfg: AlgoConfig):
-    """The run's index stream in blocks; see the module docstring."""
+    """The run's index stream, split into blocks as the module docstring says; the split changes no index."""
     rng = RandomIndexStream(cfg.seed)
     every = cfg.snapshot_every
     done = 0

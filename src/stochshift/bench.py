@@ -87,10 +87,10 @@ def run_benchmark(
 ) -> BenchResult:
     """Time each algorithm at each size; fit log-log slopes on medians.
 
-    Requires at least three sizes spanning at least one decade so the
-    fit is meaningful.  Each cell runs one warm-up repetition whose time
-    is discarded; a repetition exceeding ``timeout`` censors the cell
-    and skips its remaining repetitions.
+    Requires at least one algorithm, and at least three sizes spanning
+    at least one decade so the fit is meaningful.  Each cell runs one
+    warm-up repetition whose time is discarded; a repetition exceeding
+    ``timeout`` censors the cell and skips its remaining repetitions.
     """
     sizes = sorted(int(s) for s in per_cluster_sizes)
     if len(sizes) < 3:
@@ -99,6 +99,9 @@ def run_benchmark(
         raise ValueError("sizes must be positive")
     if sizes[-1] < 10 * sizes[0]:
         raise ValueError("sizes must span at least one decade")
+    algorithms = list(algorithms)
+    if not algorithms:
+        raise ValueError("the algorithm list is empty")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
@@ -182,8 +185,8 @@ def run_sweep(
     Each cell's replicates run on every usable CPU unless ``workers``
     caps the thread count (see ``experiments.replicate_preset``); the
     rows are identical for any ``workers``.  A bad value, algorithm,
-    bandwidth or merge factor raises ValueError before the first
-    replicate runs.
+    bandwidth or merge factor, or an empty range or algorithm list,
+    raises ValueError before the first replicate runs.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
@@ -193,6 +196,9 @@ def run_sweep(
     presets = [f"{_SWEEP_PRESET[kind]}:{value}" for value in values]
     for preset_text in presets:
         parse_preset(preset_text, seed=seed)
+    algorithms = list(algorithms)
+    if not algorithms:
+        raise ValueError("the algorithm list is empty")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")

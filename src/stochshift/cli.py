@@ -1,8 +1,9 @@
 """Command-line front end: synth | cluster | bench | verify | sweep.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure.  Every command is deterministic given its full flag set
-(including --seed): rerunning produces byte-identical output files.
+Exit codes: 0 success, 1 usage error or an unwritable output path, 2
+data error, 3 verification failure.  Every command is deterministic
+given its full flag set (including --seed): rerunning produces
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         click.echo(f"verification failure: {exc}", err=True)
         return EXIT_VERIFY
+    except OSError as exc:  # an output path that cannot be written
+        click.echo(f"error: {exc}", err=True)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,10 +19,12 @@ bodies, the numpy batch map of ``algorithms._shift_rows``, cluster
 linking and ``theory._band_slack``'s numpy body.
 :func:`pairwise_sq_blocks` yields such blocks of squared distances from
 the cached-norm identity, for kernel weights and cluster linking;
-:func:`_diff_sq_blocks` yields exact ones from direct coordinate
-differences (:func:`_diff_sq_rows`) under the same rule with n_b = m * d,
-for geometry compared against thresholds near zero (cluster diameters
-and the band scan of the theory checks).  Memory is thus O(chunk * n)
+:func:`_diff_sq_rows` gives exact ones from direct coordinate
+differences, for geometry compared against thresholds near zero.  The
+band scan of ``theory._band_slack``'s numpy body walks them under the
+same rule with n_b = m * d (:func:`_diff_sq_blocks`); cluster diameters
+(``clustering._diameter``) call :func:`_diff_sq_rows` on blocks of 8
+rows, doubling up to that rule's cap.  Memory is thus O(chunk * n)
 with chunk * n <= 2^22, a few such blocks at a time, however large n
 is; a state of up to 2048 points is a single identity block.
 """

@@ -1,13 +1,12 @@
-"""File formats: dataset/partition CSV, JSON reports, traces, score matrices.
+"""File formats: dataset/partition CSV, JSON reports, traces.
 
 All outputs are deterministic byte-for-byte given the same inputs: CSV
 fields use ``repr``-exact float formatting and JSON is dumped with
 sorted keys.  JSON payloads carry a ``schema`` tag (``<name>/1``).
 
-Each text file of rows (``trace.jsonl``, the dataset, partition and
-score-matrix CSVs) is stated once here as a layout: the literal texts
-around its columns and each column's kind (``_native.FLOAT`` and the
-others).  The compiled formatter (``_native.put_rows``, loaded on the
+Each text file of rows (``trace.jsonl``, the dataset and partition
+CSVs) is stated once here as a layout: the literal texts around its
+columns and each column's kind (``_native.FLOAT`` and the others).  The compiled formatter (``_native.put_rows``, loaded on the
 first such write) renders the rows in chunks.  Where it is unavailable,
 ``_render_rows`` renders the same layout in Python; it is also the
 formatter's reference, and the bytes are the same either way.
@@ -16,7 +15,6 @@ formatter's reference, and the bytes are the same either way.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +31,11 @@ __all__ = [
     "write_partition_csv",
     "write_trace_jsonl",
     "write_json",
-    "write_score_matrix",
-    "read_score_matrix",
 ]
 
 
 class DataError(ValueError):
-    """Malformed input data (bad CSV, shape mismatch, unreadable matrix)."""
+    """Malformed input data (bad CSV, shape mismatch)."""
 
 
 _TRACE_CHUNK = 1 << 14  # rows (or CSV floats) rendered per chunk
@@ -84,16 +80,6 @@ def _csv_texts(ncols: int) -> list[str]:
     return ["", *[","] * (ncols - 1), "\n"] if ncols else ["\n"]
 
 
-def _write_csv(path, header: str | None, pts: np.ndarray, labels=None) -> None:
-    """``"\n".join([header] + rows) + "\n"`` for the float rows of ``pts``, each ended by its label if given."""
-    n, d = pts.shape
-    columns = [pts[:, j] for j in range(d)] + ([] if labels is None else [labels])
-    kinds = [_native.FLOAT] * d + ([] if labels is None else [_native.INT])
-    if header is None and n == 0:
-        header = ""
-    _write_rows(path, header, _csv_texts(len(kinds)), kinds, columns, n, max(1, _TRACE_CHUNK // max(d, 1)))
-
-
 def write_dataset_csv(path, points, labels=None) -> None:
     """Coordinate columns x0..x{d-1}, then an integer ``label`` column.
 
@@ -103,15 +89,17 @@ def write_dataset_csv(path, points, labels=None) -> None:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DataError(f"points must be an (n, d) array, got shape {pts.shape}")
-    header = [f"x{j}" for j in range(pts.shape[1])]
+    n, d = pts.shape
+    header = [f"x{j}" for j in range(d)]
+    columns, kinds = [pts[:, j] for j in range(d)], [_native.FLOAT] * d
     if labels is not None:
         labels = np.asarray(labels)
-        if labels.shape != pts.shape[:1] or not np.can_cast(labels.dtype, np.int64):
-            raise DataError(f"labels must be {pts.shape[0]} integers (int64), "
-                            f"got {labels.dtype} of shape {labels.shape}")
-        labels = labels.astype(np.int64, copy=False)
+        if labels.shape != (n,) or not np.can_cast(labels.dtype, np.int64):
+            raise DataError(f"labels must be {n} integers (int64), got {labels.dtype} of shape {labels.shape}")
         header.append("label")
-    _write_csv(path, ",".join(header), pts, labels)
+        columns.append(labels.astype(np.int64, copy=False))
+        kinds.append(_native.INT)
+    _write_rows(path, ",".join(header), _csv_texts(len(kinds)), kinds, columns, n, max(1, _TRACE_CHUNK // max(d, 1)))
 
 
 def read_dataset_csv(path):
@@ -208,53 +196,3 @@ def write_json(path, payload: dict, schema: str | None = None) -> None:
     if schema is not None:
         out["schema"] = f"{schema}/1"
     Path(path).write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
-
-
-def write_score_matrix(path, scores) -> None:
-    """Dense CSV for ``.csv`` paths, else the binary row-major format.
-
-    Binary layout: 8-byte little-endian unsigned n, then n*n little-endian
-    float64 values in row-major order.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DataError(f"score matrix must be square, got shape {s.shape}")
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        _write_csv(path, None, s)
-        return
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", s.shape[0]))
-        fh.write(np.ascontiguousarray(s, dtype="<f8").tobytes())
-
-
-def read_score_matrix(path) -> np.ndarray:
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        try:
-            rows = [
-                [float(v) for v in line.split(",")]
-                for line in path.read_text().splitlines()
-                if line.strip()
-            ]
-            # no data lines (the writer's n = 0 file is one newline) is the empty matrix
-            s = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, 0))
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot parse score CSV {path}: {exc}") from exc
-    else:
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        if len(raw) < 8:
-            raise DataError(f"{path}: truncated score matrix header")
-        (n,) = struct.unpack("<Q", raw[:8])
-        expected = 8 + 8 * n * n
-        if len(raw) != expected:
-            raise DataError(f"{path}: expected {expected} bytes for n={n}, got {len(raw)}")
-        s = np.frombuffer(raw[8:], dtype="<f8").reshape(n, n).astype(np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DataError(f"{path}: score matrix must be square, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise DataError(f"{path}: score matrix entries must be finite")
-    return s

@@ -400,6 +400,11 @@ def _critical_trials(h: float, profile: Profile, seed: int):
         yield state, h, profile
 
 
+# the checks of a report, in its order
+_REPORT_ORDER = ("monotone_ascent", "partial_gradient_bound", "gradient_vanishes", "cluster_stability",
+                 "single_cluster_convergence", "critical_characterization")
+
+
 def verify_preset(
     preset_text: str,
     profile: Profile,
@@ -432,49 +437,33 @@ def verify_preset(
     parse_preset(preset_text, seed=seed)
     check_bandwidth(h)
 
-    def traced_run(i):
+    def traced_checks(i):
         data = generate(parse_preset(preset_text, seed=seed + i))
         cfg = AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i),
                          trace_objective=True, trace_gradient=profile.smooth, snapshot_every=data.n)
         trace = sms_run(data.points, cfg)[1]
-        # the unit of both gradient checks, from one full gradient of the initial state
-        return trace, cfg, _gradient_scale(trace.initial_points, cfg) if profile.smooth else None
+        verdicts = {"monotone_ascent": check_monotone_ascent(trace, cfg)}
+        if profile.smooth:
+            # the unit of both gradient checks, from one full gradient of the initial state
+            scale = _gradient_scale(trace.initial_points, cfg)
+            verdicts["partial_gradient_bound"] = check_partial_gradient_bound(trace, cfg, scale)
+            verdicts["gradient_vanishes"] = check_gradient_vanishes(trace, cfg, scale)
+        verdicts["cluster_stability"] = check_cluster_stability(trace, h, h / 3.0)
+        return verdicts
 
-    def ball(i):
-        return (_random_ball_state(20, 2, 0.4 * h, seed + i),
-                AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i)))
-
-    # Report order, grouped by shared trials: how a task makes its trial from
-    # its argument, the arguments (drawn in order here), the thread cap, and
-    # entries (name, check, needs a C1 profile, min pass fraction).  Built per
-    # call, so a check patched onto the module is the one run.
-    table = [
-        (traced_run, range(n_seeds), None, [
-            ("monotone_ascent", lambda trace, cfg, _: check_monotone_ascent(trace, cfg), False, 1.0),
-            ("partial_gradient_bound", check_partial_gradient_bound, True, 1.0),
-            ("gradient_vanishes", check_gradient_vanishes, True, 1.0),
-            ("cluster_stability", lambda trace, *_: check_cluster_stability(trace, h, h / 3.0), False, 0.95),
-        ]),
-        (ball, range(n_seeds), 1, [
-            ("single_cluster_convergence", check_single_cluster_convergence, False, 1.0),
-        ]),
-        (lambda trial: trial, _critical_trials(h, profile, seed), 1, [
-            ("critical_characterization", check_critical_characterization, True, 1.0),
-        ]),
+    per_seed = ordered_map(traced_checks, range(n_seeds))
+    verdicts = {name: [seed_verdicts[name] for seed_verdicts in per_seed] for name in per_seed[0]}
+    verdicts["single_cluster_convergence"] = [
+        check_single_cluster_convergence(_random_ball_state(20, 2, 0.4 * h, seed + i),
+                                         AlgoConfig(algorithm="sms", profile=profile, h=h, seed=index_seed(seed, i)))
+        for i in range(n_seeds)
     ]
-    checks = []
-    for make, args, cap, entries in table:
-        active = [(name, check) for name, check, needs_c1, _ in entries if profile.smooth or not needs_c1]
-
-        def task(arg, make=make, group=[check for _, check in active]):
-            trial = make(arg)
-            return [check(*trial) for check in group]
-
-        per_trial = ordered_map(task, args if active else (), cap)
-        results = dict(zip([name for name, _ in active], zip(*per_trial)))
-        checks += [_aggregate(name, list(results[name]), fraction) if name in results
-                   else CheckResult(name, "skipped", None, {"reason": "profile assumption"})
-                   for name, _, _, fraction in entries]
+    if profile.smooth:
+        verdicts["critical_characterization"] = [check_critical_characterization(*trial)
+                                                 for trial in _critical_trials(h, profile, seed)]
+    checks = [_aggregate(name, verdicts[name], 0.95 if name == "cluster_stability" else 1.0) if name in verdicts
+              else CheckResult(name, "skipped", None, {"reason": "profile assumption"})
+              for name in _REPORT_ORDER]
 
     if include_negative:
         checks.extend(negative_controls(profile, h))

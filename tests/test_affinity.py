@@ -183,9 +183,9 @@ class TestTopScoreNeighbors:
 
     @pytest.mark.parametrize("view", ["transposed", "strided", "reversed", "broadcast", "unaligned"])
     def test_views(self, view):
-        # the kernel reads views through their strides (a copy only where a
-        # stride is not whole, aligned elements); every one gives the table
-        # of the same values in a fresh C-contiguous array
+        # the kernel reads a C-ordered, aligned matrix and the wrapper copies
+        # any other view into one; every view gives the table of the same
+        # values in a fresh C-contiguous array
         n = 23
         rng = np.random.default_rng(7)
         base = rng.integers(-3, 4, size=(3 * n, 2 * n)).astype(np.float64)
@@ -273,8 +273,7 @@ class TestKnnSmsRun:
         scores = rng.normal(size=(10, 10))
         sets = top_score_neighbors(scores, 3)
         cfg = AlgoConfig(seed=1, max_updates=10)
-        stream_probe = RandomIndexStream(1)
-        first = stream_probe.draw(10)
+        first = int(RandomIndexStream(1).draw_block(10, 1)[0])
         final, trace = knn_sms_run(pts, scores, 3, AlgoConfig(seed=1, max_updates=10))
         assert trace.moved_index[0] == first
         moved = final if trace.total_updates == 1 else None
@@ -302,11 +301,11 @@ class TestKnnSmsRun:
         diff = pts[:, None, :] - pts[None, :, :]
         scores = -np.einsum("ijk,ijk->ij", diff, diff)
         seed = next(
-            s for s in range(100) if RandomIndexStream(s).draw(4) == 0
+            s for s in range(100) if RandomIndexStream(s).draw_block(4, 1)[0] == 0
         )
         cfg = AlgoConfig(profile=EPANECHNIKOV, h=0.5, seed=seed, max_updates=4)
         stepped = pts.copy()
-        i = RandomIndexStream(seed).draw(4)
+        i = int(RandomIndexStream(seed).draw_block(4, 1)[0])
         shift, _, _ = _sms_move(stepped, cfg)(i)
         assert i == 0 and shift == pytest.approx(0.0)
         final, trace = knn_sms_run(pts, scores, 2, AlgoConfig(seed=seed, max_updates=4))

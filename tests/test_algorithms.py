@@ -39,7 +39,7 @@ P2 = Profile(2)
 
 def seed_with_first_draw(n, want, limit=200):
     for seed in range(limit):
-        if RandomIndexStream(seed).draw(n) == want:
+        if RandomIndexStream(seed).draw_block(n, 1)[0] == want:
             return seed
     raise AssertionError("no seed found")
 
@@ -92,17 +92,19 @@ class TestRandomIndexStream:
     def test_identical_seed_identical_sequence(self):
         a = RandomIndexStream(42)
         b = RandomIndexStream(42)
-        assert [a.draw(10) for _ in range(50)] == [b.draw(10) for _ in range(50)]
+        assert [a.draw_block(10, 1)[0] for _ in range(50)] == b.draw_block(10, 50).tolist()
 
     def test_range(self):
         s = RandomIndexStream(1)
-        assert all(0 <= s.draw(7) < 7 for _ in range(200))
+        assert all(0 <= i < 7 for i in s.draw_block(7, 200))
 
     @pytest.mark.parametrize("n", [150, 750, 4500])
     def test_block_draws_equal_scalar_draws(self, n):
-        scalar, blocks = RandomIndexStream(1000003), RandomIndexStream(1000003)
-        expected = [scalar.draw(n) for _ in range(5009)]
-        got = [blocks.draw_block(n, m) for m in (1, 7, 4096, 904)] + [[blocks.draw(n)]]
+        # however the stream is split, down to single draws, it is one block of the same length
+        whole, singles, blocks = (RandomIndexStream(1000003) for _ in range(3))
+        expected = whole.draw_block(n, 5009).tolist()
+        assert [int(singles.draw_block(n, 1)[0]) for _ in range(20)] == expected[:20]
+        got = [blocks.draw_block(n, m) for m in (1, 7, 4096, 904, 1)]
         assert np.concatenate(got).tolist() == expected
 
 
@@ -112,7 +114,7 @@ class TestSmsStep:
     def test_two_point_epanechnikov(self):
         pts = np.array([[0.0], [0.5]])
         cfg = AlgoConfig(profile=EPANECHNIKOV, h=1.0)
-        i = RandomIndexStream(seed_with_first_draw(2, 0)).draw(2)
+        i = int(RandomIndexStream(seed_with_first_draw(2, 0)).draw_block(2, 1)[0])
         shift, _, _ = _sms_move(pts, cfg)(i)
         assert i == 0
         np.testing.assert_allclose(pts, [[0.25], [0.5]])
@@ -122,7 +124,7 @@ class TestSmsStep:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(20, 3))
         new = pts.copy()
-        i = RandomIndexStream(5).draw(20)
+        i = int(RandomIndexStream(5).draw_block(20, 1)[0])
         _sms_move(new, AlgoConfig(profile=P2, h=1.0))(i)
         others = np.delete(np.arange(20), i)
         np.testing.assert_array_equal(new[others], pts[others])
@@ -130,14 +132,14 @@ class TestSmsStep:
     def test_coincident_fixed_point(self):
         pts = np.tile([[1.0, 1.0]], (4, 1))
         new = pts.copy()
-        shift, _, _ = _sms_move(new, AlgoConfig(profile=P2))(RandomIndexStream(0).draw(4))
+        shift, _, _ = _sms_move(new, AlgoConfig(profile=P2))(int(RandomIndexStream(0).draw_block(4, 1)[0]))
         np.testing.assert_array_equal(new, pts)
         assert shift == 0.0
 
     def test_separated_fixed_point(self):
         pts = np.array([[0.0], [5.0]])
         new = pts.copy()
-        shift, _, _ = _sms_move(new, AlgoConfig(profile=P2))(RandomIndexStream(0).draw(2))
+        shift, _, _ = _sms_move(new, AlgoConfig(profile=P2))(int(RandomIndexStream(0).draw_block(2, 1)[0]))
         np.testing.assert_array_equal(new, pts)
         assert shift == 0.0
 
@@ -148,7 +150,7 @@ class TestSmsStep:
         h = 0.8
         cfg = AlgoConfig(profile=P2, h=h)
         new = pts.copy()
-        i = RandomIndexStream(seed_with_first_draw(9, 4)).draw(9)
+        i = int(RandomIndexStream(seed_with_first_draw(9, 4)).draw_block(9, 1)[0])
         _sms_move(new, cfg)(i)
         assert i == 4
         for runner in ("default", "numpy"):
@@ -306,9 +308,7 @@ class TestSmsRun:
         cfg = AlgoConfig(profile=EPANECHNIKOV, h=1.0, seed=11, max_updates=data.n)
         _, trace = sms_run(data.points, cfg)
         move = _sms_move(data.points.copy(), cfg)
-        stream = RandomIndexStream(11)
-        for j in range(25):
-            i = stream.draw(data.n)
+        for j, i in enumerate(RandomIndexStream(11).draw_block(data.n, 25).tolist()):
             shift, _, _ = move(i)
             assert i == trace.moved_index[j]
             assert shift == pytest.approx(trace.shift[j], abs=1e-12)
@@ -1194,6 +1194,11 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def kernel_exports():
+    """(return type, name, parameters) of each export, from its definition in the kernel's source."""
+    return re.findall(r"^(int64_t|double|void)\s+(\w+)\s*\(([^)]*)\)", _native._SOURCE.read_text(), flags=re.M)
+
+
 KERNEL_SANITIZER_FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 
 # calls every export of the kernel on heap buffers of exactly the sizes
@@ -1201,28 +1206,16 @@ KERNEL_SANITIZER_FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fsanitize=address,
 # buffer and its increment and gradient buffers when traced (NULL when
 # not), sms_block's scratch of 2d + n doubles, bms_sweeps' n x d + 2n,
 # shift_rows' m x d out and m totals (or NULL, as MS hands it), and
-# top_k's n x k table and n (k + 1) doubles of scratch, on score matrices
-# just as large as the view it reads; knn_block takes no scratch, and runs
-# with d = 1, 4, 5 and 9, so with whole groups of four columns and with
-# columns left over; pair_objective and band_slack read their state
-# only, on states of one point, two points and d = 5 among others
+# top_k's n x k table and n (k + 1) doubles of scratch, on n x n score
+# matrices; knn_block takes no scratch, and runs with d = 1, 4, 5 and 9,
+# so with whole groups of four columns and with columns left over;
+# pair_objective and band_slack read their state only, on states of one
+# point, two points and d = 5 among others.  The
+# test declares the exports from their definitions in the kernel's source
+# (kernel_exports), so a call that no longer matches one fails to compile.
 KERNEL_SANITIZER_DRIVER = r"""
-#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
-
-int64_t sms_block(double *pts, double *sqn, int64_t n, int64_t d, const int64_t *idx, int64_t m, double h2,
-                  int64_t alpha, double tol, int64_t *stamp, int64_t *state, double *shifts, double *deltas,
-                  double *grads, double *scratch);
-int64_t knn_block(double *pts, int64_t n, int64_t d, const int64_t *nb, int64_t k, const int64_t *idx,
-                  int64_t m, double tol, int64_t *stamp, int64_t *state, double *shifts);
-void shift_rows(const double *q, const double *sqq, int64_t m, const double *s, const double *sqs, int64_t n,
-                int64_t d, double h2, int64_t alpha, double *out, double *totals);
-int64_t bms_sweeps(double *pts, int64_t n, int64_t d, double h2, int64_t alpha, double tol,
-                   int64_t max_sweeps, double *shifts, double *scratch);
-double pair_objective(const double *pts, const double *sqn, int64_t n, int64_t d, double h2, int64_t alpha);
-double band_slack(const double *pts, int64_t n, int64_t d, double lo, double hi);
-void top_k(const double *s, int64_t n, int64_t rs, int64_t cs, int64_t k, int64_t *out, double *scratch);
 
 enum { BLOCK = 700 };
 static uint64_t rng = 12345;
@@ -1312,19 +1305,16 @@ static int knn(int64_t n, int64_t d, int64_t k)
     return steps < 1 || steps > BLOCK;
 }
 
-/* top_k on the n x n view of a matrix (the view's own entries and no
- * more: n rows of n entries step apart, or columns when transposed) of
- * values drawn from levels levels, so ties are common; every column must
- * list k distinct others by descending score */
-static int topk(int64_t n, int64_t k, int64_t levels, int64_t step, int transposed)
+/* top_k on an n x n matrix of values drawn from levels levels, so ties
+ * are common; every column must list k distinct others by descending
+ * score */
+static int topk(int64_t n, int64_t k, int64_t levels)
 {
-    const int64_t line = (n - 1) * step + 1, size = n * line;
-    double *s = doubles(size), *scratch = doubles(n * (k + 1));
+    double *s = doubles(n * n), *scratch = doubles(n * (k + 1));
     int64_t *out = ints(n * k);
-    for (int64_t e = 0; e < size; e++)
+    for (int64_t e = 0; e < n * n; e++)
         s[e] = (double)(int64_t)(uniform() * (double)levels);
-    const int64_t rs = transposed ? step : line, cs = transposed ? line : step;
-    top_k(s, n, rs, cs, k, out, scratch);
+    top_k(s, n, k, out, scratch);
     int bad = 0;
     for (int64_t i = 0; i < n; i++)
         for (int64_t r = 0; r < k; r++) {
@@ -1334,7 +1324,7 @@ static int topk(int64_t n, int64_t k, int64_t levels, int64_t step, int transpos
                 continue;
             }
             for (int64_t q = 0; q < r; q++)
-                bad |= out[i * k + q] == j || s[out[i * k + q] * rs + i * cs] < s[j * rs + i * cs];
+                bad |= out[i * k + q] == j || s[out[i * k + q] * n + i] < s[j * n + i];
         }
     free(s), free(scratch), free(out);
     return bad;
@@ -1407,13 +1397,12 @@ int main(void)
     bad |= knn(50, 4, 10) << 2; /* one whole group of four columns */
     bad |= knn(50, 5, 10) << 2; /* a group and one column left over */
     bad |= knn(30, 9, 1) << 2;
-    bad |= topk(2, 1, 1000, 1, 0) << 7;
-    bad |= topk(2, 1, 1, 1, 0) << 7; /* a tie */
-    bad |= topk(40, 5, 3, 1, 0) << 7;
-    bad |= topk(40, 39, 2, 1, 1) << 7; /* k = n - 1 through a transposed view */
-    bad |= topk(30, 7, 4, 3, 0) << 7;  /* a strided view */
-    bad |= topk(30, 7, 4, 2, 1) << 7;
-    bad |= topk(25, 24, 1, 2, 0) << 7; /* all equal */
+    bad |= topk(2, 1, 1000) << 7;
+    bad |= topk(2, 1, 1) << 7; /* a tie */
+    bad |= topk(40, 5, 3) << 7;
+    bad |= topk(40, 39, 2) << 7; /* k = n - 1 */
+    bad |= topk(30, 7, 4) << 7;
+    bad |= topk(25, 24, 1) << 7; /* all equal */
     for (int64_t alpha = 1; alpha <= 3; alpha++)
         bad |= map(60, 300, 2, alpha) << 3; /* the grid, from moments at alpha = 2 */
     bad |= map(60, 100, 2, 1) << 3; /* the plain loop */
@@ -1452,7 +1441,8 @@ def test_kernel_under_sanitizers(tmp_path):
     if compile_(tmp_path / "empty.c").returncode != 0:
         pytest.skip("no sanitizer runtime for the C compiler")
     driver = tmp_path / "driver.c"
-    driver.write_text(KERNEL_SANITIZER_DRIVER)
+    declarations = "".join(f"{restype} {name}({params});\n" for restype, name, params in kernel_exports())
+    driver.write_text("#include <stdint.h>\n" + declarations + KERNEL_SANITIZER_DRIVER)
     built = compile_(driver, _native._SOURCE)
     assert built.returncode == 0, built.stderr
     env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0:abort_on_error=0", UBSAN_OPTIONS="print_stacktrace=1")
@@ -1466,8 +1456,7 @@ def test_kernel_prototype_matches_c_definition():
     lib = _native.load()
     if lib is None:
         pytest.skip("the kernel could not be built here (no gcc?)")
-    source = _native._SOURCE.read_text()
-    exported = re.findall(r"^(int64_t|double|void)\s+(\w+)\s*\(([^)]*)\)", source, flags=re.M)
+    exported = kernel_exports()
     prototypes = _native._PROTOTYPES["kernel"]
     assert sorted(name for _, name, _ in exported) == sorted(prototypes)
     scalars = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}

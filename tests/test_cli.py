@@ -19,6 +19,11 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def assert_one_error_line(err, path):
+    """``err`` is one ``error: ...`` line naming ``path``, with no traceback."""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{path}'" in err, err
+
+
 class TestSynth:
     def test_writes_preset_csv(self, tmp_path, capsys):
         out = tmp_path / "set1.csv"
@@ -313,6 +318,8 @@ class TestUsage:
             ("sweep", "--kind", "imbalance", "--range", "1", "--h", 0),
             ("sweep", "--kind", "imbalance", "--range", "1", "--merge-factor", 0.9),
             ("sweep", "--kind", "imbalance", "--range", "1", "--algos", "sms,kmeans"),
+            ("sweep", "--kind", "imbalance", "--range", "1", "--algos", ","),
+            ("bench", "--algos", ","),
             ("sweep", "--kind", "dimension", "--range", "2,0.5"),
             ("sweep", "--kind", "dimension", "--range", "0"),
             ("sweep", "--kind", "imbalance", "--range", "0"),
@@ -325,3 +332,26 @@ class TestUsage:
     )
     def test_out_of_range_count_or_seed(self, tmp_path, args):
         assert run_cli(*args, "--out", tmp_path / "o") == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [
+        ("synth", "--preset", "set1"),
+        ("verify", "--preset", "set2", "--seeds", 1),
+        ("sweep", "--kind", "imbalance", "--range", "1", "--algos", "sms", "--reps", 1),
+    ], ids=lambda args: args[0])
+    def test_output_under_a_missing_directory(self, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "out"
+        assert run_cli(*args, "--out", out) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr().err, out)
+
+    @pytest.mark.parametrize("args", [
+        ("cluster", "--input", "data.csv"),
+        # bench makes a missing output directory, so only a file in the path stops it
+        ("bench", "--sizes", "1,2,10", "--algos", "sms", "--reps", 1),
+    ], ids=lambda args: args[0])
+    def test_output_directory_under_a_file(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--preset", "complexity:5", "--out", "data.csv") == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "data.csv" / "out"
+        assert run_cli(*args, "--out", out) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr().err, out)

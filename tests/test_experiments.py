@@ -244,6 +244,11 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_benchmark([2, 5, 20], algorithms=("kmeans",))
 
+    def test_empty_algorithm_list_rejected_before_any_dataset(self, monkeypatch):
+        monkeypatch.setattr(bench, "generate", lambda *args: pytest.fail("a dataset was generated"))
+        with pytest.raises(ValueError, match="algorithm list is empty"):
+            run_benchmark([2, 5, 20], algorithms=())
+
     def test_small_benchmark_cells(self):
         result = run_benchmark([2, 5, 20], algorithms=("bms",), repetitions=2, seed=0)
         assert len(result.cells) == 3
@@ -278,8 +283,8 @@ class TestRunSweep:
             run_sweep("bandwidth", [1.0])
 
     @pytest.mark.parametrize(
-        "bad", [{"algorithms": ("sms", "kmeans")}, {"h": 0.0}, {"merge_factor": 0.9}],
-        ids=["algorithm", "bandwidth", "merge_factor"],
+        "bad", [{"algorithms": ("sms", "kmeans")}, {"algorithms": ()}, {"h": 0.0}, {"merge_factor": 0.9}],
+        ids=["algorithm", "no-algorithm", "bandwidth", "merge_factor"],
     )
     def test_bad_argument_rejected_before_any_replicate(self, bad, monkeypatch):
         def replicate(*args, **kwargs):

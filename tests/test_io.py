@@ -1,4 +1,4 @@
-"""File formats: dataset CSV, partition CSV, traces, score matrices."""
+"""File formats: dataset CSV, partition CSV, traces."""
 
 import ctypes
 import json
@@ -22,11 +22,9 @@ from stochshift.io import (
     _render_rows,
     _trace_texts,
     read_dataset_csv,
-    read_score_matrix,
     write_dataset_csv,
     write_json,
     write_partition_csv,
-    write_score_matrix,
     write_trace_jsonl,
 )
 from stochshift.kernels import Profile
@@ -416,14 +414,6 @@ class TestCsvParity:
         write_dataset_csv(path, np.array([[1.0, value], [0.5, 2.0]]))
         assert path.read_text() == f"x0,x1\n1.0,{value!r}\n0.5,2.0\n"
 
-    @pytest.mark.parametrize("n", [0, 1, 40])
-    def test_score_matrix_csv(self, fmt, tmp_path, monkeypatch, n):
-        s = np.random.default_rng(n).normal(size=(n, n))
-        path = tmp_path / "scores.csv"
-        write_score_matrix(path, s)
-        assert path.read_bytes() == python_bytes(write_score_matrix, tmp_path / "py.csv", s,
-                                                 monkeypatch=monkeypatch)
-
 
 class TestPartitionCsv:
     def test_golden_bytes(self, tmp_path):
@@ -566,7 +556,6 @@ def test_library_renders_every_chunk(fmt, tmp_path, monkeypatch):
     write_trace_jsonl(tmp_path / "trace.jsonl", trace)
     write_dataset_csv(tmp_path / "data.csv", np.array([[np.nan, -np.inf], [np.inf, 0.5]]), np.array([1, 2]))
     write_partition_csv(tmp_path / "partition.csv", Partition(np.array([1, 2, 1]), 2))
-    write_score_matrix(tmp_path / "scores.csv", np.full((3, 3), np.nan))
     assert (tmp_path / "data.csv").read_text() == "x0,x1,label\nnan,-inf,1\ninf,0.5,2\n"
     assert '"grad_norm": -Infinity' in (tmp_path / "trace.jsonl").read_text().splitlines()[0]
 
@@ -580,49 +569,3 @@ class TestJson:
         write_json(path_b, dict(reversed(payload.items())), schema="metrics-report")
         assert path_a.read_bytes() == path_b.read_bytes()
         assert json.loads(path_a.read_text())["schema"] == "metrics-report/1"
-
-
-class TestScoreMatrix:
-    @pytest.mark.parametrize("n", [0, 7])
-    def test_binary_roundtrip(self, tmp_path, n):
-        rng = np.random.default_rng(1)
-        s = rng.normal(size=(n, n))
-        path = tmp_path / "scores.bin"
-        write_score_matrix(path, s)
-        got = read_score_matrix(path)
-        np.testing.assert_array_equal(got, s)
-
-    def test_binary_layout(self, tmp_path):
-        s = np.array([[1.0, 2.0], [3.0, 4.0]])
-        path = tmp_path / "scores.bin"
-        write_score_matrix(path, s)
-        raw = path.read_bytes()
-        assert len(raw) == 8 + 4 * 8
-        assert int.from_bytes(raw[:8], "little") == 2
-        np.testing.assert_array_equal(np.frombuffer(raw[8:], dtype="<f8"), [1.0, 2.0, 3.0, 4.0])
-
-    @pytest.mark.parametrize("n", [0, 5])
-    def test_csv_roundtrip(self, tmp_path, n):
-        rng = np.random.default_rng(2)
-        s = rng.normal(size=(n, n))
-        path = tmp_path / "scores.csv"
-        write_score_matrix(path, s)
-        got = read_score_matrix(path)
-        np.testing.assert_array_equal(got, s)
-
-    def test_truncated_binary_rejected(self, tmp_path):
-        path = tmp_path / "scores.bin"
-        write_score_matrix(path, np.zeros((3, 3)))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DataError, match="expected"):
-            read_score_matrix(path)
-
-    def test_non_square_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="square"):
-            write_score_matrix(tmp_path / "s.bin", np.zeros((2, 3)))
-
-    def test_ragged_csv_rejected(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(DataError, match="cannot parse"):
-            read_score_matrix(path)
